@@ -3,9 +3,9 @@
 
 Run: python benchmarks/bench_kernels.py [repeats]
 
-These kernels dominate the pipeline's runtime: pairwise distances and kNN
-scores drive labeling, centroid assignment drives k-means, and the MLP
-loss/gradient is called thousands of times per GA run.
+Centroid assignment drives k-means and the MLP loss/gradient is called
+thousands of times per GA run.  The labeling distance code is numpy-only
+and has no numba twin to compare.
 """
 
 import sys
@@ -43,10 +43,6 @@ def main():
     t[np.arange(140), rng.integers(0, 4, 140)] = 1.0
 
     cases = [
-        ("pairwise_distances (400x2)", K._np_pairwise_distances,
-         K._nb_pairwise_distances, (pts,)),
-        ("knn_mean_dists (400, k=5)", K._np_knn_mean_dists,
-         K._nb_knn_mean_dists, (pts, 5)),
         ("nearest_centroids (400, k=5)", K._np_nearest_centroids,
          K._nb_nearest_centroids, (pts, cents)),
         ("mlp_forward (140x2-10-4)", K._np_mlp_forward,

@@ -1,10 +1,11 @@
 """Hot numeric kernels with two interchangeable backends.
 
-Everything here is called from inner loops (kNN scoring, k-means assignment,
-MLP loss/gradient inside GA fitness evaluation).  Each kernel exists twice:
-a numba ``@njit`` version and a pure-numpy version.  The active backend is
+Everything here is called from inner loops (k-means assignment, MLP
+loss/gradient inside GA fitness evaluation).  Each kernel exists twice: a
+numba ``@njit`` version and a pure-numpy version.  The active backend is
 chosen once at import time from the ``ANOMTAX_BACKEND`` environment variable
-(``numba`` or ``numpy``); the default is numba when it is importable.
+(``numba`` or ``numpy``); the default is numba when it is importable.  The
+labeling distance code is numpy-only and lives in :mod:`anomtax.labeling`.
 
 Both backends compute the same quantities; results may differ in the last
 few ulps because summation order differs.  Run ``benchmarks/bench_kernels.py``
@@ -21,8 +22,6 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "NUMBA_AVAILABLE",
-    "pairwise_distances",
-    "knn_mean_dists",
     "nearest_centroids",
     "mlp_forward",
     "mlp_loss_grad",
@@ -32,18 +31,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # pure numpy implementations
 # ---------------------------------------------------------------------------
-
-def _np_pairwise_distances(pts):
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
-
-
-def _np_knn_mean_dists(pts, k):
-    dists = _np_pairwise_distances(pts)
-    np.fill_diagonal(dists, np.inf)
-    nearest = np.partition(dists, k - 1, axis=1)[:, :k]
-    return nearest.sum(axis=1) / k
-
 
 def _np_nearest_centroids(pts, centroids):
     d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -84,44 +71,6 @@ except ImportError:  # pragma: no cover - numba is a declared dependency
     njit = None
 
 if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _nb_pairwise_distances(pts):
-        n, d = pts.shape
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                acc = 0.0
-                for q in range(d):
-                    diff = pts[i, q] - pts[j, q]
-                    acc += diff * diff
-                r = math.sqrt(acc)
-                out[i, j] = r
-                out[j, i] = r
-        return out
-
-    @njit(cache=True, nogil=True)
-    def _nb_knn_mean_dists(pts, k):
-        n = pts.shape[0]
-        d = pts.shape[1]
-        out = np.empty(n)
-        row = np.empty(n)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    row[j] = np.inf
-                else:
-                    acc = 0.0
-                    for q in range(d):
-                        diff = pts[i, q] - pts[j, q]
-                        acc += diff * diff
-                    row[j] = math.sqrt(acc)
-            ordered = np.sort(row)
-            acc = 0.0
-            for j in range(k):
-                acc += ordered[j]
-            out[i] = acc / k
-        return out
 
     @njit(cache=True, nogil=True)
     def _nb_nearest_centroids(pts, centroids):
@@ -223,15 +172,11 @@ if _requested == "numba" and not NUMBA_AVAILABLE:
 
 if _requested == "numpy" or not NUMBA_AVAILABLE:
     BACKEND = "numpy"
-    pairwise_distances = _np_pairwise_distances
-    knn_mean_dists = _np_knn_mean_dists
     nearest_centroids = _np_nearest_centroids
     mlp_forward = _np_mlp_forward
     mlp_loss_grad = _np_mlp_loss_grad
 else:
     BACKEND = "numba"
-    pairwise_distances = _nb_pairwise_distances
-    knn_mean_dists = _nb_knn_mean_dists
     nearest_centroids = _nb_nearest_centroids
     mlp_forward = _nb_mlp_forward
     mlp_loss_grad = _nb_mlp_loss_grad

@@ -244,12 +244,18 @@ def load_csv(path, schema=None) -> Dataset:
             for i in feat_cols:
                 cell = row[i].strip()
                 try:
-                    vals.append(float(cell))
+                    val = float(cell)
                 except ValueError:
                     raise CsvParseError(
                         f"{path}: row {rownum}, column {header[i]!r}: "
                         f"not a number: {cell!r}"
                     ) from None
+                if not math.isfinite(val):
+                    raise CsvParseError(
+                        f"{path}: row {rownum}, column {header[i]!r}: "
+                        f"not a finite number: {cell!r}"
+                    )
+                vals.append(val)
             features.append(vals)
             if class_col:
                 cell = row[class_col[0]].strip()

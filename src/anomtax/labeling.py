@@ -44,6 +44,9 @@ log = logging.getLogger(__name__)
 KMEANS_MAX_ITER = 300
 DENSITY_CAP = 1e12
 DENSITY_EPS = 1e-12
+# Float64 elements in one block of distance rows (16 MB per temporary), so
+# labeling memory grows linearly with the number of points.
+BLOCK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,53 @@ def detect_point_anomalies(points, cfg: LabelingConfig) -> np.ndarray:
             f"point-anomaly detection needs more than knn_k={cfg.knn_k} "
             f"points, got {n}"
         )
-    scores = _kernels.knn_mean_dists(points, cfg.knn_k)
+    scores = _knn_scores(points, cfg.knn_k)
     cutoff = scores.mean() + cfg.pa_score_multiplier * scores.std()
     return np.flatnonzero(scores > cutoff)
+
+
+def _knn_scores(pts, k: int, ordered: bool = False) -> np.ndarray:
+    """Mean distance from each point to its k nearest other points.
+
+    Each row's k smallest distances are summed in partition order, or in
+    ascending order when ``ordered``; either order is fixed by the row's
+    values alone, so the block size never changes a score.
+    """
+    scores = np.empty(pts.shape[0])
+    for lo, hi, block in _distance_rows(pts):
+        block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        block.partition(k - 1, axis=1)
+        nearest = block[:, :k]
+        if ordered:
+            nearest = np.sort(nearest, axis=1)
+        scores[lo:hi] = nearest.sum(axis=1) / k
+    return scores
+
+
+def _distance_rows(pts):
+    """Yield ``(lo, hi, block)`` with ``block`` = rows lo:hi of the
+    Euclidean distance matrix of ``pts``.
+
+    Every entry accumulates squared coordinate differences in dimension
+    order, then takes the square root, so a pair's distance does not
+    depend on the block it falls in.  The block is a reused buffer: a
+    caller may overwrite it but must not keep it past the next step.
+    """
+    n, d = pts.shape
+    step = max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
+    acc = np.empty((step, n))
+    tmp = np.empty((step, n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        block, dq = acc[:hi - lo], tmp[:hi - lo]
+        np.subtract(pts[lo:hi, 0, None], pts[None, :, 0], out=block)
+        block *= block
+        for q in range(1, d):
+            np.subtract(pts[lo:hi, q, None], pts[None, :, q], out=dq)
+            dq *= dq
+            block += dq
+        np.sqrt(block, out=block)
+        yield lo, hi, block
 
 
 def build_radius_table(pa_points) -> RadiusTable:
@@ -155,8 +202,10 @@ def build_radius_table(pa_points) -> RadiusTable:
         raise ValueError(
             f"radius table needs at least 2 point anomalies, got {k}"
         )
-    dists = _kernels.pairwise_distances(pts)
-    mean_dists = dists.sum(axis=1) / (k - 1)
+    sums = np.empty(k)
+    for lo, hi, block in _distance_rows(pts):
+        sums[lo:hi] = block.sum(axis=1)
+    mean_dists = sums / (k - 1)
     return RadiusTable(mean_dists, float(mean_dists.mean()))
 
 
@@ -170,7 +219,9 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
 
     Runs to an assignment fixpoint or 300 iterations.  Empty clusters are
     repaired by reseeding the centroid at the point farthest from its
-    current centroid, which keeps the objective non-increasing.
+    current centroid, which keeps the objective non-increasing.  Raises
+    ``ValueError`` if a cluster stays empty after repair, which happens
+    when the points hold fewer than k distinct values.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -204,6 +255,10 @@ def _repair_empty(points, centroids, assign, d2, k):
             break
         centroids[empties[0]] = points[int(d2.argmax())]
         assign, d2 = _kernels.nearest_centroids(points, centroids)
+    empty = int((np.bincount(assign, minlength=k) == 0).sum())
+    if empty:
+        raise ValueError(f"k-means left {empty} of {k} clusters empty; "
+                         f"the points hold fewer than k distinct values")
     return assign, d2
 
 
@@ -225,11 +280,8 @@ def cluster_density_stats(model: ClusterModel, points,
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:
             continue
-        dists = _kernels.pairwise_distances(points[members])
-        np.fill_diagonal(dists, np.inf)
         kk = min(knn_k, members.size - 1)
-        nearest = np.sort(dists, axis=1)[:, :kk]
-        mean_dist = nearest.sum(axis=1) / kk
+        mean_dist = _knn_scores(points[members], kk, ordered=True)
         dens = np.where(mean_dist < DENSITY_EPS, DENSITY_CAP, 1.0 / np.maximum(mean_dist, DENSITY_EPS))
         stds[c] = dens.std()
     return replace(model, density_std=stds,
@@ -273,12 +325,14 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
     rest = np.setdiff1d(np.arange(n), pa_idx)
     clusters_used = 0
     if rest.size:
-        clusters_used = min(cfg.num_clusters, rest.size)
+        rest_points = points[rest]
+        distinct = np.unique(rest_points, axis=0).shape[0]
+        clusters_used = min(cfg.num_clusters, distinct)
         if clusters_used < cfg.num_clusters:
-            log.info("reduced cluster count to %d (only %d clusterable "
-                     "points)", clusters_used, rest.size)
-        model = kmeans(points[rest], clusters_used, cfg.seed)
-        model = cluster_density_stats(model, points[rest], cfg.knn_k)
+            log.info("reduced cluster count to %d (only %d distinct "
+                     "clusterable points)", clusters_used, distinct)
+        model = kmeans(rest_points, clusters_used, cfg.seed)
+        model = cluster_density_stats(model, rest_points, cfg.knn_k)
         model = replace(model,
                         threshold=_resolve_threshold(cfg, model.density_std))
         cna_clusters = detect_cna(model)

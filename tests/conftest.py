@@ -11,8 +11,6 @@ from anomtax.labeling import LabelingConfig, label_dataset
 def warm_kernels():
     # trigger one-time numba compilation so timed checks measure steady state
     pts = np.random.default_rng(0).random((8, 2))
-    _kernels.pairwise_distances(pts)
-    _kernels.knn_mean_dists(pts, 2)
     _kernels.nearest_centroids(pts, pts[:2].copy())
     w1 = np.zeros((3, 2))
     w2 = np.zeros((2, 3))

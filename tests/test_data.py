@@ -54,6 +54,14 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r"row 3, column 'y'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN",
+                                       "Infinity"])
+    def test_non_finite_feature_cell(self, tmp_path, token):
+        path = _write(tmp_path, f"x,y\n1,2\n3,4\n{token},5\n")
+        with pytest.raises(CsvParseError,
+                           match=rf"row 4, column 'x'.*{token}"):
+            load_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = _write(tmp_path, "x,y\n1,2\n3\n")
         with pytest.raises(CsvStructureError, match="row 3"):

@@ -12,26 +12,6 @@ def rng():
     return np.random.default_rng(123)
 
 
-def test_pairwise_distances_agree(rng):
-    for _ in range(5):
-        pts = rng.normal(0, 3, (int(rng.integers(2, 40)),
-                                int(rng.integers(1, 5))))
-        a = K._np_pairwise_distances(pts)
-        b = K._nb_pairwise_distances(pts)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(b, b.T)
-
-
-def test_knn_mean_dists_agree(rng):
-    for _ in range(5):
-        n = int(rng.integers(6, 50))
-        pts = rng.normal(0, 2, (n, 2))
-        k = int(rng.integers(1, n - 1))
-        a = K._np_knn_mean_dists(pts, k)
-        b = K._nb_knn_mean_dists(pts, k)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
 def test_nearest_centroids_agree(rng):
     for _ in range(5):
         pts = rng.normal(0, 1, (30, 3))

@@ -1,9 +1,15 @@
 import math
+import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from anomtax.data import AnomalyLabel, Dataset, save_csv, load_csv
+from anomtax import labeling
+from anomtax.config import load_config
+from anomtax.data import (AnomalyLabel, Dataset, generate_synthetic,
+                          load_csv, minmax_normalize, save_csv)
 from anomtax.labeling import (
     LabelingConfig,
     build_radius_table,
@@ -30,6 +36,34 @@ def brute_radius_table(points):
             total += math.dist(points[i], points[j])
         mdist.append(total / (k - 1))
     return mdist, sum(mdist) / k
+
+
+def dense_distances(pts):
+    """The all-pairs (n, n, d) formula the row-blocked code replaced."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def dense_knn_scores(pts, k):
+    dists = dense_distances(pts)
+    np.fill_diagonal(dists, np.inf)
+    return np.partition(dists, k - 1, axis=1)[:, :k].sum(axis=1) / k
+
+
+def dense_density_std(model, pts, knn_k):
+    stds = np.zeros(model.num_clusters)
+    for c in range(model.num_clusters):
+        members = np.flatnonzero(model.assignment == c)
+        if members.size < 2:
+            continue
+        dists = dense_distances(pts[members])
+        np.fill_diagonal(dists, np.inf)
+        kk = min(knn_k, members.size - 1)
+        mean_dist = np.sort(dists, axis=1)[:, :kk].sum(axis=1) / kk
+        dens = np.where(mean_dist < labeling.DENSITY_EPS, labeling.DENSITY_CAP,
+                        1.0 / np.maximum(mean_dist, labeling.DENSITY_EPS))
+        stds[c] = dens.std()
+    return stds
 
 
 class TestDistance:
@@ -178,6 +212,11 @@ class TestKmeans:
             again = kmeans(pts, 4, seed=seed)
             np.testing.assert_array_equal(model.assignment, again.assignment)
 
+    def test_fewer_distinct_points_than_k_rejected(self):
+        pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3)
+        with pytest.raises(ValueError, match="empty"):
+            kmeans(pts, 3, seed=0)
+
     def test_nonempty_clusters(self):
         # duplicated points force empty-cluster repair paths
         pts = np.array([[0.0, 0.0]] * 5 + [[5.0, 5.0]] * 5 + [[9.0, 0.0]])
@@ -238,6 +277,70 @@ class TestDetectCna:
         assert list(detect_cna(model)) == [0]
 
 
+class TestBlockedDistances:
+    # 37 points in blocks of 4 rows: nine full blocks and a one-row last one
+    N = 37
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(labeling, "BLOCK_ELEMENTS", 4 * self.N)
+
+    def _points(self, d):
+        pts = np.random.default_rng(d).normal(0, 3, (self.N, d))
+        pts[7] = pts[3]  # a coincident pair: zero distance and ties
+        return pts
+
+    def test_block_bounds(self, small_blocks):
+        bounds = [(lo, hi) for lo, hi, _ in
+                  labeling._distance_rows(self._points(2))]
+        assert bounds == [(lo, min(lo + 4, self.N))
+                          for lo in range(0, self.N, 4)]
+        assert bounds[-1] == (36, 37)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
+    def test_matches_dense_formulas(self, small_blocks, d):
+        # numpy sums an axis of 8 or more elements pairwise, so from d=8
+        # the dense formula rounds differently from in-order accumulation
+        if d <= 7:
+            same = np.testing.assert_array_equal
+        else:
+            def same(a, b):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        pts = self._points(d)
+
+        same(labeling._knn_scores(pts, 5), dense_knn_scores(pts, 5))
+
+        table = build_radius_table(pts)
+        dense_means = dense_distances(pts).sum(axis=1) / (self.N - 1)
+        same(table.mean_dists, dense_means)
+        same(table.global_radius, dense_means.mean())
+
+        model = kmeans(pts, 3, seed=0)
+        got = cluster_density_stats(model, pts, knn_k=5).density_std
+        same(got, dense_density_std(model, pts, 5))
+
+    def test_label_memory_linear_in_n(self):
+        # the shipped mixture scaled to about 6000 points; the dense
+        # (n, n, d) formulas peaked near 1.4 GB here
+        shipped = load_config(seed=0).synthetic
+        scale = 6000 / 195
+        spec = replace(
+            shipped,
+            blobs=tuple(replace(b, count=round(b.count * scale))
+                        for b in shipped.blobs),
+            scatter_count=round(shipped.scatter_count * scale))
+        ds, _ = minmax_normalize(generate_synthetic(spec, 0))
+        assert ds.n >= 5990
+        tracemalloc.start()
+        try:
+            label_dataset(ds, LabelingConfig(num_clusters=5, knn_k=5,
+                                             seed=0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+
+
 class TestLabelDataset:
     def _dataset(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -273,6 +376,16 @@ class TestLabelDataset:
         save_csv(labeled, path)
         back = load_csv(path)
         np.testing.assert_array_equal(back.labels, labeled.labels)
+
+    def test_fewer_distinct_points_than_clusters(self):
+        pts = np.array([[0.0, 0.0]] * 20 + [[1.0, 1.0]] * 20
+                       + [[5.0, 5.0], [9.0, 0.0], [0.0, 9.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labeled, report = label_dataset(
+                Dataset(pts), LabelingConfig(num_clusters=5, seed=0))
+        assert report.clusters == 2
+        assert report.pa + report.cpa == 3
 
     def test_rigid_motion_invariance(self):
         ds = self._dataset(seed=3)
