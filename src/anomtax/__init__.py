@@ -2,7 +2,6 @@
 MLP classifier with GA-evolved initial weights for the borderline cases
 where the four types meet."""
 
-from ._kernels import BACKEND
 from .data import (
     AnomalyLabel,
     BlobSpec,

@@ -243,39 +243,30 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     Per cycle: evaluate everyone, stop if the goal error is reached, select
     a parent pool, pair adjacent pool members (an odd pool pairs its last
     member with the first), crossover at a random cut, mutate, and carry
-    the best individual over unmodified.  Trained-fitness results are
-    cached by genome so elites are not retrained.
+    the best individual over unmodified.  The carried-over individual
+    keeps its fitness, so each cycle after the first trains
+    ``population_size - 1`` new individuals.
     """
     rng = np.random.default_rng(cfg.seed)
     population = init_population(cfg, topology, rng)
-    cache: dict[bytes, float] = {}
     evaluations = 0
     stats: list[CycleStats] = []
     stop = "cycles"
 
     def evaluate_all(pop):
         nonlocal evaluations
-        todo = []
-        for ind in pop:
-            if ind.fitness is None:
-                key = ind.genome.tobytes()
-                if key in cache:
-                    ind.fitness = cache[key]
-                else:
-                    todo.append((key, ind))
+        todo = [ind for ind in pop if ind.fitness is None]
         if cfg.workers > 1 and len(todo) > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = [pool.submit(evaluate_fitness, ind, topology,
                                        splits, tcfg, cfg.fitness_metric)
-                           for _, ind in todo]
+                           for ind in todo]
                 for fut in futures:
                     fut.result()
         else:
-            for _, ind in todo:
+            for ind in todo:
                 evaluate_fitness(ind, topology, splits, tcfg,
                                  cfg.fitness_metric)
-        for key, ind in todo:
-            cache[key] = ind.fitness
         evaluations += len(todo)
 
     for cycle in range(1, cfg.cycles + 1):

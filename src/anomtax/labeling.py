@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .data import (
     AnomalyLabel,
     Dataset,
@@ -229,20 +228,28 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
         raise ValueError(f"need 1 <= k <= {n} points, got k={k}")
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    assign, d2 = _kernels.nearest_centroids(points, centroids)
+    assign, d2 = _nearest_centroids(points, centroids)
     assign, d2 = _repair_empty(points, centroids, assign, d2, k)
     history = [float(d2.sum())]
     for _ in range(KMEANS_MAX_ITER):
         for c in range(k):
             members = assign == c
             centroids[c] = points[members].mean(axis=0)
-        new_assign, d2 = _kernels.nearest_centroids(points, centroids)
+        new_assign, d2 = _nearest_centroids(points, centroids)
         new_assign, d2 = _repair_empty(points, centroids, new_assign, d2, k)
         history.append(float(d2.sum()))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
     return ClusterModel(centroids, assign, tuple(history))
+
+
+def _nearest_centroids(pts, centroids):
+    """Index of each point's nearest centroid (ties go to the lowest
+    index) and the squared distance to it."""
+    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    return assign, d2[np.arange(pts.shape[0]), assign]
 
 
 def _repair_empty(points, centroids, assign, d2, k):
@@ -254,7 +261,7 @@ def _repair_empty(points, centroids, assign, d2, k):
         if empties.size == 0:
             break
         centroids[empties[0]] = points[int(d2.argmax())]
-        assign, d2 = _kernels.nearest_centroids(points, centroids)
+        assign, d2 = _nearest_centroids(points, centroids)
     empty = int((np.bincount(assign, minlength=k) == 0).sum())
     if empty:
         raise ValueError(f"k-means left {empty} of {k} clusters empty; "
@@ -289,7 +296,13 @@ def cluster_density_stats(model: ClusterModel, points,
 
 
 def detect_cna(model: ClusterModel) -> np.ndarray:
-    """Cluster indices whose density spread meets or exceeds the threshold."""
+    """Cluster indices whose density spread meets or exceeds the threshold.
+
+    The comparison is ``>=``, as in the paper, so equal spreads make every
+    cluster CNA: a single cluster is always CNA (its spread is the mean
+    threshold), and so is a set of identical points (all spreads are 0).
+    On the 195-point reference mixture, k=1 labels 184 points CNA.
+    """
     if model.density_std is None or model.threshold is None:
         raise ValueError("cluster model lacks density stats")
     return np.flatnonzero(model.density_std >= model.threshold)
@@ -336,6 +349,9 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
         model = replace(model,
                         threshold=_resolve_threshold(cfg, model.density_std))
         cna_clusters = detect_cna(model)
+        if cna_clusters.size == clusters_used:
+            log.info("all %d clusters are CNA: every density spread meets "
+                     "the threshold %.6g", clusters_used, model.threshold)
         cna_members = rest[np.isin(model.assignment, cna_clusters)]
         labels[cna_members] = int(AnomalyLabel.CNA)
 

@@ -6,6 +6,15 @@ All weights and biases live in one flat genome vector so a genetic
 algorithm can evolve initializations.  Canonical ordering: hidden-layer
 weights row-major, hidden biases, output-layer weights row-major, output
 biases.
+
+The network is evaluated through genome views: :func:`unpack_weights`
+gives (w1, b1, w2, b2) views of a flat vector, and a gradient is written
+through the same views of a flat gradient buffer with ``out=`` arguments,
+so it is never packed.  :func:`train_scg` checks its inputs once, then
+allocates the weights, the trial point, three gradient slots and every
+intermediate array once per call; its epoch loop allocates no arrays.
+:func:`forward_batch` and :func:`mse_and_gradient` are the validated
+entry points over the same code.
 """
 
 from __future__ import annotations
@@ -15,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 
 __all__ = [
     "Topology",
@@ -24,7 +32,6 @@ __all__ = [
     "TrainingDivergedError",
     "init_weights",
     "unpack_weights",
-    "pack_weights",
     "forward",
     "forward_batch",
     "mse_and_gradient",
@@ -124,8 +131,112 @@ def unpack_weights(weights: np.ndarray, topology: Topology):
     return w1, b1, w2, b2
 
 
-def pack_weights(w1, b1, w2, b2) -> np.ndarray:
-    return np.concatenate([w1.ravel(), b1, w2.ravel(), b2])
+class _Genome:
+    """A flat genome-length buffer and its (w1, b1, w2, b2) views."""
+
+    __slots__ = ("flat", "views")
+
+    def __init__(self, topology: Topology):
+        self.flat = np.zeros(topology.genome_length)
+        self.views = unpack_weights(self.flat, topology)
+
+
+def _forward(w, x, hidden, y) -> None:
+    """Outputs for the rows of ``x`` at weight views ``w``, written into
+    ``hidden`` and ``y``."""
+    w1, b1, w2, b2 = w
+    np.matmul(x, w1.T, out=hidden)
+    np.add(hidden, b1, out=hidden)
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2.T, out=y)
+    np.add(y, b2, out=y)
+    np.tanh(y, out=y)
+
+
+class _Batch:
+    """Rows the network is evaluated on, with every intermediate array
+    allocated once.
+
+    Rows ``[0, n_fit)`` are fitted: the loss and gradient cover them
+    alone.  Any rows after them (a validation set) are only scored.  One
+    forward pass over all rows gives every row the bits of a pass over its
+    own part, except that numpy multiplies a one-row matrix by a
+    matrix-vector product, so a one-row part gets its own pass.
+    """
+
+    def __init__(self, topology: Topology, x, t, n_fit: int):
+        n = x.shape[0]
+        n_hid, n_out = topology.hidden_size, topology.output_size
+        hidden = np.empty((n, n_hid))
+        self.y = np.empty((n, n_out))
+        self.t, self.fit_t = t, t[:n_fit]
+        self.err = np.empty((n, n_out))
+        self.sq = np.empty((n, n_out))
+        self.fit = (x[:n_fit], hidden[:n_fit], self.y[:n_fit])
+        if n_fit > 1 and n - n_fit > 1:
+            self.parts = ((x, hidden, self.y),)
+        else:
+            self.parts = (self.fit,
+                          (x[n_fit:], hidden[n_fit:], self.y[n_fit:]))
+        self.fit_err, self.fit_sq = self.err[:n_fit], self.sq[:n_fit]
+        self.val_sq = self.sq[n_fit:]
+        self.fit_size = n_fit * n_out
+        self.val_size = (n - n_fit) * n_out
+        self.scale = 2.0 / self.fit_size
+        self.dy = np.empty((n_fit, n_out))
+        self.d2 = np.empty((n_fit, n_out))
+        self.dh = np.empty((n_fit, n_hid))
+        self.d1 = np.empty((n_fit, n_hid))
+
+    def loss_grad(self, w, g, loss: bool = True, score: bool = False):
+        """Write the gradient of the fitted rows' MSE at weight views ``w``
+        into gradient views ``g`` and return ``(fit_mse, val_mse)``: the
+        fitted rows' MSE (None without ``loss``) and the scored rows' MSE
+        (None without ``score``)."""
+        x, hidden, y = self.fit
+        if score:
+            for part in self.parts:
+                _forward(w, *part)
+            np.subtract(self.y, self.t, out=self.err)
+            np.multiply(self.err, self.err, out=self.sq)
+        else:
+            _forward(w, x, hidden, y)
+            np.subtract(y, self.fit_t, out=self.fit_err)
+            if loss:
+                np.multiply(self.fit_err, self.fit_err, out=self.fit_sq)
+        fit_mse = val_mse = None
+        if loss:
+            fit_mse = float(np.add.reduce(self.fit_sq, axis=None)) \
+                / self.fit_size
+        if score:
+            val_mse = float(np.add.reduce(self.val_sq, axis=None)) \
+                / self.val_size
+
+        w2 = w[2]
+        gw1, gb1, gw2, gb2 = g
+        dy, d2, dh, d1 = self.dy, self.d2, self.dh, self.d1
+        np.multiply(y, y, out=dy)
+        np.subtract(1.0, dy, out=dy)
+        np.multiply(self.fit_err, self.scale, out=d2)
+        np.multiply(d2, dy, out=d2)
+        np.matmul(d2.T, hidden, out=gw2)
+        np.add.reduce(d2, axis=0, out=gb2)
+        np.matmul(d2, w2, out=d1)
+        np.multiply(hidden, hidden, out=dh)
+        np.subtract(1.0, dh, out=dh)
+        np.multiply(d1, dh, out=d1)
+        np.matmul(d1.T, x, out=gw1)
+        np.add.reduce(d1, axis=0, out=gb1)
+        return fit_mse, val_mse
+
+
+def _check_batch(topology: Topology, x, t) -> None:
+    if x.shape[0] == 0:
+        raise ValueError("empty batch")
+    if x.ndim != 2 or x.shape[1] != topology.input_size:
+        raise ValueError(f"bad input shape {x.shape}")
+    if t.shape != (x.shape[0], topology.output_size):
+        raise ValueError(f"bad target shape {t.shape}")
 
 
 def forward(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
@@ -144,8 +255,10 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
         raise ValueError(
             f"batch has shape {x.shape}, expected (n, {topology.input_size})"
         )
-    w1, b1, w2, b2 = unpack_weights(np.ascontiguousarray(weights), topology)
-    return _kernels.mlp_forward(w1, b1, w2, b2, x)
+    w = unpack_weights(np.ascontiguousarray(weights), topology)
+    y = np.empty((x.shape[0], topology.output_size))
+    _forward(w, x, np.empty((x.shape[0], topology.hidden_size)), y)
+    return y
 
 
 def mse_and_gradient(weights: np.ndarray, topology: Topology, x, t):
@@ -153,15 +266,11 @@ def mse_and_gradient(weights: np.ndarray, topology: Topology, x, t):
     gradient with respect to the flat genome (reverse-mode)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     t = np.ascontiguousarray(t, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ValueError("empty batch")
-    if x.ndim != 2 or x.shape[1] != topology.input_size:
-        raise ValueError(f"bad input shape {x.shape}")
-    if t.shape != (x.shape[0], topology.output_size):
-        raise ValueError(f"bad target shape {t.shape}")
-    w1, b1, w2, b2 = unpack_weights(np.ascontiguousarray(weights), topology)
-    loss, gw1, gb1, gw2, gb2 = _kernels.mlp_loss_grad(w1, b1, w2, b2, x, t)
-    return float(loss), pack_weights(gw1, gb1, gw2, gb2)
+    _check_batch(topology, x, t)
+    grad = _Genome(topology)
+    loss, _ = _Batch(topology, x, t, x.shape[0]).loss_grad(
+        unpack_weights(np.ascontiguousarray(weights), topology), grad.views)
+    return loss, grad.flat
 
 
 def train_scg(weights0, topology: Topology, x_train, t_train,
@@ -178,32 +287,38 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     validation-error increases over the best seen (the best-validation
     weights are restored); step size and gradient both below 1e-10; or
     ``max_epochs``.  An empty validation set disables early stopping.
+
+    The validation rows are stacked under the training rows, so the call
+    that scores a candidate step also gives its validation error; an
+    accepted step moves the weights to exactly that point and a rejected
+    one leaves them, and their validation error, as they were.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     t_train = np.ascontiguousarray(t_train, dtype=np.float64)
     if x_train.shape[0] == 0:
         raise ValueError("empty training set")
+    _check_batch(topology, x_train, t_train)
     has_val = x_val is not None and len(x_val) > 0
     if has_val:
         x_val = np.ascontiguousarray(x_val, dtype=np.float64)
         t_val = np.ascontiguousarray(t_val, dtype=np.float64)
+        _check_batch(topology, x_val, t_val)
+        batch = _Batch(topology, np.concatenate([x_train, x_val]),
+                       np.concatenate([t_train, t_val]), x_train.shape[0])
+    else:
+        batch = _Batch(topology, x_train, t_train, x_train.shape[0])
 
-    w = init_weights(topology, weights0).copy()
+    w = init_weights(topology, weights0)
     n_params = w.size
+    trial, grad, grad_sigma, grad_cand = (_Genome(topology) for _ in range(4))
+    trial.flat[:] = w
+    r, r_new, p, diff, best_w = (np.empty(n_params) for _ in range(5))
 
-    def loss_grad(vec):
-        return mse_and_gradient(vec, topology, x_train, t_train)
-
-    def val_loss(vec):
-        y = forward_batch(vec, topology, x_val)
-        err = y - t_val
-        return float((err * err).sum() / err.size)
-
-    f, grad = loss_grad(w)
+    f, fv = batch.loss_grad(trial.views, grad.views, score=has_val)
     if not math.isfinite(f):
         raise TrainingDivergedError("non-finite training loss at epoch 0")
-    r = -grad
-    p = r.copy()
+    np.negative(grad.flat, out=r)
+    p[:] = r
     success = True
     lam = cfg.lambda0
     lam_bar = 0.0
@@ -214,7 +329,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     train_hist: list[float] = []
     val_hist: list[float] | None = [] if has_val else None
     best_val = math.inf
-    best_w = None
     fails = 0
     stop = "max_epochs"
 
@@ -227,40 +341,48 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
         mu = float(p @ r)
         if mu <= 0 or p_norm2 == 0.0:
             # direction lost descent; restart with steepest descent
-            p = r.copy()
+            p[:] = r
             p_norm2 = r_norm2
             mu = r_norm2
             success = True
         if success:
             sigma = cfg.sigma0 / math.sqrt(p_norm2)
-            _, grad_sigma = loss_grad(w + sigma * p)
-            delta = float(p @ (grad_sigma - grad)) / sigma
+            np.multiply(p, sigma, out=trial.flat)
+            np.add(w, trial.flat, out=trial.flat)
+            batch.loss_grad(trial.views, grad_sigma.views, loss=False)
+            np.subtract(grad_sigma.flat, grad.flat, out=diff)
+            delta = float(p @ diff) / sigma
         delta += (lam - lam_bar) * p_norm2
         if delta <= 0:
             lam_bar = 2.0 * (lam - delta / p_norm2)
             delta = -delta + lam * p_norm2
             lam = lam_bar
         alpha = mu / delta
-        f_cand, grad_cand = loss_grad(w + alpha * p)
+        np.multiply(p, alpha, out=trial.flat)
+        np.add(w, trial.flat, out=trial.flat)
+        f_cand, fv_cand = batch.loss_grad(trial.views, grad_cand.views,
+                                          score=has_val)
         if not math.isfinite(f_cand):
             raise TrainingDivergedError(
                 f"non-finite training loss at epoch {epoch}")
         comparison = 2.0 * delta * (f - f_cand) / (mu * mu)
         if comparison >= 0:
-            w = w + alpha * p
+            w[:] = trial.flat
             f = f_cand
-            r_new = -grad_cand
-            grad = grad_cand
+            fv = fv_cand
+            np.negative(grad_cand.flat, out=r_new)
+            grad, grad_cand = grad_cand, grad
             lam_bar = 0.0
             success = True
             accepted_steps += 1
             last_step_norm = abs(alpha) * math.sqrt(p_norm2)
             if accepted_steps % n_params == 0:
-                p = r_new.copy()
+                p[:] = r_new
             else:
                 beta = float(r_new @ r_new - r_new @ r) / mu
-                p = r_new + beta * p
-            r = r_new
+                np.multiply(p, beta, out=p)
+                np.add(r_new, p, out=p)
+            r, r_new = r_new, r
             if comparison >= 0.75:
                 lam *= 0.25
         else:
@@ -271,11 +393,10 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
 
         train_hist.append(f)
         if has_val:
-            fv = val_loss(w)
             val_hist.append(fv)
             if fv < best_val:
                 best_val = fv
-                best_w = w.copy()
+                best_w[:] = w
                 fails = 0
             elif fv > best_val:
                 fails += 1
@@ -288,7 +409,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             w = best_w
             break
         if (last_step_norm < SCG_CONVERGENCE_TOL
-                and float(np.sqrt(r @ r)) < SCG_CONVERGENCE_TOL):
+                and math.sqrt(float(r @ r)) < SCG_CONVERGENCE_TOL):
             stop = "scg_converged"
             break
 

@@ -1,22 +1,9 @@
 import numpy as np
 import pytest
 
-from anomtax import _kernels
 from anomtax.config import load_config
 from anomtax.data import Dataset, generate_synthetic, minmax_normalize
 from anomtax.labeling import LabelingConfig, label_dataset
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # trigger one-time numba compilation so timed checks measure steady state
-    pts = np.random.default_rng(0).random((8, 2))
-    _kernels.nearest_centroids(pts, pts[:2].copy())
-    w1 = np.zeros((3, 2))
-    w2 = np.zeros((2, 3))
-    _kernels.mlp_forward(w1, np.zeros(3), w2, np.zeros(2), pts)
-    _kernels.mlp_loss_grad(w1, np.zeros(3), w2, np.zeros(2), pts,
-                           np.zeros((8, 2)))
 
 
 @pytest.fixture(scope="session")

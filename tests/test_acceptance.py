@@ -55,7 +55,7 @@ def _criterion(num: int, description: str, ok: bool, detail: str = ""):
 # 1. radius / CPA oracle
 # ---------------------------------------------------------------------------
 
-def test_criterion_01_radius_cpa_oracle(warm_kernels):
+def test_criterion_01_radius_cpa_oracle():
     rng = np.random.default_rng(101)
     start = time.perf_counter()
     ok = True
@@ -88,7 +88,7 @@ def test_criterion_01_radius_cpa_oracle(warm_kernels):
 # 2. partition law
 # ---------------------------------------------------------------------------
 
-def test_criterion_02_partition_law(warm_kernels):
+def test_criterion_02_partition_law():
     rng = np.random.default_rng(202)
     start = time.perf_counter()
     ok = True
@@ -144,7 +144,7 @@ def test_criterion_03_collinear_cpa():
 # 4. gradient check
 # ---------------------------------------------------------------------------
 
-def test_criterion_04_gradient_check(warm_kernels):
+def test_criterion_04_gradient_check():
     topo = Topology(2, 10, 4)
     rng = np.random.default_rng(404)
     h = 1e-6
@@ -175,7 +175,7 @@ def test_criterion_04_gradient_check(warm_kernels):
 # 5. SCG sanity
 # ---------------------------------------------------------------------------
 
-def test_criterion_05_scg_sanity(warm_kernels):
+def test_criterion_05_scg_sanity():
     topo = Topology(2, 10, 2)
     start = time.perf_counter()
     solved = 0

@@ -217,6 +217,12 @@ class TestKmeans:
         with pytest.raises(ValueError, match="empty"):
             kmeans(pts, 3, seed=0)
 
+    def test_nearest_centroids_tie_to_lowest_index(self):
+        pts = np.array([[0.0, 0.0]])
+        cents = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        assign, _ = labeling._nearest_centroids(pts, cents)
+        assert assign[0] == 0
+
     def test_nonempty_clusters(self):
         # duplicated points force empty-cluster repair paths
         pts = np.array([[0.0, 0.0]] * 5 + [[5.0, 5.0]] * 5 + [[9.0, 0.0]])
@@ -275,6 +281,27 @@ class TestDetectCna:
         model = kmeans(pts, 1, seed=0)
         model = cluster_density_stats(model, pts, knn_k=4)
         assert list(detect_cna(model)) == [0]
+
+
+    def test_one_cluster_on_reference_data_is_cna(self, caplog):
+        # the >= rule: a single cluster's spread equals the mean threshold
+        cfg = load_config(seed=0)
+        norm, _ = minmax_normalize(generate_synthetic(cfg.synthetic, 0))
+        with caplog.at_level("INFO", logger="anomtax.labeling"):
+            _, report = label_dataset(
+                norm, LabelingConfig(num_clusters=1, knn_k=5,
+                                     pa_score_multiplier=2.0, seed=0))
+        assert (report.points, report.clusters, report.cna) == (195, 1, 184)
+        assert report.nd == 0
+        assert [r.levelname for r in caplog.records
+                if "clusters are CNA" in r.message] == ["INFO"]
+
+    def test_identical_points_all_cna(self):
+        # no point anomalies, one distinct point, every spread 0 >= 0
+        _, report = label_dataset(Dataset(np.full((30, 2), 0.5)),
+                                  LabelingConfig(num_clusters=5, seed=0))
+        assert (report.clusters, report.nd, report.cna) == (1, 0, 30)
+        assert report.pa == report.cpa == 0
 
 
 class TestBlockedDistances:

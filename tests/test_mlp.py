@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from anomtax.mlp import (
+    SCG_CONVERGENCE_TOL,
     Topology,
+    TrainedModel,
     TrainingConfig,
     forward,
     forward_batch,
@@ -12,7 +14,6 @@ from anomtax.mlp import (
     load_model,
     mse_and_gradient,
     one_hot,
-    pack_weights,
     predict_batch,
     predict_class,
     save_model,
@@ -89,11 +90,15 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(np.zeros(topo.genome_length), topo, [1.0, 2.0, 3.0])
 
-    def test_pack_unpack_roundtrip(self):
+    def test_unpack_views_cover_genome_in_order(self):
         topo = Topology(3, 4, 2)
         w = np.random.default_rng(2).random(topo.genome_length)
-        np.testing.assert_array_equal(pack_weights(*unpack_weights(w, topo)),
-                                      w)
+        views = unpack_weights(w, topo)
+        assert [v.shape for v in views] == [(4, 3), (4,), (2, 4), (2,)]
+        np.testing.assert_array_equal(
+            np.concatenate([v.ravel() for v in views]), w)
+        views[2][1, 0] = -7.0  # a view, not a copy
+        assert w[3 * 4 + 4 + 4] == -7.0
 
 
 class TestMseAndGradient:
@@ -265,3 +270,222 @@ class TestOneHot:
     def test_range_check(self):
         with pytest.raises(ValueError):
             one_hot([3], 3)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracle: the loss/gradient kernel and the SCG loop as they
+# were before the genome-view rewrite, copied verbatim apart from the two
+# counters of rejected steps and lost-descent restarts.
+# ---------------------------------------------------------------------------
+
+def _old_mlp_loss_grad(w1, b1, w2, b2, x, t):
+    n, n_out = t.shape
+    hidden = np.tanh(x @ w1.T + b1)
+    y = np.tanh(hidden @ w2.T + b2)
+    err = y - t
+    loss = float((err * err).sum() / (n * n_out))
+    d2 = (2.0 / (n * n_out)) * err * (1.0 - y * y)
+    gw2 = d2.T @ hidden
+    gb2 = d2.sum(axis=0)
+    d1 = (d2 @ w2) * (1.0 - hidden * hidden)
+    gw1 = d1.T @ x
+    gb1 = d1.sum(axis=0)
+    return loss, gw1, gb1, gw2, gb2
+
+
+def _old_mlp_forward(w1, b1, w2, b2, x):
+    hidden = np.tanh(x @ w1.T + b1)
+    return np.tanh(hidden @ w2.T + b2)
+
+
+def _old_mse_and_gradient(weights, topology, x, t):
+    w1, b1, w2, b2 = unpack_weights(np.ascontiguousarray(weights), topology)
+    loss, gw1, gb1, gw2, gb2 = _old_mlp_loss_grad(w1, b1, w2, b2, x, t)
+    return float(loss), np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+
+
+def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
+                   counts):
+    x_train = np.ascontiguousarray(x_train, dtype=np.float64)
+    t_train = np.ascontiguousarray(t_train, dtype=np.float64)
+    has_val = x_val is not None and len(x_val) > 0
+    if has_val:
+        x_val = np.ascontiguousarray(x_val, dtype=np.float64)
+        t_val = np.ascontiguousarray(t_val, dtype=np.float64)
+
+    w = init_weights(topology, weights0).copy()
+    n_params = w.size
+
+    def loss_grad(vec):
+        return _old_mse_and_gradient(vec, topology, x_train, t_train)
+
+    def val_loss(vec):
+        y = _old_mlp_forward(*unpack_weights(vec, topology), x_val)
+        err = y - t_val
+        return float((err * err).sum() / err.size)
+
+    f, grad = loss_grad(w)
+    r = -grad
+    p = r.copy()
+    success = True
+    lam = cfg.lambda0
+    lam_bar = 0.0
+    delta = 0.0
+    accepted_steps = 0
+    last_step_norm = math.inf
+
+    train_hist = []
+    val_hist = [] if has_val else None
+    best_val = math.inf
+    best_w = None
+    fails = 0
+    stop = "max_epochs"
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        r_norm2 = float(r @ r)
+        if r_norm2 == 0.0:
+            stop = "scg_converged"
+            break
+        p_norm2 = float(p @ p)
+        mu = float(p @ r)
+        if mu <= 0 or p_norm2 == 0.0:
+            counts["restart"] += 1
+            p = r.copy()
+            p_norm2 = r_norm2
+            mu = r_norm2
+            success = True
+        if success:
+            sigma = cfg.sigma0 / math.sqrt(p_norm2)
+            _, grad_sigma = loss_grad(w + sigma * p)
+            delta = float(p @ (grad_sigma - grad)) / sigma
+        delta += (lam - lam_bar) * p_norm2
+        if delta <= 0:
+            lam_bar = 2.0 * (lam - delta / p_norm2)
+            delta = -delta + lam * p_norm2
+            lam = lam_bar
+        alpha = mu / delta
+        f_cand, grad_cand = loss_grad(w + alpha * p)
+        comparison = 2.0 * delta * (f - f_cand) / (mu * mu)
+        if comparison >= 0:
+            w = w + alpha * p
+            f = f_cand
+            r_new = -grad_cand
+            grad = grad_cand
+            lam_bar = 0.0
+            success = True
+            accepted_steps += 1
+            last_step_norm = abs(alpha) * math.sqrt(p_norm2)
+            if accepted_steps % n_params == 0:
+                p = r_new.copy()
+            else:
+                beta = float(r_new @ r_new - r_new @ r) / mu
+                p = r_new + beta * p
+            r = r_new
+            if comparison >= 0.75:
+                lam *= 0.25
+        else:
+            counts["reject"] += 1
+            lam_bar = lam
+            success = False
+        if comparison < 0.25:
+            lam += delta * (1.0 - comparison) / p_norm2
+
+        train_hist.append(f)
+        if has_val:
+            fv = val_loss(w)
+            val_hist.append(fv)
+            if fv < best_val:
+                best_val = fv
+                best_w = w.copy()
+                fails = 0
+            elif fv > best_val:
+                fails += 1
+
+        if f <= cfg.goal:
+            stop = "goal"
+            break
+        if has_val and fails >= cfg.patience:
+            stop = "patience"
+            w = best_w
+            break
+        if (last_step_norm < SCG_CONVERGENCE_TOL
+                and float(np.sqrt(r @ r)) < SCG_CONVERGENCE_TOL):
+            stop = "scg_converged"
+            break
+
+    return TrainedModel(topology, w, train_hist, val_hist, stop)
+
+
+def _random_problem(topo, n_train, n_val, seed):
+    rng = np.random.default_rng(seed)
+    n_in, n_out = topo.input_size, topo.output_size
+    x = rng.random((n_train, n_in))
+    t = one_hot(rng.integers(0, n_out, n_train), n_out)
+    x_val = rng.random((n_val, n_in))
+    t_val = one_hot(rng.integers(0, n_out, n_val), n_out)
+    return rng.random(topo.genome_length), x, t, x_val, t_val
+
+
+ORACLE_TOPOLOGIES = (Topology(2, 10, 4), Topology(3, 5, 2))
+
+
+@pytest.fixture(scope="module")
+def scg_oracle_runs():
+    """Old and new training on a grid: both topologies, 1/7/117 training
+    rows, 0/1/39 validation rows (one row takes numpy's matrix-vector
+    path), first to max_epochs or patience, then again with the goal set
+    to the old run's mid-way training MSE."""
+    runs = []
+    for topo in ORACLE_TOPOLOGIES:
+        for n_train in (1, 7, 117):
+            for n_val in (0, 1, 39):
+                seed = 100 * topo.genome_length + 10 * n_train + n_val
+                w0, x, t, x_val, t_val = _random_problem(topo, n_train,
+                                                         n_val, seed)
+                cfg = TrainingConfig(max_epochs=60)
+                for _ in range(2):
+                    counts = {"reject": 0, "restart": 0}
+                    old = _old_train_scg(w0, topo, x, t, x_val, t_val, cfg,
+                                         counts)
+                    new = train_scg(w0, topo, x, t, x_val, t_val, cfg)
+                    name = (f"{topo.input_size}-{topo.hidden_size}-"
+                            f"{topo.output_size} n_train={n_train} "
+                            f"n_val={n_val} goal={cfg.goal}")
+                    runs.append((name, old, new, counts))
+                    cfg = TrainingConfig(
+                        max_epochs=60,
+                        goal=old.train_mse[len(old.train_mse) // 2])
+    return runs
+
+
+class TestBitIdentityOracle:
+    def test_train_scg_matches_old_loop_bit_for_bit(self, scg_oracle_runs):
+        for name, old, new, _ in scg_oracle_runs:
+            assert new.stop_reason == old.stop_reason, name
+            assert new.train_mse == old.train_mse, name
+            assert new.val_mse == old.val_mse, name
+            assert np.array_equal(new.weights, old.weights), name
+
+    def test_grid_covers_every_stop_and_step_kind(self, scg_oracle_runs):
+        stops = {old.stop_reason for _, old, _, _ in scg_oracle_runs}
+        assert {"goal", "max_epochs", "patience"} <= stops
+        assert any(c["reject"] and c["restart"]
+                   for _, _, _, c in scg_oracle_runs)
+
+    @pytest.mark.parametrize("topo", ORACLE_TOPOLOGIES,
+                             ids=lambda topo: f"{topo.genome_length}")
+    def test_mse_and_gradient_match_old_formula(self, topo):
+        rng = np.random.default_rng(topo.genome_length)
+        for n in (1, 2, 7, 117):
+            for scale in (0.1, 1.0, 5.0):
+                w = rng.normal(0, scale, topo.genome_length)
+                x = rng.random((n, topo.input_size))
+                t = one_hot(rng.integers(0, topo.output_size, n),
+                            topo.output_size)
+                loss, grad = mse_and_gradient(w, topo, x, t)
+                old_loss, old_grad = _old_mse_and_gradient(w, topo, x, t)
+                assert loss == old_loss
+                assert np.array_equal(grad, old_grad)
+                assert np.array_equal(
+                    forward_batch(w, topo, x),
+                    _old_mlp_forward(*unpack_weights(w, topo), x))
