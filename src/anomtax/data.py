@@ -298,13 +298,12 @@ def save_csv(ds: Dataset, path) -> None:
         if ds.labels is not None:
             header.append("label")
         writer.writerow(header)
-        for i in range(ds.n):
-            row = [repr(float(v)) for v in ds.features[i]]
-            if ds.class_ids is not None:
-                row.append(str(int(ds.class_ids[i])))
-            if ds.labels is not None:
-                row.append(AnomalyLabel(int(ds.labels[i])).name)
-            writer.writerow(row)
+        columns = [map(repr, col) for col in ds.features.T.tolist()]
+        if ds.class_ids is not None:
+            columns.append(map(str, ds.class_ids.tolist()))
+        if ds.labels is not None:
+            columns.append(map(LABEL_TOKENS.__getitem__, ds.labels.tolist()))
+        writer.writerows(zip(*columns))
 
 
 # ---------------------------------------------------------------------------

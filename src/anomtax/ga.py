@@ -52,8 +52,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class Individual:
+    """A genome, and once evaluated its fitness and the model trained from
+    it (None when that training diverged)."""
+
     genome: np.ndarray
     fitness: float | None = None
+    model: TrainedModel | None = None
 
 
 @dataclass(frozen=True)
@@ -192,8 +196,9 @@ def _test_error_rate(pred, y_test, num_classes, metric):
 def evaluate_fitness(individual: Individual, topology: Topology,
                      splits: PreparedSplits, tcfg: TrainingConfig,
                      metric: str = "overall") -> float:
-    """Train from the genome and score the test split; cached on the
-    individual.  A diverged training counts as the worst fitness, 1.0."""
+    """Train from the genome and score the test split; the fitness and the
+    trained model are cached on the individual.  A diverged training
+    counts as the worst fitness, 1.0, and leaves no model."""
     if individual.fitness is not None:
         return individual.fitness
     try:
@@ -205,8 +210,9 @@ def evaluate_fitness(individual: Individual, topology: Topology,
                                    splits.num_classes, metric)
     except TrainingDivergedError as exc:
         log.warning("training diverged during fitness evaluation: %s", exc)
-        fitness = 1.0
+        model, fitness = None, 1.0
     individual.fitness = fitness
+    individual.model = model
     return fitness
 
 
@@ -244,8 +250,10 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     a parent pool, pair adjacent pool members (an odd pool pairs its last
     member with the first), crossover at a random cut, mutate, and carry
     the best individual over unmodified.  The carried-over individual
-    keeps its fitness, so each cycle after the first trains
-    ``population_size - 1`` new individuals.
+    keeps its fitness and trained model, so each cycle after the first
+    trains ``population_size - 1`` new individuals, and the best model is
+    the one its evaluation trained.  Raises ``TrainingDivergedError`` when
+    that training diverged.
     """
     rng = np.random.default_rng(cfg.seed)
     population = init_population(cfg, topology, rng)
@@ -292,15 +300,16 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
                                          k, cfg.crossover_alpha)
             infants.append(Individual(mutate(child_a, cfg, rng)))
             infants.append(Individual(mutate(child_b, cfg, rng)))
-        elite = Individual(best.genome.copy(), best.fitness)
+        elite = Individual(best.genome.copy(), best.fitness, best.model)
         population = [elite] + infants[:cfg.population_size - 1]
 
     fits = [ind.fitness for ind in population]
     best_idx = min(range(len(fits)), key=lambda i: (fits[i], i))
     best = population[best_idx]
-    best_model = train_scg(best.genome, topology, splits.x_train,
-                           splits.t_train, splits.x_val, splits.t_val, tcfg)
-    return GaRun(stats, best, best_model, stop, evaluations)
+    if best.model is None:
+        raise TrainingDivergedError(
+            "training diverged for the best GA genome")
+    return GaRun(stats, best, best.model, stop, evaluations)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anomtax import ga
 from anomtax.data import Dataset, SplitRatios, stratified_split
 from anomtax.ga import (
     GaConfig,
@@ -16,7 +17,7 @@ from anomtax.ga import (
     run_ga,
     select,
 )
-from anomtax.mlp import Topology, TrainingConfig
+from anomtax.mlp import Topology, TrainingConfig, TrainingDivergedError
 
 
 TOPO = Topology(2, 4, 2)
@@ -237,6 +238,35 @@ class TestRunGa:
         b = run_ga(cfg, TOPO, splits, TCFG)
         assert a.cycles == b.cycles
         np.testing.assert_array_equal(a.best.genome, b.best.genome)
+
+    def test_best_model_is_the_one_its_evaluation_trained(self,
+                                                          monkeypatch):
+        splits = tiny_splits()
+        trainings = []
+        real_train = ga.train_scg
+
+        def counting(*args, **kwargs):
+            trainings.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(ga, "train_scg", counting)
+        run = run_ga(GaConfig(cycles=3, population_size=4, goal=-1.0,
+                              seed=6), TOPO, splits, TCFG)
+        assert len(trainings) == run.evaluations
+        again = real_train(run.best.genome, TOPO, splits.x_train,
+                           splits.t_train, splits.x_val, splits.t_val, TCFG)
+        np.testing.assert_array_equal(run.best_model.weights, again.weights)
+        assert run.best_model.train_mse == again.train_mse
+        assert run.best_model.val_mse == again.val_mse
+
+    def test_diverged_winner_raises(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("non-finite training loss at epoch 0")
+
+        monkeypatch.setattr(ga, "train_scg", diverge)
+        with pytest.raises(TrainingDivergedError, match="best GA genome"):
+            run_ga(GaConfig(cycles=2, population_size=3, seed=0), TOPO,
+                   tiny_splits(), TCFG)
 
     def test_parallel_matches_sequential(self):
         splits = tiny_splits()
