@@ -13,7 +13,7 @@ file or from ``--seed``):
     [mlp]       input, hidden, output
     [train]     max_epochs, patience, sigma0, lambda0, goal
     [ga]        cycles, population, alpha, mutation_rate, selection_rate,
-                goal, fitness_metric, workers
+                goal, fitness_metric
     [split]     train, validation, test
 """
 
@@ -90,7 +90,6 @@ mutation_rate = 0.1
 selection_rate = 0.7
 goal = 0.0
 fitness_metric = overall
-workers = 1
 
 [split]
 train = 0.70
@@ -155,6 +154,9 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
                         if k.startswith("blob")]:
                 parser.remove_option("synthetic", key)
         parser.read(path, encoding="utf-8")
+        if parser.has_option("ga", "workers"):
+            raise ValueError(f"{path}: [ga] workers was removed; fitness "
+                             "evaluations always run one after another")
 
     run = parser["run"]
     if seed is None:
@@ -199,7 +201,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         goal=ga.getfloat("goal"),
         seed=derive_seed(seed, STREAM_GA),
         fitness_metric=ga.get("fitness_metric"),
-        workers=ga.getint("workers"),
     )
     split = parser["split"]
     ratios = SplitRatios(split.getfloat("train"),

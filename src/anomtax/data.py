@@ -115,7 +115,9 @@ class Dataset:
             labels = np.array(labels, dtype=np.int8)
             if labels.shape != (n,):
                 raise ValueError("labels length does not match sample count")
-            if n and not np.isin(labels, [int(v) for v in AnomalyLabel]).all():
+            # AnomalyLabel values are the contiguous range 0..3
+            if n and (labels.min() < min(AnomalyLabel)
+                      or labels.max() > max(AnomalyLabel)):
                 raise ValueError("labels must be AnomalyLabel values")
             labels.setflags(write=False)
         features.setflags(write=False)
@@ -233,59 +235,97 @@ def load_csv(path, schema=None) -> Dataset:
         if not feat_cols:
             raise ValueError(f"{path}: no feature columns")
 
-        features, class_ids, labels = [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvStructureError(
-                    f"{path}: row {rownum}: expected {len(header)} columns, "
-                    f"got {len(row)}"
-                )
-            vals = []
-            for i in feat_cols:
-                cell = row[i].strip()
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {rownum}, column {header[i]!r}: "
-                        f"not a number: {cell!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise CsvParseError(
-                        f"{path}: row {rownum}, column {header[i]!r}: "
-                        f"not a finite number: {cell!r}"
-                    )
-                vals.append(val)
-            features.append(vals)
-            if class_col:
-                cell = row[class_col[0]].strip()
-                try:
-                    class_ids.append(int(cell))
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {rownum}, column "
-                        f"{header[class_col[0]]!r}: not an integer: {cell!r}"
-                    ) from None
-            if label_col:
-                cell = row[label_col[0]].strip()
-                if cell not in LABEL_TOKENS:
-                    raise LabelTokenError(
-                        f"{path}: row {rownum}, column "
-                        f"{header[label_col[0]]!r}: unknown label {cell!r} "
-                        f"(expected one of {', '.join(LABEL_TOKENS)})"
-                    )
-                labels.append(int(AnomalyLabel[cell]))
+        rows = list(reader)
 
-    names = [header[i] for i in feat_cols]
-    arr = np.array(features, dtype=np.float64)
-    if arr.size == 0:
-        arr = arr.reshape(0, len(feat_cols))
+    try:
+        features, class_ids, labels = _parse_columns(
+            rows, len(header), feat_cols, class_col, label_col)
+    except (ValueError, KeyError):
+        features, class_ids, labels = _parse_rows(
+            path, header, rows, feat_cols, class_col, label_col)
     return Dataset(
-        arr,
-        names,
+        features,
+        [header[i] for i in feat_cols],
         np.array(class_ids, dtype=np.int64) if class_col else None,
         np.array(labels, dtype=np.int8) if label_col else None,
     )
+
+
+_LABEL_VALUES = {label.name: int(label) for label in AnomalyLabel}
+
+
+def _parse_columns(rows, width, feat_cols, class_col, label_col):
+    """Parse well-formed rows a whole column at a time.
+
+    Raises ``ValueError`` or ``KeyError`` on any fault and leaves naming
+    the first one to :func:`_parse_rows`.  ``float`` and ``int`` strip
+    surrounding whitespace themselves (all but the separators
+    \\x1c-\\x1f, which then go the row-by-row way), so a cell they
+    accept gets the value it gets there.
+    """
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged rows")
+    cols = list(zip(*rows)) or [()] * width
+    features = np.empty((len(rows), len(feat_cols)))
+    for j, i in enumerate(feat_cols):
+        features[:, j] = list(map(float, cols[i]))
+    if not np.isfinite(features).all():
+        raise ValueError("non-finite feature")
+    class_ids = list(map(int, cols[class_col[0]])) if class_col else None
+    labels = (list(map(_LABEL_VALUES.__getitem__,
+                       map(str.strip, cols[label_col[0]])))
+              if label_col else None)
+    return features, class_ids, labels
+
+
+def _parse_rows(path, header, rows, feat_cols, class_col, label_col):
+    """Parse row by row, cell by cell, raising for the first faulty row:
+    its width first, then its feature cells in order, its class, its
+    label."""
+    features, class_ids, labels = [], [], []
+    for rownum, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CsvStructureError(
+                f"{path}: row {rownum}: expected {len(header)} columns, "
+                f"got {len(row)}"
+            )
+        vals = []
+        for i in feat_cols:
+            cell = row[i].strip()
+            try:
+                val = float(cell)
+            except ValueError:
+                raise CsvParseError(
+                    f"{path}: row {rownum}, column {header[i]!r}: "
+                    f"not a number: {cell!r}"
+                ) from None
+            if not math.isfinite(val):
+                raise CsvParseError(
+                    f"{path}: row {rownum}, column {header[i]!r}: "
+                    f"not a finite number: {cell!r}"
+                )
+            vals.append(val)
+        features.append(vals)
+        if class_col:
+            cell = row[class_col[0]].strip()
+            try:
+                class_ids.append(int(cell))
+            except ValueError:
+                raise CsvParseError(
+                    f"{path}: row {rownum}, column "
+                    f"{header[class_col[0]]!r}: not an integer: {cell!r}"
+                ) from None
+        if label_col:
+            cell = row[label_col[0]].strip()
+            if cell not in LABEL_TOKENS:
+                raise LabelTokenError(
+                    f"{path}: row {rownum}, column "
+                    f"{header[label_col[0]]!r}: unknown label {cell!r} "
+                    f"(expected one of {', '.join(LABEL_TOKENS)})"
+                )
+            labels.append(int(AnomalyLabel[cell]))
+    features = np.array(features, dtype=np.float64)
+    return features.reshape(len(rows), len(feat_cols)), class_ids, labels
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -458,7 +498,7 @@ def stratified_split(ds: Dataset, ratios: SplitRatios, seed: int):
         )
     rng = np.random.default_rng(seed)
     picks = ([], [], [])
-    for value in np.unique(key):
+    for value in np.flatnonzero(np.bincount(key)):
         grp = np.flatnonzero(key == value)
         grp = grp[rng.permutation(grp.size)]
         n_train, n_val, _ = _largest_remainder(grp.size, ratios)

@@ -21,6 +21,7 @@ __all__ = [
     "confusion",
     "precision_recall",
     "test_error",
+    "misclassification_rate",
     "tpr_fpr",
     "roc_curve",
     "fmt_pct",
@@ -98,6 +99,26 @@ def test_error(matrix: ConfusionMatrix) -> float:
         raise ValueError("empty confusion matrix")
     trace = int(np.trace(matrix.counts))
     return (total - trace) / total
+
+
+def misclassification_rate(targets, predictions, num_classes: int,
+                           metric: str = "overall") -> float:
+    """Misclassification rate of ``predictions``.
+
+    ``overall`` is the fraction of all samples misclassified, as
+    :func:`test_error`.  ``per_class_mean`` is the mean, over the classes
+    present in ``targets``, of each class's fraction misclassified, so
+    every present class weighs the same however many samples it has.
+    """
+    matrix = confusion(targets, predictions, num_classes)
+    if metric == "overall":
+        return test_error(matrix)
+    if metric != "per_class_mean":
+        raise ValueError(f"unknown error metric {metric!r}")
+    per_class = matrix.counts.sum(axis=0)
+    present = per_class > 0
+    wrong = per_class - np.diag(matrix.counts)
+    return float((wrong[present] / per_class[present]).mean())
 
 
 def tpr_fpr(matrix: ConfusionMatrix, c: int):

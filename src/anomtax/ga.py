@@ -11,13 +11,17 @@ and elitism.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .evaluation import ConfusionMatrix, confusion, test_error
+from .evaluation import (
+    ConfusionMatrix,
+    confusion,
+    misclassification_rate,
+    test_error,
+)
 from .mlp import (
     Topology,
     TrainedModel,
@@ -70,7 +74,6 @@ class GaConfig:
     goal: float = 0.0
     seed: int = 0
     fitness_metric: str = "overall"  # or "per_class_mean"
-    workers: int = 1
 
     def __post_init__(self):
         if self.cycles < 1 or self.population_size < 1:
@@ -81,8 +84,6 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.fitness_metric not in ("overall", "per_class_mean"):
             raise ValueError(f"unknown fitness_metric {self.fitness_metric!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -183,16 +184,6 @@ def mutate(genome: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
     return apply_mutation(genome, j, magnitude, direction_draw)
 
 
-def _test_error_rate(pred, y_test, num_classes, metric):
-    if metric == "per_class_mean":
-        rates = []
-        for c in np.unique(y_test):
-            mask = y_test == c
-            rates.append(float((pred[mask] != c).mean()))
-        return float(np.mean(rates))
-    return float((pred != y_test).mean())
-
-
 def evaluate_fitness(individual: Individual, topology: Topology,
                      splits: PreparedSplits, tcfg: TrainingConfig,
                      metric: str = "overall") -> float:
@@ -206,8 +197,8 @@ def evaluate_fitness(individual: Individual, topology: Topology,
                           splits.x_train, splits.t_train,
                           splits.x_val, splits.t_val, tcfg)
         pred = predict_batch(model, splits.x_test)
-        fitness = _test_error_rate(pred, splits.y_test,
-                                   splits.num_classes, metric)
+        fitness = misclassification_rate(splits.y_test, pred,
+                                         splits.num_classes, metric)
     except TrainingDivergedError as exc:
         log.warning("training diverged during fitness evaluation: %s", exc)
         model, fitness = None, 1.0
@@ -264,17 +255,8 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     def evaluate_all(pop):
         nonlocal evaluations
         todo = [ind for ind in pop if ind.fitness is None]
-        if cfg.workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [pool.submit(evaluate_fitness, ind, topology,
-                                       splits, tcfg, cfg.fitness_metric)
-                           for ind in todo]
-                for fut in futures:
-                    fut.result()
-        else:
-            for ind in todo:
-                evaluate_fitness(ind, topology, splits, tcfg,
-                                 cfg.fitness_metric)
+        for ind in todo:
+            evaluate_fitness(ind, topology, splits, tcfg, cfg.fitness_metric)
         evaluations += len(todo)
 
     for cycle in range(1, cfg.cycles + 1):

@@ -205,11 +205,14 @@ def _knn_scores(pts, k: int) -> np.ndarray:
 def _k_smallest(sp, rows, lo: int, hi: int, k: int) -> np.ndarray:
     """The k smallest distances from each of the points ``sp[rows]`` to
     the points ``sp[lo:hi]`` other than itself, in partition order.
-    Every ``rows`` entry must lie in lo:hi."""
-    block = _distances(sp[rows], sp[lo:hi])
+    Every ``rows`` entry must lie in lo:hi.
+
+    The selection runs on squared distances; ``sqrt`` is monotone, so the
+    root of the k kept values gives the same bits as selecting roots."""
+    block = _sq_distances(sp[rows], sp[lo:hi])
     block[np.arange(rows.size), rows - lo] = np.inf
     block.partition(k - 1, axis=1)
-    return block[:, :k]
+    return np.sqrt(block[:, :k])
 
 
 def _strip_groups(rows, first, last):
@@ -236,13 +239,15 @@ def _strip_groups(rows, first, last):
         i = j
 
 
-def _distances(rows, cands, out=None) -> np.ndarray:
-    """Distance from each of ``rows`` to each of ``cands``, written into
-    ``out`` when given.
+def _sq_distances(rows, cands, out=None) -> np.ndarray:
+    """Squared distance from each of ``rows`` to each of ``cands``,
+    written into ``out`` when given.
 
     Squared coordinate differences (row minus candidate) accumulate in
-    dimension order, then the square root is taken, so a pair gets the
-    same value in every block it falls in.
+    dimension order, so a pair gets the same value in every block it falls
+    in.  For d <= 7 this equals numpy's ``((rows[:, None] - cands[None])
+    ** 2).sum(axis=2)`` bit for bit; from d = 8 on numpy sums pairwise in
+    8-way blocks, and the two differ in the last bits.
     """
     out = np.subtract(rows[:, 0, None], cands[None, :, 0], out=out)
     out *= out
@@ -252,7 +257,7 @@ def _distances(rows, cands, out=None) -> np.ndarray:
             np.subtract(rows[:, q, None], cands[None, :, q], out=tmp)
             tmp *= tmp
             out += tmp
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _distance_rows(pts):
@@ -265,7 +270,8 @@ def _distance_rows(pts):
     buf = np.empty((step, n))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        yield lo, hi, _distances(pts[lo:hi], pts, out=buf[:hi - lo])
+        block = _sq_distances(pts[lo:hi], pts, out=buf[:hi - lo])
+        yield lo, hi, np.sqrt(block, out=block)
 
 
 def build_radius_table(pa_points) -> RadiusTable:
@@ -322,7 +328,7 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
 def _nearest_centroids(pts, centroids):
     """Index of each point's nearest centroid (ties go to the lowest
     index) and the squared distance to it."""
-    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(pts, centroids)
     assign = d2.argmin(axis=1)
     return assign, d2[np.arange(pts.shape[0]), assign]
 
@@ -410,11 +416,13 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
     labels[pa_idx] = int(AnomalyLabel.PA)
     labels[cpa_idx] = int(AnomalyLabel.CPA)
 
-    rest = np.setdiff1d(np.arange(n), pa_idx)
+    clusterable = np.ones(n, dtype=bool)
+    clusterable[pa_idx] = False
+    rest = np.flatnonzero(clusterable)
     clusters_used = 0
     if rest.size:
         rest_points = points[rest]
-        distinct = np.unique(rest_points, axis=0).shape[0]
+        distinct = _count_distinct(rest_points)
         clusters_used = min(cfg.num_clusters, distinct)
         if clusters_used < cfg.num_clusters:
             log.info("reduced cluster count to %d (only %d distinct "
@@ -427,7 +435,9 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
         if cna_clusters.size == clusters_used:
             log.info("all %d clusters are CNA: every density spread meets "
                      "the threshold %.6g", clusters_used, model.threshold)
-        cna_members = rest[np.isin(model.assignment, cna_clusters)]
+        is_cna = np.zeros(clusters_used, dtype=bool)
+        is_cna[cna_clusters] = True
+        cna_members = rest[is_cna[model.assignment]]
         labels[cna_members] = int(AnomalyLabel.CNA)
 
     report = LabelingReport(
@@ -439,6 +449,14 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
         pa=int((labels == AnomalyLabel.PA).sum()),
     )
     return ds.with_labels(labels), report
+
+
+def _count_distinct(pts) -> int:
+    """Number of distinct rows of a non-empty point array, with -0.0 and
+    0.0 equal (as in ``np.unique(pts, axis=0)``).  A lexicographic sort
+    puts equal rows next to each other."""
+    rows = pts[np.lexsort(pts.T)]
+    return 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
 
 
 def label_supervised(ds: Dataset, cfg, retained_features, discarded_features):

@@ -1,10 +1,14 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anomtax
 from anomtax.cli import main
 from anomtax.data import load_csv
 
@@ -238,3 +242,36 @@ class TestTrain:
         ds = load_csv(labeled_csv)
         assert ds.labels is not None
         assert ds.n == 90
+
+
+LAZY_MODULES = ("numpy.ma", "concurrent.futures")
+
+
+def _loaded_after(code: str, cwd) -> list:
+    """Which of LAZY_MODULES a fresh interpreter holds after ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+    probe = (code + "\nimport sys\n"
+             f"print(' '.join(m for m in {LAZY_MODULES!r} "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_label_and_compare_skip_lazy_imports(tmp_path, tiny_config,
+                                             labeled_csv):
+    # numpy loads numpy.ma on first use of its set routines (np.unique,
+    # np.isin, np.setdiff1d), ~16 ms of every CLI process
+    if "numpy.ma" in _loaded_after("import numpy", tmp_path):
+        pytest.skip("this numpy imports numpy.ma on import")
+    synth = labeled_csv.parent.parent / "synth.csv"
+    runs = [["--seed", "5", "--config", tiny_config, "--quiet", "--out",
+             str(tmp_path / "lab"), "label", str(synth)],
+            ["--seed", "5", "--config", tiny_config, "--quiet", "--out",
+             str(tmp_path / "cmp"), "compare", str(labeled_csv)]]
+    code = ("from anomtax.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv")
+    assert _loaded_after(code, tmp_path) == []

@@ -62,3 +62,9 @@ def test_flag_overrides_win(tmp_path):
 def test_missing_config_file():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/path.ini", seed=0)
+
+def test_removed_workers_key_rejected(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[ga]\ncycles = 3\nworkers = 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"\[ga\] workers"):
+        load_config(str(path), seed=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomtax.data import (
     AnomalyLabel,
@@ -19,6 +21,7 @@ from anomtax.data import (
     save_csv,
     stratified_split,
 )
+from anomtax.data import _largest_remainder
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -81,6 +84,62 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("text, error, match", [
+        # the first faulty row wins, whatever its fault
+        ("x,y,class,label\n1,2,0,ND\n3,4,0,WAT\n5,oops,x,ND\n",
+         LabelTokenError, r"row 3, column 'label'"),
+        ("x,y,class,label\n1,2,0,ND\ninf,oops,0,ND\n3,4,0,WAT\n",
+         CsvParseError, r"row 3, column 'x': not a finite number: 'inf'"),
+        # within a row: width, then features in column order, then class,
+        # then label
+        ("x,y,class,label\n1,oops,zz\n", CsvStructureError, r"row 2"),
+        ("x,y,class,label\n1,oops,zz,WAT\n", CsvParseError,
+         r"row 2, column 'y': not a number: 'oops'"),
+        ("x,y,class,label\n1, nan ,zz,WAT\n", CsvParseError,
+         r"row 2, column 'y': not a finite number: 'nan'"),
+        ("x,y,class,label\n1,2,zz,WAT\n", CsvParseError,
+         r"row 2, column 'class': not an integer: 'zz'"),
+        # finite cells whose sum overflows are accepted
+        ("x,y\n1e308,1e308\nnan,1\n", CsvParseError, r"row 3, column 'x'"),
+    ])
+    def test_which_error_wins(self, tmp_path, text, error, match):
+        path = _write(tmp_path, text)
+        with pytest.raises(error, match=match):
+            load_csv(path)
+
+    def test_cells_padded_with_any_whitespace(self, tmp_path):
+        # str.strip removes the ASCII separators \x1c-\x1f, float() does not
+        path = _write(tmp_path, "x,y\n\x1f1.5 , \t-2\n")
+        np.testing.assert_array_equal(load_csv(path).features, [[1.5, -2.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_fuzz(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 12))
+        d = data.draw(st.integers(1, 4))
+        cells = st.floats(allow_nan=False, allow_infinity=False)
+        feats = np.array(data.draw(st.lists(
+            st.lists(cells, min_size=d, max_size=d), min_size=n,
+            max_size=n)), dtype=np.float64).reshape(n, d)
+        class_ids = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+        labels = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        ds = Dataset(feats, [f"f{j}" for j in range(d)], class_ids, labels)
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert back.feature_names == ds.feature_names
+        assert back.features.shape == (n, d)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(np.signbit(back.features),
+                                      np.signbit(ds.features))
+        for got, want in ((back.class_ids, ds.class_ids),
+                          (back.labels, ds.labels)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -257,6 +316,26 @@ class TestStratifiedSplit:
                 for target, actual in zip((0.6 * g, 0.2 * g, 0.2 * g), got):
                     assert abs(actual - target) <= 1.0
 
+    def test_groups_drawn_in_ascending_order(self):
+        # the RNG draws one permutation per group, in ascending key order
+        def old_split_picks(key, ratios, seed):
+            rng = np.random.default_rng(seed)
+            picks = ([], [], [])
+            for value in np.unique(key):
+                grp = np.flatnonzero(key == value)
+                grp = grp[rng.permutation(grp.size)]
+                n_train, _, _ = _largest_remainder(grp.size, ratios)
+                picks[0].extend(grp[:n_train])
+            return sorted(picks[0])
+
+        rng = np.random.default_rng(8)
+        class_ids = rng.choice([0, 2, 5], 40)
+        ds = Dataset(rng.random((40, 2)), class_ids=class_ids)
+        ratios = SplitRatios(0.5, 0.25, 0.25)
+        train, _, _ = stratified_split(ds, ratios, 3)
+        want = old_split_picks(class_ids, ratios, 3)
+        np.testing.assert_array_equal(train.features, ds.features[want])
+
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             SplitRatios(0.5, 0.1, 0.1)
@@ -305,6 +384,11 @@ class TestDataset:
     def test_rejects_bad_class_range(self):
         with pytest.raises(ValueError):
             Dataset([[1], [2]], class_ids=[0, 5], num_classes=2)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_labels_outside_taxonomy(self, bad):
+        with pytest.raises(ValueError, match="AnomalyLabel"):
+            Dataset([[1.0], [2.0]], labels=[0, bad])
 
     def test_immutable_arrays(self):
         ds = Dataset([[1.0, 2.0]])

@@ -12,6 +12,7 @@ from anomtax.evaluation import (
     confusion,
     fmt_pct,
     format_confusion,
+    misclassification_rate,
     precision_recall,
     roc_curve,
     tpr_fpr,
@@ -164,6 +165,43 @@ class TestTestError:
         with pytest.raises(ValueError):
             error_rate(ConfusionMatrix(np.zeros((2, 2), dtype=int),
                                        ("a", "b")))
+
+
+def old_error_rate(pred, y_test, metric):
+    """The GA's former fitness formula, kept as the bit-for-bit oracle."""
+    if metric == "per_class_mean":
+        rates = []
+        for c in np.unique(y_test):
+            mask = y_test == c
+            rates.append(float((pred[mask] != c).mean()))
+        return float(np.mean(rates))
+    return float((pred != y_test).mean())
+
+
+class TestMisclassificationRate:
+    @pytest.mark.parametrize("metric", ["overall", "per_class_mean"])
+    def test_matches_former_fitness_formula(self, metric):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            num_classes = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 60))
+            y = rng.integers(0, num_classes, n)
+            pred = rng.integers(0, num_classes, n)
+            got = misclassification_rate(y, pred, num_classes, metric)
+            assert got == old_error_rate(pred, y, metric)
+
+    def test_per_class_mean_skips_absent_class(self):
+        # class 1 is absent from the targets: the mean runs over classes
+        # 0 (1 of 4 wrong) and 2 (2 of 2 wrong), not over three classes
+        y = np.array([0, 0, 0, 0, 2, 2])
+        pred = np.array([0, 0, 0, 1, 1, 0])
+        assert misclassification_rate(y, pred, 3, "per_class_mean") == \
+            (0.25 + 1.0) / 2
+        assert misclassification_rate(y, pred, 3, "overall") == 3 / 6
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="median"):
+            misclassification_rate([0], [0], 1, "median")
 
 
 class TestTprFpr:

@@ -268,17 +268,6 @@ class TestRunGa:
             run_ga(GaConfig(cycles=2, population_size=3, seed=0), TOPO,
                    tiny_splits(), TCFG)
 
-    def test_parallel_matches_sequential(self):
-        splits = tiny_splits()
-        seq = run_ga(GaConfig(cycles=3, population_size=4, goal=-1.0,
-                              seed=4, workers=1), TOPO, splits, TCFG)
-        par = run_ga(GaConfig(cycles=3, population_size=4, goal=-1.0,
-                              seed=4, workers=3), TOPO, splits, TCFG)
-        assert seq.cycles == par.cycles
-        np.testing.assert_array_equal(seq.best.genome, par.best.genome)
-        np.testing.assert_array_equal(seq.best_model.weights,
-                                      par.best_model.weights)
-
 
 class TestCompare:
     def test_report_consistency_and_determinism(self):

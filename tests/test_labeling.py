@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anomtax import labeling
 from anomtax.config import load_config
@@ -165,7 +167,86 @@ class TestDetectCpa:
         assert list(detect_cpa(table)) == [0]
 
 
+def broadcast_nearest_centroids(pts, centroids):
+    """The (n, k, d) formula ``_nearest_centroids`` replaced."""
+    d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    return assign, d2[np.arange(pts.shape[0]), assign]
+
+
+def broadcast_kmeans(points, k, seed):
+    """The Lloyd loop on the broadcast formula, with its empty-cluster
+    repair; also returns how many repairs it made."""
+    rng = np.random.default_rng(seed)
+    centroids = points[rng.choice(len(points), size=k, replace=False)].copy()
+    repairs = 0
+
+    def nearest_repaired():
+        nonlocal repairs
+        assign, d2 = broadcast_nearest_centroids(points, centroids)
+        for _ in range(k):
+            empties = np.flatnonzero(np.bincount(assign, minlength=k) == 0)
+            if empties.size == 0:
+                break
+            centroids[empties[0]] = points[int(d2.argmax())]
+            assign, d2 = broadcast_nearest_centroids(points, centroids)
+            repairs += 1
+        return assign, d2
+
+    assign, d2 = nearest_repaired()
+    history = [float(d2.sum())]
+    for _ in range(labeling.KMEANS_MAX_ITER):
+        for c in range(k):
+            centroids[c] = points[assign == c].mean(axis=0)
+        new_assign, d2 = nearest_repaired()
+        history.append(float(d2.sum()))
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    return centroids, assign, tuple(history), repairs
+
+
 class TestKmeans:
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_nearest_centroids_match_broadcast_formula(self, d):
+        rng = np.random.default_rng(d)
+        for trial in range(20):
+            n, k = int(rng.integers(1, 80)), int(rng.integers(1, 9))
+            if trial % 2:  # a lattice with repeated centroids: exact ties
+                pts = rng.integers(-3, 4, (n, d)).astype(np.float64)
+                cents = pts[rng.integers(0, n, k)]
+            else:
+                pts = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (n, d))
+                cents = rng.normal(0.0, pts.std() + 1.0, (k, d))
+            got = labeling._nearest_centroids(pts, cents)
+            want = broadcast_nearest_centroids(pts, cents)
+            if d <= 7:
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+            else:  # numpy sums 8 or more terms pairwise
+                np.testing.assert_allclose(got[1], want[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    def test_matches_broadcast_lloyd_loop(self, d):
+        rng = np.random.default_rng(40 + d)
+        repairs = 0
+        for seed in range(12):
+            if seed % 2:  # few distinct values: coincident initial
+                base = rng.normal(0.0, 1.0, (4, d))  # centroids, repairs
+                pts = base[rng.integers(0, 4, 30)]
+            else:
+                pts = rng.normal(0.0, 1.0, (int(rng.integers(5, 200)), d))
+            k = int(rng.integers(1, 5))
+            if np.unique(pts, axis=0).shape[0] < k:
+                continue
+            model = kmeans(pts, k, seed)
+            cents, assign, history, made = broadcast_kmeans(pts, k, seed)
+            np.testing.assert_array_equal(model.centroids, cents)
+            np.testing.assert_array_equal(model.assignment, assign)
+            assert model.objective_history == history
+            repairs += made
+        assert repairs > 0  # the empty-cluster repair path ran
+
     def test_two_pairs_optimal(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.4], [10.0, 10.0], [10.0, 10.4]])
         model = kmeans(pts, 2, seed=3)
@@ -424,6 +505,55 @@ class TestLabelDataset:
         moved = Dataset(ds.features @ rot.T + np.array([5.0, -3.0]))
         relabeled, _ = label_dataset(moved, cfg)
         np.testing.assert_array_equal(labeled.labels, relabeled.labels)
+
+
+    def test_cna_labels_are_members_of_cna_clusters(self):
+        # rebuild the pipeline from the public steps; np.isin is the oracle
+        cfg = LabelingConfig(num_clusters=4, knn_k=5, seed=2)
+        for seed in range(4):
+            ds = self._dataset(seed)
+            labeled, _ = label_dataset(ds, cfg)
+            pa = detect_point_anomalies(ds.features, cfg)
+            rest = np.setdiff1d(np.arange(ds.n), pa)
+            model = kmeans(ds.features[rest], cfg.num_clusters, cfg.seed)
+            model = cluster_density_stats(model, ds.features[rest], cfg.knn_k)
+            cna = detect_cna(model)
+            assert 0 < cna.size < cfg.num_clusters
+            want = rest[np.isin(model.assignment, cna)]
+            np.testing.assert_array_equal(
+                np.flatnonzero(labeled.labels == AnomalyLabel.CNA), want)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 1.0], [0.0, 1.0], [2.0, 0.5], [0.0, 1.0], [2.0, 0.5]],
+        [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]],
+        [[-0.0], [0.0], [3.0], [-3.0], [3.0]],
+        [[1.0, 2.0, 3.0]],
+        [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
+    ])
+    def test_count_distinct_matches_unique_rows(self, rows):
+        pts = np.array(rows)
+        assert labeling._count_distinct(pts) == \
+            np.unique(pts, axis=0).shape[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 80),
+           d=st.integers(1, 3), clusters=st.integers(1, 4),
+           j=st.integers(-8, 8))
+    def test_labels_invariant_under_power_of_two_scaling(self, seed, n, d,
+                                                         clusters, j):
+        # multiplying by 2**j is exact, so every distance, mean, std and
+        # centroid scales exactly and no comparison changes
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, 1.0, (n, d))
+        pts[: n // 4] *= 6.0  # some spread-out points to become anomalies
+        gaps = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
+        # keep every kNN distance far above the density cap's 1e-12
+        assume(gaps[~np.eye(n, dtype=bool)].min() > 1e-6)
+        cfg = LabelingConfig(num_clusters=clusters, knn_k=3, seed=seed)
+        labeled, report = label_dataset(Dataset(pts), cfg)
+        scaled, scaled_report = label_dataset(Dataset(pts * 2.0 ** j), cfg)
+        np.testing.assert_array_equal(scaled.labels, labeled.labels)
+        assert scaled_report == report
 
 
 class TestLabelSupervised:
