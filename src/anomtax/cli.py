@@ -131,13 +131,22 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     if ds.class_ids is not None:
         with _stage("label"):
             names = ds.feature_names
-            retained = [names.index(n) for n in cfg.retained if n in names]
-            discarded = [names.index(n) for n in cfg.discarded if n in names]
-            if not retained or not discarded:
+            unknown = [n for n in cfg.retained + cfg.discarded
+                       if n not in names]
+            if unknown:
+                raise ValueError("[data] retained/discarded names not in "
+                                 f"the CSV header: {', '.join(unknown)}")
+            both = [n for n in cfg.retained if n in cfg.discarded]
+            if both:
+                raise ValueError("[data] names both retained and "
+                                 f"discarded: {', '.join(both)}")
+            if not cfg.retained or not cfg.discarded:
                 raise ValueError(
                     "supervised labeling needs [data] retained and "
                     "discarded feature names matching the CSV header"
                 )
+            retained = [names.index(n) for n in cfg.retained]
+            discarded = [names.index(n) for n in cfg.discarded]
             labeled, reports = labeling.label_supervised(
                 ds, cfg.labeling, retained, discarded)
         class_ids = sorted(set(int(c) for c in ds.class_ids))
@@ -176,27 +185,33 @@ def _write_history(model: mlp.TrainedModel, path: Path) -> None:
             fh.write(f"{i},{train_mse!r},{val}\n")
 
 
-def _emit_model_eval(tag: str, model, x, y, num_classes, out: Path,
-                     names=LABEL_NAMES):
+def _emit_model_eval(tag: str, model, x, y, out: Path):
+    num_classes = model.topology.output_size
     pred = mlp.predict_batch(model, x)
-    matrix = evaluation.confusion(y, pred, num_classes, names[:num_classes])
+    matrix = evaluation.confusion(y, pred, num_classes,
+                                  LABEL_NAMES[:num_classes])
+    _write_model_eval(tag, model, matrix, x, y, out)
+    return matrix
+
+
+def _write_model_eval(tag: str, model, matrix, x, y, out: Path) -> None:
+    """Write a model's confusion matrix (text and CSV), its metrics and
+    its ROC set, all named by ``tag``."""
     (out / f"{tag}_confusion.txt").write_text(
         evaluation.format_confusion(matrix), encoding="utf-8")
     evaluation.write_confusion_csv(matrix, out / f"{tag}_confusion.csv")
     evaluation.write_metrics_csv(matrix, out / f"{tag}_metrics.csv")
-    _write_roc_files(model, x, y, num_classes, out, tag, names)
-    return matrix
+    _write_roc_files(model, x, y, out, tag)
 
 
-def _write_roc_files(model, x, y, num_classes, out: Path, tag: str,
-                     names=LABEL_NAMES):
+def _write_roc_files(model, x, y, out: Path, tag: str):
     scores = mlp.forward_batch(model.weights, model.topology, x)
-    for c in range(num_classes):
+    for c in range(model.topology.output_size):
         positives = np.asarray(y) == c
         if positives.all() or not positives.any():
             continue  # ROC undefined with one class absent
         curve = evaluation.roc_curve(scores[:, c], positives)
-        name = names[c] if c < len(names) else str(c)
+        name = LABEL_NAMES[c] if c < len(LABEL_NAMES) else str(c)
         evaluation.write_roc_csv(curve, out / f"roc_{tag}_{name}.csv")
         svg = unit_line_chart(
             [(f"{tag} {name} (AUC {curve.auc:.3f})",
@@ -221,8 +236,7 @@ def cmd_train(cfg: RunConfig, input_path) -> int:
         mlp.save_model(model, out / "model.txt")
         _write_history(model, out / "history.csv")
         matrix = _emit_model_eval("nn", model, prepared.x_test,
-                                  prepared.y_test, cfg.topology.output_size,
-                                  out)
+                                  prepared.y_test, out)
     err = evaluation.test_error(matrix)
     _say(cfg, f"trained {model.epochs} epochs (stop: {model.stop_reason}), "
               f"test error {evaluation.fmt_pct(err)}")
@@ -239,18 +253,12 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
                             LABEL_NAMES[:cfg.topology.output_size])
     with _stage("write"):
         mlp.save_model(report.nn_model, out / "nn_model.txt")
-        mlp.save_model(report.ga_run.best_model, out / "ga_best_model.txt")
-        for tag, matrix in (("nn", report.nn_confusion),
-                            ("ga", report.ga_confusion)):
-            (out / f"{tag}_confusion.txt").write_text(
-                evaluation.format_confusion(matrix), encoding="utf-8")
-            evaluation.write_confusion_csv(matrix,
-                                           out / f"{tag}_confusion.csv")
-            evaluation.write_metrics_csv(matrix, out / f"{tag}_metrics.csv")
-        _write_roc_files(report.nn_model, prepared.x_test, prepared.y_test,
-                         cfg.topology.output_size, out, "nn")
-        _write_roc_files(report.ga_run.best_model, prepared.x_test,
-                         prepared.y_test, cfg.topology.output_size, out, "ga")
+        mlp.save_model(report.ga_run.best.model, out / "ga_best_model.txt")
+        for tag, model, matrix in (
+                ("nn", report.nn_model, report.nn_confusion),
+                ("ga", report.ga_run.best.model, report.ga_confusion)):
+            _write_model_eval(tag, model, matrix, prepared.x_test,
+                              prepared.y_test, out)
         with open(out / "tpr_fpr.csv", "w", encoding="utf-8") as fh:
             fh.write("model,class,tpr,fpr\n")
             for tag, matrix in (("nn", report.nn_confusion),
@@ -290,7 +298,7 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
     out = _outdir(cfg)
     with _stage("eval"):
         matrix = _emit_model_eval("eval", model, ds.features, ds.labels,
-                                  model.topology.output_size, out)
+                                  out)
     _say(cfg, f"test error {evaluation.fmt_pct(evaluation.test_error(matrix))}")
     return 0
 
@@ -301,8 +309,7 @@ def cmd_roc(cfg: RunConfig, model_path, input_path) -> int:
     model = _load_model_for(ds, model_path)
     out = _outdir(cfg)
     with _stage("roc"):
-        _write_roc_files(model, ds.features, ds.labels,
-                         model.topology.output_size, out, "model")
+        _write_roc_files(model, ds.features, ds.labels, out, "model")
     _say(cfg, f"wrote ROC files to {out}")
     return 0
 

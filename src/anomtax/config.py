@@ -7,7 +7,7 @@ file or from ``--seed``):
     [run]       seed, out
     [data]      input, retained, discarded      (feature names, comma list)
     [synthetic] bounds = xmin,ymin,xmax,ymax ; scatter = N ;
-                blob1..blobN = cx,cy,sx,sy,count
+                blob1..blobN = cx,cy,sx,sy,count  (taken in order of N)
     [labeling]  clusters, knn_k, score_multiplier, threshold_mode,
                 threshold_value
     [mlp]       input, hidden, output
@@ -20,6 +20,7 @@ file or from ``--seed``):
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,12 +123,21 @@ def _names(raw: str):
     return [v.strip() for v in raw.split(",") if v.strip()]
 
 
+def _blob_number(key: str) -> int:
+    match = re.fullmatch(r"blob([1-9][0-9]*)", key)
+    if match is None:
+        raise ValueError(f"{key}: blob keys are blobN with N a positive "
+                         "integer")
+    return int(match.group(1))
+
+
 def _synthetic_spec(section) -> SyntheticSpec:
     bounds = _floats(section.get("bounds"))
     if len(bounds) != 4:
         raise ValueError("synthetic bounds need xmin,ymin,xmax,ymax")
     blobs = []
-    for key in sorted(k for k in section if k.startswith("blob")):
+    for key in sorted((k for k in section if k.startswith("blob")),
+                      key=_blob_number):
         vals = _floats(section.get(key))
         if len(vals) != 5:
             raise ValueError(f"{key} needs cx,cy,sx,sy,count")

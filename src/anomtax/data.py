@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "AnomalyLabel",
-    "Sample",
     "Dataset",
     "NormalizationParams",
     "SplitRatios",
@@ -66,16 +65,6 @@ class CsvParseError(ValueError):
 
 class LabelTokenError(ValueError):
     """Raised when a label cell holds anything but ND, CNA, CPA or PA."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    """Single row view of a dataset."""
-
-    id: int
-    features: np.ndarray
-    class_id: int | None = None
-    anomaly_label: AnomalyLabel | None = None
 
 
 class Dataset:
@@ -147,16 +136,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self):
-        return (self.sample(i) for i in range(self.n))
-
-    def sample(self, i: int) -> Sample:
-        label = None
-        if self.labels is not None:
-            label = AnomalyLabel(int(self.labels[i]))
-        class_id = None if self.class_ids is None else int(self.class_ids[i])
-        return Sample(i, self.features[i], class_id, label)
-
     def subset(self, indices) -> "Dataset":
         """New dataset holding the given rows, re-indexed from 0."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -184,28 +163,11 @@ class Dataset:
 #
 # Format: UTF-8, comma separated, first row is the header.  A column named
 # "label" holds anomaly tokens (ND/CNA/CPA/PA), one named "class" holds
-# integer class ids, everything else is a numeric feature.  An explicit
-# schema mapping column name -> role overrides the name convention.
+# integer class ids, everything else is a numeric feature.
 # ---------------------------------------------------------------------------
 
-_ROLES = ("feature", "class", "anomaly_label", "ignore")
-
-
-def _default_role(name: str) -> str:
-    if name == "label":
-        return "anomaly_label"
-    if name == "class":
-        return "class"
-    return "feature"
-
-
-def load_csv(path, schema=None) -> Dataset:
-    """Parse a CSV file into a :class:`Dataset`.
-
-    ``schema`` maps each column name to one of ``feature``, ``class``,
-    ``anomaly_label`` or ``ignore``; by default the names "label" and
-    "class" get their special roles and every other column is a feature.
-    """
+def load_csv(path) -> Dataset:
+    """Parse a CSV file in the format above into a :class:`Dataset`."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -213,23 +175,10 @@ def load_csv(path, schema=None) -> Dataset:
         except StopIteration:
             raise CsvStructureError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
-        if schema is None:
-            roles = {name: _default_role(name) for name in header}
-        else:
-            roles = dict(schema)
-            for name, role in roles.items():
-                if role not in _ROLES:
-                    raise ValueError(f"unknown column role {role!r} for {name!r}")
-            missing = [name for name in header if name not in roles]
-            if missing:
-                raise ValueError(f"schema missing columns: {missing}")
-
         feat_cols = [i for i, name in enumerate(header)
-                     if roles[name] == "feature"]
-        class_col = [i for i, name in enumerate(header)
-                     if roles[name] == "class"]
-        label_col = [i for i, name in enumerate(header)
-                     if roles[name] == "anomaly_label"]
+                     if name not in ("class", "label")]
+        class_col = [i for i, name in enumerate(header) if name == "class"]
+        label_col = [i for i, name in enumerate(header) if name == "label"]
         if len(class_col) > 1 or len(label_col) > 1:
             raise ValueError("at most one class and one label column allowed")
         if not feat_cols:
@@ -379,21 +328,6 @@ class NormalizationParams:
         with open(path, "w", encoding="utf-8") as fh:
             for name, lo, hi in zip(self.feature_names, self.mins, self.maxs):
                 fh.write(f"{name} = {float(lo)!r},{float(hi)!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "NormalizationParams":
-        names, mins, maxs = [], [], []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                name, _, rest = line.partition(" = ")
-                lo, _, hi = rest.partition(",")
-                names.append(name)
-                mins.append(float(lo))
-                maxs.append(float(hi))
-        return cls(tuple(names), np.array(mins), np.array(maxs))
 
 
 def minmax_normalize(ds: Dataset):

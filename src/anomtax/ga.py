@@ -97,7 +97,6 @@ class CycleStats:
 class GaRun:
     cycles: list
     best: Individual
-    best_model: TrainedModel
     stop_reason: str  # "cycles" or "goal"
     evaluations: int = 0
 
@@ -132,12 +131,9 @@ def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
     )
 
 
-def init_population(cfg: GaConfig, topology: Topology,
-                    rng=None) -> list:
+def init_population(cfg: GaConfig, topology: Topology, rng) -> list:
     """Uniform [0, 1] genomes; conceptually a matrix with one row per
     individual and one column per weight/bias."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     return [Individual(init_weights(topology, rng))
             for _ in range(cfg.population_size)]
 
@@ -291,7 +287,7 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     if best.model is None:
         raise TrainingDivergedError(
             "training diverged for the best GA genome")
-    return GaRun(stats, best, best.model, stop, evaluations)
+    return GaRun(stats, best, stop, evaluations)
 
 
 @dataclass
@@ -323,7 +319,7 @@ def compare(splits: PreparedSplits, topology: Topology,
                         class_names)
 
     ga_run = run_ga(ga_cfg, topology, splits, tcfg)
-    ga_pred = predict_batch(ga_run.best_model, splits.x_test)
+    ga_pred = predict_batch(ga_run.best.model, splits.x_test)
     ga_conf = confusion(splits.y_test, ga_pred, splits.num_classes,
                         class_names)
 

@@ -9,7 +9,6 @@ Labeling pipelines for both unsupervised datasets and supervised datasets
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "RadiusTable",
     "LabelingConfig",
     "LabelingReport",
-    "euclidean_distance",
     "detect_point_anomalies",
     "build_radius_table",
     "detect_cpa",
@@ -81,10 +79,6 @@ class ClusterModel:
     def num_clusters(self) -> int:
         return self.centroids.shape[0]
 
-    @property
-    def objective(self) -> float:
-        return self.objective_history[-1]
-
 
 @dataclass(frozen=True)
 class LabelingConfig:
@@ -130,15 +124,6 @@ class LabelingReport:
     def __post_init__(self):
         if self.nd + self.cna + self.cpa + self.pa != self.points:
             raise ValueError("label counts do not partition the dataset")
-
-
-def euclidean_distance(a, b) -> float:
-    """Straight-line distance between two equal-dimension vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(math.sqrt(((a - b) ** 2).sum()))
 
 
 def detect_point_anomalies(points, cfg: LabelingConfig) -> np.ndarray:
@@ -459,7 +444,8 @@ def _count_distinct(pts) -> int:
     return 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
 
 
-def label_supervised(ds: Dataset, cfg, retained_features, discarded_features):
+def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,
+                     discarded_features):
     """Label a supervised dataset class by class.
 
     The dataset is normalized, each sample weighted by the mean of its
@@ -468,9 +454,8 @@ def label_supervised(ds: Dataset, cfg, retained_features, discarded_features):
     independently, re-normalized, and the pieces are stitched back together
     in the original sample order.
 
-    ``cfg`` is one :class:`LabelingConfig` for every class or a mapping
-    from class id to config.  A class too small to analyze is reported as
-    degenerate and labeled all-ND.
+    ``cfg`` applies to every class.  A class too small to analyze is
+    reported as degenerate and labeled all-ND.
     """
     if ds.class_ids is None:
         raise ValueError("supervised labeling needs class ids")
@@ -487,9 +472,8 @@ def label_supervised(ds: Dataset, cfg, retained_features, discarded_features):
         rows = np.flatnonzero(ds.class_ids == class_id)
         if rows.size == 0:
             continue
-        class_cfg = cfg[class_id] if isinstance(cfg, dict) else cfg
         sub = agg.subset(rows)
-        if rows.size <= class_cfg.knn_k:
+        if rows.size <= cfg.knn_k:
             labeled = sub.with_labels(
                 np.full(rows.size, int(AnomalyLabel.ND), dtype=np.int8))
             report = LabelingReport(points=rows.size, clusters=0,
@@ -497,7 +481,7 @@ def label_supervised(ds: Dataset, cfg, retained_features, discarded_features):
             log.info("class %d too small to label (%d samples), all ND",
                      class_id, rows.size)
         else:
-            labeled, report = label_dataset(sub, class_cfg)
+            labeled, report = label_dataset(sub, cfg)
         renorm, _ = minmax_normalize(labeled)
         out_features[rows] = renorm.features
         out_labels[rows] = renorm.labels

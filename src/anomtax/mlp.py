@@ -32,11 +32,9 @@ __all__ = [
     "TrainingDivergedError",
     "init_weights",
     "unpack_weights",
-    "forward",
     "forward_batch",
     "mse_and_gradient",
     "train_scg",
-    "predict_class",
     "predict_batch",
     "one_hot",
     "save_model",
@@ -239,16 +237,6 @@ def _check_batch(topology: Topology, x, t) -> None:
         raise ValueError(f"bad target shape {t.shape}")
 
 
-def forward(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
-    """Network output for one input vector; components always in (-1, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (topology.input_size,):
-        raise ValueError(
-            f"input has shape {x.shape}, expected ({topology.input_size},)"
-        )
-    return forward_batch(weights, topology, x[None, :])[0]
-
-
 def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != topology.input_size:
@@ -414,11 +402,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             break
 
     return TrainedModel(topology, w, train_hist, val_hist, stop)
-
-
-def predict_class(model: TrainedModel, x) -> int:
-    """Index of the strongest output neuron; ties go to the lowest index."""
-    return int(np.argmax(forward(model.weights, model.topology, x)))
 
 
 def predict_batch(model: TrainedModel, x) -> np.ndarray:

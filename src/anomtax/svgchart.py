@@ -18,12 +18,11 @@ def _px(x: float, y: float):
     return (_MARGIN + x * _PLOT, _SIZE - _MARGIN - y * _PLOT)
 
 
-def unit_line_chart(series, title: str, xlabel: str, ylabel: str,
-                    diagonal: bool = True) -> str:
-    """SVG text for one or more (label, points) series over [0, 1] x [0, 1].
+def unit_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
+    """SVG text for one or more (label, points) series over [0, 1] x [0, 1],
+    with the dashed diagonal chance line.
 
-    ``points`` is an iterable of (x, y) pairs.  ``diagonal`` draws the
-    chance line.
+    ``points`` is an iterable of (x, y) pairs.
     """
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -58,10 +57,8 @@ def unit_line_chart(series, title: str, xlabel: str, ylabel: str,
     parts.append(f'<text x="14" y="{_SIZE / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 14 {_SIZE / 2:.1f})">{ylabel}</text>')
-    if diagonal:
-        parts.append(f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x1:.1f}" '
-                     f'y2="{y1:.1f}" stroke="#999999" '
-                     f'stroke-dasharray="6,4"/>')
+    parts.append(f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x1:.1f}" '
+                 f'y2="{y1:.1f}" stroke="#999999" stroke-dasharray="6,4"/>')
     for idx, (label, points) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
         coords = " ".join(f"{_px(x, y)[0]:.2f},{_px(x, y)[1]:.2f}"

@@ -112,22 +112,39 @@ class TestLabel:
                      "--out", str(tmp_path / "again"),
                      "label", str(labeled_csv), "--relabel"]) == 0
 
-    def test_supervised_mode_multiple_reports(self, tmp_path, tiny_config):
+    @staticmethod
+    def _label_supervised(tmp_path, data: str) -> int:
         from conftest import make_iris_like
         from anomtax.data import save_csv
         csv_path = tmp_path / "iris.csv"
         save_csv(make_iris_like(), csv_path)
         cfg = tmp_path / "sup.ini"
         cfg.write_text(TINY_CONFIG.replace("clusters = 2", "clusters = 3")
-                       + "\n[data]\nretained = petal_len, petal_wid\n"
-                         "discarded = sepal_len, sepal_wid\n",
-                       encoding="utf-8")
-        out = tmp_path / "sup"
-        assert main(["--seed", "0", "--config", str(cfg), "--quiet",
-                     "--out", str(out), "label", str(csv_path)]) == 0
-        rows = list(csv.reader((out / "labeling_report.csv").open()))
+                       + "\n[data]\n" + data, encoding="utf-8")
+        return main(["--seed", "0", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "sup"), "label", str(csv_path)])
+
+    def test_supervised_mode_multiple_reports(self, tmp_path):
+        assert self._label_supervised(
+            tmp_path, "retained = petal_len, petal_wid\n"
+                      "discarded = sepal_len, sepal_wid\n") == 0
+        rows = list(csv.reader(
+            (tmp_path / "sup" / "labeling_report.csv").open()))
         assert len(rows) == 4  # header + three classes
         assert [r[1] for r in rows[1:]] == ["50", "50", "50"]
+
+    @pytest.mark.parametrize("data, named", [
+        ("retained = petal_len, petal_wdt\ndiscarded = sepal_len, sepal\n",
+         "petal_wdt, sepal"),
+        ("retained = petal_len, petal_wid\n"
+         "discarded = petal_wid, sepal_len\n", "petal_wid"),
+    ], ids=["unknown", "both"])
+    def test_supervised_feature_names_checked(self, tmp_path, capsys, data,
+                                              named):
+        assert self._label_supervised(tmp_path, data) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'label'" in err and named in err
+        assert not (tmp_path / "sup" / "labeled.csv").exists()
 
     def test_parse_error_names_stage(self, tmp_path, tiny_config, capsys):
         bad = tmp_path / "bad.csv"

@@ -63,8 +63,29 @@ def test_missing_config_file():
     with pytest.raises(FileNotFoundError):
         load_config("/nonexistent/path.ini", seed=0)
 
+
 def test_removed_workers_key_rejected(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[ga]\ncycles = 3\nworkers = 2\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"\[ga\] workers"):
+        load_config(str(path), seed=0)
+
+
+def test_blobs_taken_in_numeric_order(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[synthetic]\n" + "".join(
+        f"blob{i} = {10 * i}, 0, 1, 1, {i}\n" for i in range(11, 0, -1)),
+        encoding="utf-8")
+    blobs = load_config(str(path), seed=0).synthetic.blobs
+    assert [b.center[0] for b in blobs] == [10.0 * i for i in range(1, 12)]
+    assert [b.count for b in blobs] == list(range(1, 12))
+
+
+@pytest.mark.parametrize("key", ["blob0", "blob", "blobx", "blob-1",
+                                 "blob01", "blob_2"])
+def test_malformed_blob_key_rejected(tmp_path, key):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[synthetic]\nblob1 = 0, 0, 1, 1, 5\n"
+                    f"{key} = 5, 5, 1, 1, 5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=key):
         load_config(str(path), seed=0)

@@ -10,7 +10,6 @@ from anomtax.data import (
     CsvStructureError,
     Dataset,
     LabelTokenError,
-    NormalizationParams,
     SplitRatios,
     SyntheticSpec,
     aggregate_features,
@@ -74,12 +73,6 @@ class TestLoadCsv:
         path = _write(tmp_path, "x,label\n1,ND\n2,WAT\n")
         with pytest.raises(LabelTokenError, match="WAT"):
             load_csv(path)
-
-    def test_schema_roles(self, tmp_path):
-        path = _write(tmp_path, "a,b,c\n1,2,3\n")
-        ds = load_csv(path, schema={"a": "feature", "b": "ignore",
-                                    "c": "feature"})
-        assert ds.feature_names == ["a", "c"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -189,17 +182,6 @@ class TestNormalize:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             minmax_normalize(Dataset(np.zeros((0, 2))))
-
-    def test_params_file_roundtrip(self, tmp_path):
-        params = NormalizationParams(("a", "b"),
-                                     np.array([0.1, -2.0]),
-                                     np.array([0.9, 3.5]))
-        path = tmp_path / "norm.txt"
-        params.save(path)
-        back = NormalizationParams.load(path)
-        assert back.feature_names == ("a", "b")
-        np.testing.assert_array_equal(back.mins, params.mins)
-        np.testing.assert_array_equal(back.maxs, params.maxs)
 
 
 class TestWeighting:
@@ -394,11 +376,3 @@ class TestDataset:
         ds = Dataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
-
-    def test_sample_view(self):
-        ds = Dataset([[1.0, 2.0], [3.0, 4.0]], class_ids=[1, 0],
-                     labels=[0, 3])
-        s = ds.sample(1)
-        assert s.id == 1 and s.class_id == 0
-        assert s.anomaly_label is AnomalyLabel.PA
-        np.testing.assert_array_equal(s.features, [3.0, 4.0])

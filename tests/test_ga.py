@@ -39,7 +39,7 @@ def tiny_splits(seed=0):
 class TestInitPopulation:
     def test_size_and_genome_length(self):
         cfg = GaConfig(population_size=15, seed=0)
-        pop = init_population(cfg, Topology())
+        pop = init_population(cfg, Topology(), np.random.default_rng(0))
         assert len(pop) == 15
         assert all(ind.genome.shape == (74,) for ind in pop)
         assert all(0 <= ind.genome.min() and ind.genome.max() <= 1
@@ -47,13 +47,14 @@ class TestInitPopulation:
 
     def test_deterministic(self):
         cfg = GaConfig(seed=9)
-        a = init_population(cfg, TOPO)
-        b = init_population(cfg, TOPO)
+        a = init_population(cfg, TOPO, np.random.default_rng(9))
+        b = init_population(cfg, TOPO, np.random.default_rng(9))
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.genome, y.genome)
 
     def test_single_individual(self):
-        pop = init_population(GaConfig(population_size=1, seed=0), TOPO)
+        pop = init_population(GaConfig(population_size=1), TOPO,
+                              np.random.default_rng(0))
         assert len(pop) == 1
 
 
@@ -255,9 +256,9 @@ class TestRunGa:
         assert len(trainings) == run.evaluations
         again = real_train(run.best.genome, TOPO, splits.x_train,
                            splits.t_train, splits.x_val, splits.t_val, TCFG)
-        np.testing.assert_array_equal(run.best_model.weights, again.weights)
-        assert run.best_model.train_mse == again.train_mse
-        assert run.best_model.val_mse == again.val_mse
+        np.testing.assert_array_equal(run.best.model.weights, again.weights)
+        assert run.best.model.train_mse == again.train_mse
+        assert run.best.model.val_mse == again.val_mse
 
     def test_diverged_winner_raises(self, monkeypatch):
         def diverge(*args, **kwargs):

@@ -19,7 +19,6 @@ from anomtax.labeling import (
     detect_cna,
     detect_cpa,
     detect_point_anomalies,
-    euclidean_distance,
     kmeans,
     label_dataset,
     label_supervised,
@@ -66,22 +65,6 @@ def dense_density_std(model, pts, knn_k):
                         1.0 / np.maximum(mean_dist, labeling.DENSITY_EPS))
         stds[c] = dens.std()
     return stds
-
-
-class TestDistance:
-    def test_3_4_5(self):
-        assert euclidean_distance((0, 0), (3, 4)) == 5.0
-
-    def test_identity(self):
-        assert euclidean_distance((7.2, -1.5), (7.2, -1.5)) == 0.0
-
-    def test_three_dims(self):
-        assert euclidean_distance((1, 1, 1), (2, 2, 2)) == \
-            pytest.approx(math.sqrt(3), abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            euclidean_distance((1, 2), (1, 2, 3))
 
 
 class TestPointAnomalies:
@@ -259,7 +242,7 @@ class TestKmeans:
             return total
         best = min(objective([[0, 1], [2, 3]]), objective([[0, 2], [1, 3]]),
                    objective([[0, 3], [1, 2]]))
-        assert model.objective == pytest.approx(best, abs=1e-12)
+        assert model.objective_history[-1] == pytest.approx(best, abs=1e-12)
         assert model.assignment[0] == model.assignment[1]
         assert model.assignment[2] == model.assignment[3]
         mids = sorted(model.centroids[:, 0])
@@ -276,7 +259,7 @@ class TestKmeans:
         rng = np.random.default_rng(5)
         pts = rng.random((6, 2))
         model = kmeans(pts, 6, seed=0)
-        assert model.objective == pytest.approx(0.0, abs=1e-15)
+        assert model.objective_history[-1] == pytest.approx(0.0, abs=1e-15)
         assert sorted(model.assignment) == list(range(6))
 
     def test_count_below_k_rejected(self):
@@ -611,10 +594,3 @@ class TestLabelSupervised:
         with pytest.raises(ValueError):
             label_supervised(ds, LabelingConfig(num_clusters=1, seed=0),
                              [0], [1])
-
-    def test_per_class_config_mapping(self, iris_like):
-        per_class = {0: LabelingConfig(num_clusters=2, knn_k=5, seed=0),
-                     1: LabelingConfig(num_clusters=3, knn_k=5, seed=0),
-                     2: LabelingConfig(num_clusters=4, knn_k=5, seed=0)}
-        _, reports = label_supervised(iris_like, per_class, [2, 3], [0, 1])
-        assert [r.clusters for r in reports] == [2, 3, 4]

@@ -8,14 +8,12 @@ from anomtax.mlp import (
     Topology,
     TrainedModel,
     TrainingConfig,
-    forward,
     forward_batch,
     init_weights,
     load_model,
     mse_and_gradient,
     one_hot,
     predict_batch,
-    predict_class,
     save_model,
     train_scg,
     unpack_weights,
@@ -68,27 +66,29 @@ class TestInitWeights:
 class TestForward:
     def test_zero_weights_zero_output(self):
         topo = Topology()
-        out = forward(np.zeros(topo.genome_length), topo, [0.3, -0.7])
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = forward_batch(np.zeros(topo.genome_length), topo, [[0.3, -0.7]])
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_outputs_inside_open_interval(self):
         topo = Topology()
         rng = np.random.default_rng(1)
         w = rng.random(topo.genome_length)
         for _ in range(20):
-            out = forward(w, topo, rng.normal(0, 3, 2))
+            out = forward_batch(w, topo, rng.normal(0, 3, (1, 2)))
             assert np.all(out > -1) and np.all(out < 1)
 
     def test_tiny_net_nested_tanh(self):
         topo = Topology(1, 1, 1)
         w = np.array([1.0, 0.0, 1.0, 0.0])  # w1, b1, w2, b2
-        out = forward(w, topo, [0.5])
-        assert out[0] == pytest.approx(math.tanh(math.tanh(0.5)), abs=1e-15)
+        out = forward_batch(w, topo, [[0.5]])
+        assert out[0, 0] == pytest.approx(math.tanh(math.tanh(0.5)),
+                                          abs=1e-15)
 
     def test_dimension_mismatch(self):
         topo = Topology()
         with pytest.raises(ValueError):
-            forward(np.zeros(topo.genome_length), topo, [1.0, 2.0, 3.0])
+            forward_batch(np.zeros(topo.genome_length), topo,
+                          [[1.0, 2.0, 3.0]])
 
     def test_unpack_views_cover_genome_in_order(self):
         topo = Topology(3, 4, 2)
@@ -223,23 +223,21 @@ class TestPredict:
         # craft outputs (0.9, -0.2, 0.1, 0.0) via output biases, zero weights
         w = np.zeros(topo.genome_length)
         w[-4:] = np.arctanh([0.9, -0.2, 0.1, 0.0])
-        from anomtax.mlp import TrainedModel
         model = TrainedModel(topo, w)
-        assert predict_class(model, [0.0, 0.0]) == 0
+        assert predict_batch(model, [[0.0, 0.0]]).tolist() == [0]
 
     def test_tie_breaks_low_index(self):
         topo = Topology(2, 2, 4)
-        from anomtax.mlp import TrainedModel
         model = TrainedModel(topo, np.zeros(topo.genome_length))
-        assert predict_class(model, [0.5, 0.5]) == 0
+        assert predict_batch(model, [[0.5, 0.5]]).tolist() == [0]
 
     def test_trained_model_recovers_blob_classes(self):
         x, y = two_blob_problem(8)
         topo = Topology(2, 10, 2)
         model = train_scg(init_weights(topo, np.random.default_rng(9)),
                           topo, x, one_hot(y, 2))
-        assert predict_class(model, [0.2, 0.2]) == 0
-        assert predict_class(model, [0.8, 0.8]) == 1
+        assert predict_batch(model, [[0.2, 0.2], [0.8, 0.8]]).tolist() == \
+            [0, 1]
 
 
 class TestSerialization:
