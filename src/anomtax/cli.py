@@ -127,6 +127,10 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     if ds.labels is not None and not relabel:
         raise StageError("label", "input is already labeled; pass --relabel "
                                   "to overwrite its labels")
+    if ds.class_ids is None and (cfg.retained or cfg.discarded):
+        raise StageError("label", "[data] retained and discarded apply only "
+                                  "to a CSV with a 'class' column, and this "
+                                  "input has none")
     out = _outdir(cfg)
     if ds.class_ids is not None:
         with _stage("label"):
@@ -250,7 +254,7 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     out = _outdir(cfg)
     with _stage("compare"):
         report = ga.compare(prepared, cfg.topology, cfg.training, cfg.ga,
-                            LABEL_NAMES[:cfg.topology.output_size])
+                            LABEL_NAMES)
     with _stage("write"):
         mlp.save_model(report.nn_model, out / "nn_model.txt")
         mlp.save_model(report.ga_run.best.model, out / "ga_best_model.txt")

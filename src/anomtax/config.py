@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .data import BlobSpec, SplitRatios, SyntheticSpec, derive_seed
+from .data import (AnomalyLabel, BlobSpec, SplitRatios, SyntheticSpec,
+                   derive_seed)
 from .ga import GaConfig
 from .labeling import LabelingConfig
 from .mlp import Topology, TrainingConfig
@@ -99,8 +100,7 @@ test = 0.15
 """
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     seed: int
     out: Path
     input: str | None
@@ -193,6 +193,11 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     net = parser["mlp"]
     topology = Topology(net.getint("input"), net.getint("hidden"),
                         net.getint("output"))
+    if topology.output_size != len(AnomalyLabel):
+        names = ", ".join(label.name for label in AnomalyLabel)
+        raise ValueError(f"[mlp] output must be {len(AnomalyLabel)}, one per "
+                         f"taxonomy label ({names}), got "
+                         f"{topology.output_size}")
     tr = parser["train"]
     training = TrainingConfig(
         max_epochs=tr.getint("max_epochs"),

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,17 +299,18 @@ def save_csv(ds: Dataset, path) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NormalizationParams:
     """Per-feature min/max captured from training data for reuse."""
 
-    feature_names: tuple
-    mins: np.ndarray
-    maxs: np.ndarray
+    __slots__ = ("feature_names", "mins", "maxs")
 
-    def __post_init__(self):
-        if np.any(self.maxs < self.mins):
+    def __init__(self, feature_names: tuple, mins: np.ndarray,
+                 maxs: np.ndarray):
+        if np.any(maxs < mins):
             raise ValueError("max < min in normalization params")
+        self.feature_names = feature_names
+        self.mins = mins
+        self.maxs = maxs
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Map each column through (x - min) / (max - min).
@@ -386,20 +387,21 @@ def _check_feature_indices(ds, indices, what):
 # stratified splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SplitRatios:
     """Train/validation/test fractions; must sum to 1."""
 
-    train: float = 0.70
-    validation: float = 0.15
-    test: float = 0.15
+    __slots__ = ("train", "validation", "test")
 
-    def __post_init__(self):
-        parts = (self.train, self.validation, self.test)
+    def __init__(self, train: float = 0.70, validation: float = 0.15,
+                 test: float = 0.15):
+        parts = (train, validation, test)
         if any(p < 0 for p in parts):
             raise ValueError("split ratios must be nonnegative")
         if abs(sum(parts) - 1.0) > 1e-9:
             raise ValueError(f"split ratios sum to {sum(parts)}, expected 1")
+        self.train = train
+        self.validation = validation
+        self.test = test
 
 
 def _largest_remainder(count: int, ratios: SplitRatios):
@@ -447,8 +449,7 @@ def stratified_split(ds: Dataset, ratios: SplitRatios, seed: int):
 # synthetic generation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlobSpec:
+class BlobSpec(NamedTuple):
     """One Gaussian blob: center, per-axis spread, point count."""
 
     center: tuple
@@ -456,8 +457,7 @@ class BlobSpec:
     count: int
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     """Blob mixture plus uniform scatter over a bounding box."""
 
     blobs: tuple

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,23 +32,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ConfusionMatrix:
     """counts[p][t] = number of samples of target class t predicted as p."""
 
-    counts: np.ndarray
-    class_names: tuple
+    __slots__ = ("counts", "class_names")
 
-    def __post_init__(self):
-        counts = self.counts
+    def __init__(self, counts: np.ndarray, class_names: tuple):
         if (counts.ndim != 2 or counts.shape[0] != counts.shape[1]
                 or counts.shape[0] < 1):
             raise ValueError(f"confusion matrix must be square, "
                              f"got {counts.shape}")
         if counts.min(initial=0) < 0:
             raise ValueError("confusion counts must be nonnegative")
-        if len(self.class_names) != counts.shape[0]:
+        if len(class_names) != counts.shape[0]:
             raise ValueError("one class name per row required")
+        self.counts = counts
+        self.class_names = class_names
 
     @property
     def num_classes(self) -> int:
@@ -138,8 +137,7 @@ def tpr_fpr(matrix: ConfusionMatrix, c: int):
     return tpr, fpr
 
 
-@dataclass(frozen=True)
-class RocCurve:
+class RocCurve(NamedTuple):
     """Threshold sweep over one class's scores, plus trapezoidal AUC.
 
     ``points`` is an (m, 2) array of (FPR, TPR) running from (0, 0) to

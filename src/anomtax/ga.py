@@ -11,7 +11,7 @@ and elitism.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,55 +54,61 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass
 class Individual:
     """A genome, and once evaluated its fitness and the model trained from
     it (None when that training diverged)."""
 
-    genome: np.ndarray
-    fitness: float | None = None
-    model: TrainedModel | None = None
+    __slots__ = ("genome", "fitness", "model")
+
+    def __init__(self, genome: np.ndarray, fitness: float | None = None,
+                 model: TrainedModel | None = None):
+        self.genome = genome
+        self.fitness = fitness
+        self.model = model
 
 
-@dataclass(frozen=True)
 class GaConfig:
-    cycles: int = 20
-    population_size: int = 15
-    crossover_alpha: float = 0.3
-    mutation_rate: float = 0.1
-    selection_rate: float = 0.7
-    goal: float = 0.0
-    seed: int = 0
-    fitness_metric: str = "overall"  # or "per_class_mean"
+    __slots__ = ("cycles", "population_size", "crossover_alpha",
+                 "mutation_rate", "selection_rate", "goal", "seed",
+                 "fitness_metric")
 
-    def __post_init__(self):
-        if self.cycles < 1 or self.population_size < 1:
+    def __init__(self, cycles: int = 20, population_size: int = 15,
+                 crossover_alpha: float = 0.3, mutation_rate: float = 0.1,
+                 selection_rate: float = 0.7, goal: float = 0.0,
+                 seed: int = 0, fitness_metric: str = "overall"):
+        if cycles < 1 or population_size < 1:
             raise ValueError("cycles and population_size must be >= 1")
-        for name in ("crossover_alpha", "mutation_rate", "selection_rate"):
-            v = getattr(self, name)
+        for name, v in (("crossover_alpha", crossover_alpha),
+                        ("mutation_rate", mutation_rate),
+                        ("selection_rate", selection_rate)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.fitness_metric not in ("overall", "per_class_mean"):
-            raise ValueError(f"unknown fitness_metric {self.fitness_metric!r}")
+        if fitness_metric not in ("overall", "per_class_mean"):
+            raise ValueError(f"unknown fitness_metric {fitness_metric!r}")
+        self.cycles = cycles
+        self.population_size = population_size
+        self.crossover_alpha = crossover_alpha
+        self.mutation_rate = mutation_rate
+        self.selection_rate = selection_rate
+        self.goal = goal
+        self.seed = seed
+        self.fitness_metric = fitness_metric  # or "per_class_mean"
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
     cycle: int
     best_fitness: float
     mean_fitness: float
 
 
-@dataclass
-class GaRun:
+class GaRun(NamedTuple):
     cycles: list
     best: Individual
     stop_reason: str  # "cycles" or "goal"
     evaluations: int = 0
 
 
-@dataclass(frozen=True)
-class PreparedSplits:
+class PreparedSplits(NamedTuple):
     """Frozen arrays all individuals are scored against."""
 
     x_train: np.ndarray
@@ -290,8 +296,7 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     return GaRun(stats, best, stop, evaluations)
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     nn_model: TrainedModel
     nn_confusion: ConfusionMatrix
     nn_error: float

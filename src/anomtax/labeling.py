@@ -9,7 +9,7 @@ Labeling pipelines for both unsupervised datasets and supervised datasets
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ STRIP_REL_MARGIN = 1e-9
 STRIP_ABS_MARGIN = 1e-150
 
 
-@dataclass(frozen=True)
-class RadiusTable:
+class RadiusTable(NamedTuple):
     """Per-point mean distance to the other point anomalies, plus the
     global mean of those means."""
 
@@ -65,8 +64,7 @@ class RadiusTable:
     global_radius: float
 
 
-@dataclass(frozen=True)
-class ClusterModel:
+class ClusterModel(NamedTuple):
     """k-means result, optionally annotated with per-cluster density spread."""
 
     centroids: np.ndarray
@@ -80,7 +78,6 @@ class ClusterModel:
         return self.centroids.shape[0]
 
 
-@dataclass(frozen=True)
 class LabelingConfig:
     """Knobs for the labeling pipeline.
 
@@ -90,40 +87,46 @@ class LabelingConfig:
     their median, or a fixed value.
     """
 
-    num_clusters: int
-    knn_k: int = 5
-    pa_score_multiplier: float = 2.0
-    seed: int = 0
-    threshold_mode: str = "mean"
-    threshold_value: float | None = None
+    __slots__ = ("num_clusters", "knn_k", "pa_score_multiplier", "seed",
+                 "threshold_mode", "threshold_value")
 
-    def __post_init__(self):
-        if self.num_clusters < 1:
+    def __init__(self, num_clusters: int, knn_k: int = 5,
+                 pa_score_multiplier: float = 2.0, seed: int = 0,
+                 threshold_mode: str = "mean",
+                 threshold_value: float | None = None):
+        if num_clusters < 1:
             raise ValueError("num_clusters must be >= 1")
-        if self.knn_k < 1:
+        if knn_k < 1:
             raise ValueError("knn_k must be >= 1")
-        if self.pa_score_multiplier <= 0:
+        if pa_score_multiplier <= 0:
             raise ValueError("pa_score_multiplier must be > 0")
-        if self.threshold_mode not in ("mean", "median", "fixed"):
-            raise ValueError(f"unknown threshold_mode {self.threshold_mode!r}")
-        if self.threshold_mode == "fixed" and self.threshold_value is None:
+        if threshold_mode not in ("mean", "median", "fixed"):
+            raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
+        if threshold_mode == "fixed" and threshold_value is None:
             raise ValueError("fixed threshold_mode needs threshold_value")
+        self.num_clusters = num_clusters
+        self.knn_k = knn_k
+        self.pa_score_multiplier = pa_score_multiplier
+        self.seed = seed
+        self.threshold_mode = threshold_mode
+        self.threshold_value = threshold_value
 
 
-@dataclass(frozen=True)
 class LabelingReport:
     """Counts mirroring the labeled-dataset summary table."""
 
-    points: int
-    clusters: int
-    nd: int
-    cna: int
-    cpa: int
-    pa: int
+    __slots__ = ("points", "clusters", "nd", "cna", "cpa", "pa")
 
-    def __post_init__(self):
-        if self.nd + self.cna + self.cpa + self.pa != self.points:
+    def __init__(self, points: int, clusters: int, nd: int, cna: int,
+                 cpa: int, pa: int):
+        if nd + cna + cpa + pa != points:
             raise ValueError("label counts do not partition the dataset")
+        self.points = points
+        self.clusters = clusters
+        self.nd = nd
+        self.cna = cna
+        self.cpa = cpa
+        self.pa = pa
 
 
 def detect_point_anomalies(points, cfg: LabelingConfig) -> np.ndarray:
@@ -357,8 +360,7 @@ def cluster_density_stats(model: ClusterModel, points,
         mean_dist = _knn_scores(points[members], kk)
         dens = np.where(mean_dist < DENSITY_EPS, DENSITY_CAP, 1.0 / np.maximum(mean_dist, DENSITY_EPS))
         stds[c] = dens.std()
-    return replace(model, density_std=stds,
-                   threshold=float(stds.mean()))
+    return model._replace(density_std=stds, threshold=float(stds.mean()))
 
 
 def detect_cna(model: ClusterModel) -> np.ndarray:
@@ -414,8 +416,8 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
                      "clusterable points)", clusters_used, distinct)
         model = kmeans(rest_points, clusters_used, cfg.seed)
         model = cluster_density_stats(model, rest_points, cfg.knn_k)
-        model = replace(model,
-                        threshold=_resolve_threshold(cfg, model.density_std))
+        model = model._replace(
+            threshold=_resolve_threshold(cfg, model.density_std))
         cna_clusters = detect_cna(model)
         if cna_clusters.size == clusters_used:
             log.info("all %d clusters are CNA: every density spread meets "

@@ -20,7 +20,7 @@ entry points over the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,17 +48,18 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the training loss stops being finite."""
 
 
-@dataclass(frozen=True)
 class Topology:
     """Layer sizes; the defaults are 2 inputs, 10 hidden, 4 outputs."""
 
-    input_size: int = 2
-    hidden_size: int = 10
-    output_size: int = 4
+    __slots__ = ("input_size", "hidden_size", "output_size")
 
-    def __post_init__(self):
-        if min(self.input_size, self.hidden_size, self.output_size) < 1:
+    def __init__(self, input_size: int = 2, hidden_size: int = 10,
+                 output_size: int = 4):
+        if min(input_size, hidden_size, output_size) < 1:
             raise ValueError("all layer sizes must be >= 1")
+        self.input_size = input_size
+        self.hidden_size = hidden_size
+        self.output_size = output_size
 
     @property
     def genome_length(self) -> int:
@@ -66,28 +67,31 @@ class Topology:
                 + (self.hidden_size + 1) * self.output_size)
 
 
-@dataclass(frozen=True)
 class TrainingConfig:
-    max_epochs: int = 200
-    patience: int = 6
-    sigma0: float = 5e-5
-    lambda0: float = 5e-7
-    goal: float = 0.0
+    __slots__ = ("max_epochs", "patience", "sigma0", "lambda0", "goal")
 
-    def __post_init__(self):
-        if self.max_epochs < 1:
+    def __init__(self, max_epochs: int = 200, patience: int = 6,
+                 sigma0: float = 5e-5, lambda0: float = 5e-7,
+                 goal: float = 0.0):
+        if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.patience < 1:
+        if patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.sigma0 <= 0 or self.lambda0 <= 0:
+        if sigma0 <= 0 or lambda0 <= 0:
             raise ValueError("sigma0 and lambda0 must be > 0")
+        self.max_epochs = max_epochs
+        self.patience = patience
+        self.sigma0 = sigma0
+        self.lambda0 = lambda0
+        self.goal = goal
 
 
-@dataclass
-class TrainedModel:
+class TrainedModel(NamedTuple):
     topology: Topology
     weights: np.ndarray
-    train_mse: list = field(default_factory=list)
+    # an immutable empty default: a NamedTuple default is shared by every
+    # instance that omits the field
+    train_mse: list | tuple = ()
     val_mse: list | None = None
     stop_reason: str = "max_epochs"
 

@@ -146,6 +146,25 @@ class TestLabel:
         assert "error in stage 'label'" in err and named in err
         assert not (tmp_path / "sup" / "labeled.csv").exists()
 
+    @pytest.mark.parametrize("data", [
+        "retained = nope\ndiscarded = zip\n", "retained = x\n",
+        "discarded = y\n"], ids=["both", "retained", "discarded"])
+    def test_unsupervised_refuses_feature_split(self, tmp_path, capsys,
+                                                data):
+        cfg = tmp_path / "split.ini"
+        cfg.write_text(TINY_CONFIG + "\n[data]\n" + data, encoding="utf-8")
+        synth = tmp_path / "synth.csv"
+        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
+                     "synth", str(synth)]) == 0
+        out = tmp_path / "lab"
+        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
+                     "--out", str(out), "label", str(synth)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'label'" in err
+        assert "[data] retained and discarded" in err
+        assert "'class' column" in err
+        assert not out.exists()
+
     def test_parse_error_names_stage(self, tmp_path, tiny_config, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,oops\n", encoding="utf-8")
@@ -255,13 +274,26 @@ class TestTrain:
                      "nn_metrics.csv"):
             assert (out / name).is_file(), name
 
+    def test_output_size_other_than_four_rejected(self, tmp_path,
+                                                  labeled_csv, capsys):
+        cfg = tmp_path / "five.ini"
+        cfg.write_text(TINY_CONFIG + "\n[mlp]\noutput = 5\n",
+                       encoding="utf-8")
+        out = tmp_path / "tr5"
+        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
+                     "--out", str(out), "train", str(labeled_csv)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err
+        assert "[mlp] output" in err and "(ND, CNA, CPA, PA)" in err
+        assert not out.exists()
+
     def test_labeled_csv_roundtrips(self, labeled_csv):
         ds = load_csv(labeled_csv)
         assert ds.labels is not None
         assert ds.n == 90
 
 
-LAZY_MODULES = ("numpy.ma", "concurrent.futures")
+LAZY_MODULES = ("numpy.ma", "concurrent.futures", "dataclasses")
 
 
 def _loaded_after(code: str, cwd) -> list:
@@ -280,9 +312,12 @@ def _loaded_after(code: str, cwd) -> list:
 def test_label_and_compare_skip_lazy_imports(tmp_path, tiny_config,
                                              labeled_csv):
     # numpy loads numpy.ma on first use of its set routines (np.unique,
-    # np.isin, np.setdiff1d), ~16 ms of every CLI process
-    if "numpy.ma" in _loaded_after("import numpy", tmp_path):
-        pytest.skip("this numpy imports numpy.ma on import")
+    # np.isin, np.setdiff1d), ~16 ms of every CLI process, and decorating
+    # anomtax's classes as dataclasses cost each process ~22 ms
+    by_numpy = [m for m in _loaded_after("import numpy", tmp_path)
+                if m in ("numpy.ma", "dataclasses")]
+    if by_numpy:
+        pytest.skip(f"this numpy imports {', '.join(by_numpy)} on import")
     synth = labeled_csv.parent.parent / "synth.csv"
     runs = [["--seed", "5", "--config", tiny_config, "--quiet", "--out",
              str(tmp_path / "lab"), "label", str(synth)],

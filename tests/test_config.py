@@ -89,3 +89,12 @@ def test_malformed_blob_key_rejected(tmp_path, key):
                     f"{key} = 5, 5, 1, 1, 5\n", encoding="utf-8")
     with pytest.raises(ValueError, match=key):
         load_config(str(path), seed=0)
+
+
+def test_output_size_must_match_taxonomy(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[mlp]\noutput = 3\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^\[mlp\] output must be 4, one "
+                                         r"per taxonomy label \(ND, CNA, "
+                                         r"CPA, PA\), got 3$"):
+        load_config(str(path), seed=0)
