@@ -24,7 +24,7 @@ from .config import (
     load_config,
 )
 from .data import (
-    AnomalyLabel,
+    LABEL_TOKENS,
     Dataset,
     derive_seed,
     generate_synthetic,
@@ -36,8 +36,6 @@ from .data import (
 from .svgchart import unit_line_chart
 
 __all__ = ["main", "StageError"]
-
-LABEL_NAMES = tuple(label.name for label in AnomalyLabel)
 
 
 class StageError(Exception):
@@ -177,8 +175,7 @@ def _split_and_prepare(cfg: RunConfig, ds: Dataset) -> ga.PreparedSplits:
             raise ValueError("empty test split")
         if train.n == 0:
             raise ValueError("empty training split")
-        return ga.prepare_splits(train, val, test,
-                                 cfg.topology.output_size)
+        return ga.prepare_splits(train, val, test, len(LABEL_TOKENS))
 
 
 def _write_history(model: mlp.TrainedModel, path: Path) -> None:
@@ -190,10 +187,8 @@ def _write_history(model: mlp.TrainedModel, path: Path) -> None:
 
 
 def _emit_model_eval(tag: str, model, x, y, out: Path):
-    num_classes = model.topology.output_size
     pred = mlp.predict_batch(model, x)
-    matrix = evaluation.confusion(y, pred, num_classes,
-                                  LABEL_NAMES[:num_classes])
+    matrix = evaluation.confusion(y, pred, len(LABEL_TOKENS), LABEL_TOKENS)
     _write_model_eval(tag, model, matrix, x, y, out)
     return matrix
 
@@ -210,12 +205,11 @@ def _write_model_eval(tag: str, model, matrix, x, y, out: Path) -> None:
 
 def _write_roc_files(model, x, y, out: Path, tag: str):
     scores = mlp.forward_batch(model.weights, model.topology, x)
-    for c in range(model.topology.output_size):
+    for c, name in enumerate(LABEL_TOKENS):
         positives = np.asarray(y) == c
         if positives.all() or not positives.any():
             continue  # ROC undefined with one class absent
         curve = evaluation.roc_curve(scores[:, c], positives)
-        name = LABEL_NAMES[c] if c < len(LABEL_NAMES) else str(c)
         evaluation.write_roc_csv(curve, out / f"roc_{tag}_{name}.csv")
         svg = unit_line_chart(
             [(f"{tag} {name} (AUC {curve.auc:.3f})",
@@ -229,11 +223,12 @@ def cmd_train(cfg: RunConfig, input_path) -> int:
     ds = _load_input(cfg, input_path)
     _require_labels(ds)
     prepared = _split_and_prepare(cfg, ds)
+    topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     out = _outdir(cfg)
     with _stage("train"):
         rng = np.random.default_rng([derive_seed(cfg.seed, STREAM_NN)])
         model = mlp.train_scg(
-            mlp.init_weights(cfg.topology, rng), cfg.topology,
+            mlp.init_weights(topology, rng), topology,
             prepared.x_train, prepared.t_train,
             prepared.x_val, prepared.t_val, cfg.training)
     with _stage("write"):
@@ -251,10 +246,11 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     ds = _load_input(cfg, input_path)
     _require_labels(ds)
     prepared = _split_and_prepare(cfg, ds)
+    topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     out = _outdir(cfg)
     with _stage("compare"):
-        report = ga.compare(prepared, cfg.topology, cfg.training, cfg.ga,
-                            LABEL_NAMES)
+        report = ga.compare(prepared, topology, cfg.training, cfg.ga,
+                            LABEL_TOKENS)
     with _stage("write"):
         mlp.save_model(report.nn_model, out / "nn_model.txt")
         mlp.save_model(report.ga_run.best.model, out / "ga_best_model.txt")
@@ -286,11 +282,13 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
 def _load_model_for(ds: Dataset, model_path):
     with _stage("load"):
         model = mlp.load_model(model_path)
-    if model.topology.input_size != ds.dim:
+    topo = model.topology
+    if (topo.input_size, topo.output_size) != (ds.dim, len(LABEL_TOKENS)):
         raise StageError(
             "load",
-            f"model expects {model.topology.input_size} input features but "
-            f"the dataset has {ds.dim}",
+            f"model is {topo.input_size}-{topo.hidden_size}-"
+            f"{topo.output_size}, but the dataset needs {ds.dim} inputs and "
+            f"one output per taxonomy label ({', '.join(LABEL_TOKENS)})",
         )
     return model
 

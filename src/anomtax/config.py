@@ -2,7 +2,7 @@
 shipped defaults reproduce the reference setup with zero flags.
 
 Sections and keys (all optional except the seed, which must come from the
-file or from ``--seed``):
+file or from ``--seed``); any other section or key is rejected:
 
     [run]       seed, out
     [data]      input, retained, discarded      (feature names, comma list)
@@ -10,7 +10,7 @@ file or from ``--seed``):
                 blob1..blobN = cx,cy,sx,sy,count  (taken in order of N)
     [labeling]  clusters, knn_k, score_multiplier, threshold_mode,
                 threshold_value
-    [mlp]       input, hidden, output
+    [mlp]       hidden      (inputs: one per feature; outputs: 4 labels)
     [train]     max_epochs, patience, sigma0, lambda0, goal
     [ga]        cycles, population, alpha, mutation_rate, selection_rate,
                 goal, fitness_metric
@@ -24,11 +24,10 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import (AnomalyLabel, BlobSpec, SplitRatios, SyntheticSpec,
-                   derive_seed)
+from .data import BlobSpec, SplitRatios, SyntheticSpec, derive_seed
 from .ga import GaConfig
 from .labeling import LabelingConfig
-from .mlp import Topology, TrainingConfig
+from .mlp import TrainingConfig
 
 __all__ = [
     "RunConfig",
@@ -49,6 +48,7 @@ STREAM_NN = 4
 
 _DEFAULTS = """
 [run]
+seed =
 out = out
 
 [data]
@@ -73,9 +73,7 @@ threshold_mode = mean
 threshold_value =
 
 [mlp]
-input = 2
 hidden = 10
-output = 4
 
 [train]
 max_epochs = 200
@@ -108,7 +106,7 @@ class RunConfig(NamedTuple):
     discarded: list
     synthetic: SyntheticSpec
     labeling: LabelingConfig
-    topology: Topology
+    hidden: int
     training: TrainingConfig
     ga: GaConfig
     ratios: SplitRatios
@@ -147,6 +145,23 @@ def _synthetic_spec(section) -> SyntheticSpec:
                          tuple(bounds))
 
 
+def _reject_unread_keys(user, defaults, path) -> None:
+    """Raise on the first section or key of ``user`` that ``defaults`` lacks;
+    [synthetic] takes every blobN key that :func:`_blob_number` accepts."""
+    for name in user.sections():
+        if not defaults.has_section(name):
+            raise ValueError(f"{path}: [{name}] is not a config section; the "
+                             f"sections are {', '.join(defaults.sections())}")
+        for key in user[name]:
+            if name == "synthetic" and key.startswith("blob"):
+                _blob_number(key)
+            elif not defaults.has_option(name, key):
+                keys = [k for k in defaults[name] if not k.startswith("blob")]
+                raise ValueError(f"{path}: [{name}] {key} is not a config "
+                                 f"key; [{name}] accepts {', '.join(keys)}"
+                                 + ", blobN" * (name == "synthetic"))
+
+
 def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     """Merge the shipped defaults, an optional config file, and flag
     overrides into one validated RunConfig.  The seed is mandatory."""
@@ -155,8 +170,11 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     if path is not None:
         if not Path(path).is_file():
             raise FileNotFoundError(f"config file not found: {path}")
-        user = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        # no section is named "", so [DEFAULT] is rejected like any other
+        user = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                         default_section="")
         user.read(path, encoding="utf-8")
+        _reject_unread_keys(user, parser, path)
         # a user blob list replaces the default recipe instead of merging
         if user.has_section("synthetic") and any(
                 k.startswith("blob") for k in user["synthetic"]):
@@ -164,13 +182,10 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
                         if k.startswith("blob")]:
                 parser.remove_option("synthetic", key)
         parser.read(path, encoding="utf-8")
-        if parser.has_option("ga", "workers"):
-            raise ValueError(f"{path}: [ga] workers was removed; fitness "
-                             "evaluations always run one after another")
 
     run = parser["run"]
     if seed is None:
-        raw = run.get("seed", "").strip()
+        raw = run.get("seed").strip()
         if not raw:
             raise ValueError(
                 "a seed is required: set [run] seed in the config file or "
@@ -190,14 +205,9 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         threshold_mode=lab.get("threshold_mode"),
         threshold_value=float(th_raw) if th_raw else None,
     )
-    net = parser["mlp"]
-    topology = Topology(net.getint("input"), net.getint("hidden"),
-                        net.getint("output"))
-    if topology.output_size != len(AnomalyLabel):
-        names = ", ".join(label.name for label in AnomalyLabel)
-        raise ValueError(f"[mlp] output must be {len(AnomalyLabel)}, one per "
-                         f"taxonomy label ({names}), got "
-                         f"{topology.output_size}")
+    hidden = parser["mlp"].getint("hidden")
+    if hidden < 1:
+        raise ValueError(f"[mlp] hidden must be >= 1, got {hidden}")
     tr = parser["train"]
     training = TrainingConfig(
         max_epochs=tr.getint("max_epochs"),
@@ -230,7 +240,7 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         discarded=_names(data.get("discarded")),
         synthetic=_synthetic_spec(parser["synthetic"]),
         labeling=labeling,
-        topology=topology,
+        hidden=hidden,
         training=training,
         ga=ga_cfg,
         ratios=ratios,

@@ -75,7 +75,7 @@ class Dataset:
     """
 
     def __init__(self, features, feature_names=None, class_ids=None,
-                 labels=None, num_classes=None):
+                 labels=None):
         features = np.array(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
@@ -95,10 +95,6 @@ class Dataset:
                 raise ValueError("class_ids length does not match sample count")
             if n and class_ids.min() < 0:
                 raise ValueError("class ids must be nonnegative")
-            if num_classes is not None and n and class_ids.max() >= num_classes:
-                raise ValueError(
-                    f"class id {class_ids.max()} outside [0, {num_classes})"
-                )
             class_ids.setflags(write=False)
         if labels is not None:
             labels = np.array(labels, dtype=np.int8)
@@ -115,7 +111,6 @@ class Dataset:
         self.feature_names = feature_names
         self.class_ids = class_ids
         self.labels = labels
-        self._num_classes = num_classes
 
     @property
     def n(self) -> int:
@@ -127,14 +122,9 @@ class Dataset:
 
     @property
     def num_classes(self) -> int | None:
-        if self._num_classes is not None:
-            return self._num_classes
         if self.class_ids is not None and self.n:
             return int(self.class_ids.max()) + 1
         return None
-
-    def __len__(self) -> int:
-        return self.n
 
     def subset(self, indices) -> "Dataset":
         """New dataset holding the given rows, re-indexed from 0."""
@@ -144,18 +134,17 @@ class Dataset:
             self.feature_names,
             None if self.class_ids is None else self.class_ids[indices],
             None if self.labels is None else self.labels[indices],
-            self._num_classes,
         )
 
     def with_labels(self, labels) -> "Dataset":
         return Dataset(self.features, self.feature_names, self.class_ids,
-                       labels, self._num_classes)
+                       labels)
 
     def with_features(self, features, feature_names=None) -> "Dataset":
         return Dataset(features,
                        feature_names if feature_names is not None
                        else self.feature_names,
-                       self.class_ids, self.labels, self._num_classes)
+                       self.class_ids, self.labels)
 
 
 # ---------------------------------------------------------------------------

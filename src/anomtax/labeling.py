@@ -104,6 +104,8 @@ class LabelingConfig:
             raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
         if threshold_mode == "fixed" and threshold_value is None:
             raise ValueError("fixed threshold_mode needs threshold_value")
+        if threshold_mode != "fixed" and threshold_value is not None:
+            raise ValueError("threshold_value needs fixed threshold_mode")
         self.num_clusters = num_clusters
         self.knn_k = knn_k
         self.pa_score_multiplier = pa_score_multiplier
@@ -490,7 +492,7 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,
         reports.append(report)
 
     integrated = Dataset(out_features, agg.feature_names, ds.class_ids,
-                         out_labels, ds.num_classes)
+                         out_labels)
     return integrated, reports
 
 

@@ -46,7 +46,7 @@ def make_iris_like(seed: int = 7) -> Dataset:
         classes.extend([c] * 50)
     return Dataset(np.vstack(feats),
                    ["sepal_len", "sepal_wid", "petal_len", "petal_wid"],
-                   class_ids=np.array(classes), num_classes=3)
+                   class_ids=np.array(classes))
 
 
 @pytest.fixture(scope="session")

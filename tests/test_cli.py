@@ -252,6 +252,25 @@ class TestEvalAndRoc:
         err = capsys.readouterr().err
         assert "3" in err and "2" in err
 
+    @pytest.mark.parametrize("command", ["eval", "roc"])
+    @pytest.mark.parametrize("outputs", [3, 5])
+    def test_output_size_other_than_four_rejected(
+            self, tmp_path, tiny_config, labeled_csv, capsys, command,
+            outputs):
+        model = tmp_path / "model.txt"
+        n_weights = (2 + 1) * 10 + (10 + 1) * outputs
+        model.write_text(f"2 10 {outputs}\n" + "0.5\n" * n_weights,
+                         encoding="utf-8")
+        out = tmp_path / "z"
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "--out", str(out), command, str(model),
+                     str(labeled_csv)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'load'" in err
+        assert f"model is 2-10-{outputs}" in err
+        assert "(ND, CNA, CPA, PA)" in err
+        assert not out.exists()
+
     def test_roc_files(self, tmp_path, tiny_config, labeled_csv):
         cmp_out = tmp_path / "cmp"
         main(["--seed", "5", "--config", tiny_config, "--quiet",
@@ -265,6 +284,63 @@ class TestEvalAndRoc:
         assert csvs and len(csvs) == len(svgs)
 
 
+class TestNetworkShape:
+    def test_three_supervised_features(self, tmp_path):
+        # the input size follows the retained features, with no [mlp]
+        # section in the config
+        from conftest import make_iris_like
+        from anomtax.data import save_csv
+        csv_path = tmp_path / "iris.csv"
+        save_csv(make_iris_like(), csv_path)
+        cfg = tmp_path / "sup3.ini"
+        cfg.write_text(TINY_CONFIG.replace("clusters = 2", "clusters = 3")
+                       + "\n[data]\nretained = sepal_wid, petal_len, "
+                         "petal_wid\ndiscarded = sepal_len\n",
+                       encoding="utf-8")
+        base = ["--seed", "0", "--config", str(cfg), "--quiet"]
+        lab, cmp_out = tmp_path / "lab", tmp_path / "cmp"
+        labeled = lab / "labeled.csv"
+        assert main(base + ["--out", str(lab), "label", str(csv_path)]) == 0
+        assert load_csv(labeled).dim == 3
+        assert main(base + ["--out", str(cmp_out), "compare",
+                            str(labeled)]) == 0
+        for name in ("nn_model.txt", "ga_best_model.txt"):
+            first = (cmp_out / name).read_text().splitlines()[0]
+            assert first == "3 10 4", name
+        model = str(cmp_out / "ga_best_model.txt")
+        assert main(base + ["--out", str(tmp_path / "ev"), "eval", model,
+                            str(labeled)]) == 0
+        assert main(base + ["--out", str(tmp_path / "roc"), "roc", model,
+                            str(labeled)]) == 0
+
+    def test_hidden_size_sets_model(self, tmp_path, labeled_csv):
+        cfg = tmp_path / "h3.ini"
+        cfg.write_text(TINY_CONFIG + "\n[mlp]\nhidden = 3\n",
+                       encoding="utf-8")
+        out = tmp_path / "tr"
+        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
+                     "--out", str(out), "train", str(labeled_csv)]) == 0
+        assert (out / "model.txt").read_text().startswith("2 3 4\n")
+
+    @pytest.mark.parametrize("text, named", [
+        ("[mlp]\ninput = 2\n", "[mlp] input"),
+        ("[mlp]\noutput = 4\n", "[mlp] output"),
+        ("[mlp]\nhidden = 0\n", "[mlp] hidden"),
+        ("[labeling]\nknnk = 9\n", "[labeling] knnk"),
+        ("[tarin]\nmax_epochs = 5\n", "[tarin]"),
+    ], ids=["input", "output", "hidden", "knnk", "tarin"])
+    def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,
+                                        capsys, text, named):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
+                     "--out", str(out), "compare", str(labeled_csv)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err and named in err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_train_outputs(self, tmp_path, tiny_config, labeled_csv):
         out = tmp_path / "tr"
@@ -276,6 +352,7 @@ class TestTrain:
 
     def test_output_size_other_than_four_rejected(self, tmp_path,
                                                   labeled_csv, capsys):
+        # one output per taxonomy label, so no config can set another size
         cfg = tmp_path / "five.ini"
         cfg.write_text(TINY_CONFIG + "\n[mlp]\noutput = 5\n",
                        encoding="utf-8")
@@ -284,7 +361,7 @@ class TestTrain:
                      "--out", str(out), "train", str(labeled_csv)]) == 1
         err = capsys.readouterr().err
         assert "error in stage 'config'" in err
-        assert "[mlp] output" in err and "(ND, CNA, CPA, PA)" in err
+        assert "[mlp] output is not a config key" in err
         assert not out.exists()
 
     def test_labeled_csv_roundtrips(self, labeled_csv):

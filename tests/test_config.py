@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from anomtax.config import load_config
@@ -5,8 +7,7 @@ from anomtax.config import load_config
 
 def test_defaults_match_reference_setup():
     cfg = load_config(seed=0)
-    assert (cfg.topology.input_size, cfg.topology.hidden_size,
-            cfg.topology.output_size) == (2, 10, 4)
+    assert cfg.hidden == 10
     assert cfg.ga.cycles == 20
     assert cfg.ga.population_size == 15
     assert cfg.ga.crossover_alpha == 0.3
@@ -92,9 +93,57 @@ def test_malformed_blob_key_rejected(tmp_path, key):
 
 
 def test_output_size_must_match_taxonomy(tmp_path):
+    # the output size is one per taxonomy label, so [mlp] output is not a
+    # config key at all
     path = tmp_path / "cfg.ini"
-    path.write_text("[mlp]\noutput = 3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"^\[mlp\] output must be 4, one "
-                                         r"per taxonomy label \(ND, CNA, "
-                                         r"CPA, PA\), got 3$"):
+    path.write_text("[mlp]\noutput = 4\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"\[mlp\] output is not a config "
+                                         r"key; \[mlp\] accepts hidden$"):
+        load_config(str(path), seed=0)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[mlp]\ninput = 2\n", "[mlp] input"),
+    ("[labeling]\nknnk = 9\n", "[labeling] knnk"),
+    ("[run]\nseeds = 4\n", "[run] seeds"),
+    ("[synthetic]\nblob1 = 0, 0, 1, 1, 5\nscater = 3\n",
+     "[synthetic] scater"),
+], ids=["mlp-input", "labeling", "run", "synthetic"])
+def test_unread_key_rejected(tmp_path, text, named):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(named + " is not a "
+                                                   "config key")):
+        load_config(str(path), seed=0)
+
+
+def test_unread_key_message_lists_accepted_keys(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[labeling]\nknnk = 9\n", encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config(str(path), seed=0)
+    assert str(info.value) == (
+        f"{path}: [labeling] knnk is not a config key; [labeling] accepts "
+        "clusters, knn_k, score_multiplier, threshold_mode, threshold_value")
+
+
+@pytest.mark.parametrize("section", ["tarin", "DEFAULT", "Run"])
+@pytest.mark.parametrize("body", ["max_epochs = 5\n", ""],
+                         ids=["with-key", "empty"])
+def test_unread_section_rejected(tmp_path, section, body):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[{section}]\n{body}[train]\nmax_epochs = 5\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"[{section}] is not a config section; the sections are run, "
+            "data, synthetic, labeling, mlp, train, ga, split")):
+        load_config(str(path), seed=0)
+
+
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_hidden_size_checked(tmp_path, hidden):
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[mlp]\nhidden = {hidden}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^\[mlp\] hidden must be >= 1, "
+                                         rf"got {hidden}$"):
         load_config(str(path), seed=0)

@@ -57,6 +57,10 @@ CASES = {
     "LabelingConfig-fixed": (
         lambda: LabelingConfig(num_clusters=2, threshold_mode="fixed"),
         "fixed threshold_mode needs threshold_value"),
+    "LabelingConfig-unused-value": (
+        lambda: LabelingConfig(num_clusters=2, threshold_mode="median",
+                               threshold_value=0.25),
+        "threshold_value needs fixed threshold_mode"),
     "LabelingReport": (
         lambda: LabelingReport(points=10, clusters=2, nd=5, cna=2, cpa=1,
                                pa=1),

@@ -363,10 +363,6 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[1, 2]], ["only_one"])
 
-    def test_rejects_bad_class_range(self):
-        with pytest.raises(ValueError):
-            Dataset([[1], [2]], class_ids=[0, 5], num_classes=2)
-
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_rejects_labels_outside_taxonomy(self, bad):
         with pytest.raises(ValueError, match="AnomalyLabel"):

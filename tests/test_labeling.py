@@ -592,7 +592,7 @@ class TestLabelSupervised:
             np.vstack([rng.normal((5, 5), 0.4, (55, 2)),
                        rng.uniform(-20, 30, (5, 2))]).reshape(60, 2),
         ])
-        ds = Dataset(feats, class_ids=np.zeros(60, dtype=int), num_classes=1)
+        ds = Dataset(feats, class_ids=np.zeros(60, dtype=int))
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
         labeled, reports = label_supervised(ds, cfg, [2, 3], [0, 1])
         assert len(reports) == 1
@@ -609,7 +609,7 @@ class TestLabelSupervised:
     def test_tiny_class_degenerates_to_nd(self):
         rng = np.random.default_rng(12)
         feats = np.vstack([rng.random((30, 3)), rng.random((3, 3)) + 2])
-        ds = Dataset(feats, class_ids=[0] * 30 + [1] * 3, num_classes=2)
+        ds = Dataset(feats, class_ids=[0] * 30 + [1] * 3)
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
         labeled, reports = label_supervised(ds, cfg, [0, 1], [2])
         assert reports[1].points == 3 and reports[1].nd == 3
