@@ -129,7 +129,7 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
         raise StageError("label", "[data] retained and discarded apply only "
                                   "to a CSV with a 'class' column, and this "
                                   "input has none")
-    out = _outdir(cfg)
+    params = None
     if ds.class_ids is not None:
         with _stage("label"):
             names = ds.feature_names
@@ -155,12 +155,14 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     else:
         with _stage("normalize"):
             normalized, params = minmax_normalize(ds)
-            params.save(out / "norm_params.txt")
         with _stage("label"):
             labeled, report = labeling.label_dataset(normalized, cfg.labeling)
         reports = [report]
         class_ids = [""]
     with _stage("write"):
+        out = _outdir(cfg)
+        if params is not None:
+            params.save(out / "norm_params.txt")
         save_csv(labeled, out / "labeled.csv")
         _write_reports(reports, class_ids, out, cfg)
     _say(cfg, f"wrote {out / 'labeled.csv'}")
@@ -186,11 +188,9 @@ def _write_history(model: mlp.TrainedModel, path: Path) -> None:
             fh.write(f"{i},{train_mse!r},{val}\n")
 
 
-def _emit_model_eval(tag: str, model, x, y, out: Path):
+def _model_confusion(model, x, y) -> evaluation.ConfusionMatrix:
     pred = mlp.predict_batch(model, x)
-    matrix = evaluation.confusion(y, pred, len(LABEL_TOKENS), LABEL_TOKENS)
-    _write_model_eval(tag, model, matrix, x, y, out)
-    return matrix
+    return evaluation.confusion(y, pred, len(LABEL_TOKENS), LABEL_TOKENS)
 
 
 def _write_model_eval(tag: str, model, matrix, x, y, out: Path) -> None:
@@ -224,18 +224,19 @@ def cmd_train(cfg: RunConfig, input_path) -> int:
     _require_labels(ds)
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
-    out = _outdir(cfg)
     with _stage("train"):
         rng = np.random.default_rng([derive_seed(cfg.seed, STREAM_NN)])
         model = mlp.train_scg(
             mlp.init_weights(topology, rng), topology,
             prepared.x_train, prepared.t_train,
             prepared.x_val, prepared.t_val, cfg.training)
+        matrix = _model_confusion(model, prepared.x_test, prepared.y_test)
     with _stage("write"):
+        out = _outdir(cfg)
         mlp.save_model(model, out / "model.txt")
         _write_history(model, out / "history.csv")
-        matrix = _emit_model_eval("nn", model, prepared.x_test,
-                                  prepared.y_test, out)
+        _write_model_eval("nn", model, matrix, prepared.x_test,
+                          prepared.y_test, out)
     err = evaluation.test_error(matrix)
     _say(cfg, f"trained {model.epochs} epochs (stop: {model.stop_reason}), "
               f"test error {evaluation.fmt_pct(err)}")
@@ -247,11 +248,11 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     _require_labels(ds)
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
-    out = _outdir(cfg)
     with _stage("compare"):
         report = ga.compare(prepared, topology, cfg.training, cfg.ga,
                             LABEL_TOKENS)
     with _stage("write"):
+        out = _outdir(cfg)
         mlp.save_model(report.nn_model, out / "nn_model.txt")
         mlp.save_model(report.ga_run.best.model, out / "ga_best_model.txt")
         for tag, model, matrix in (
@@ -297,10 +298,11 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
     ds = _load_input(cfg, input_path)
     _require_labels(ds)
     model = _load_model_for(ds, model_path)
-    out = _outdir(cfg)
     with _stage("eval"):
-        matrix = _emit_model_eval("eval", model, ds.features, ds.labels,
-                                  out)
+        matrix = _model_confusion(model, ds.features, ds.labels)
+    with _stage("write"):
+        _write_model_eval("eval", model, matrix, ds.features, ds.labels,
+                          _outdir(cfg))
     _say(cfg, f"test error {evaluation.fmt_pct(evaluation.test_error(matrix))}")
     return 0
 
@@ -309,8 +311,8 @@ def cmd_roc(cfg: RunConfig, model_path, input_path) -> int:
     ds = _load_input(cfg, input_path)
     _require_labels(ds)
     model = _load_model_for(ds, model_path)
-    out = _outdir(cfg)
     with _stage("roc"):
+        out = _outdir(cfg)
         _write_roc_files(model, ds.features, ds.labels, out, "model")
     _say(cfg, f"wrote ROC files to {out}")
     return 0

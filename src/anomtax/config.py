@@ -8,12 +8,11 @@ file or from ``--seed``); any other section or key is rejected:
     [data]      input, retained, discarded      (feature names, comma list)
     [synthetic] bounds = xmin,ymin,xmax,ymax ; scatter = N ;
                 blob1..blobN = cx,cy,sx,sy,count  (taken in order of N)
-    [labeling]  clusters, knn_k, score_multiplier, threshold_mode,
-                threshold_value
+    [labeling]  clusters, knn_k, score_multiplier
     [mlp]       hidden      (inputs: one per feature; outputs: 4 labels)
     [train]     max_epochs, patience, sigma0, lambda0, goal
     [ga]        cycles, population, alpha, mutation_rate, selection_rate,
-                goal, fitness_metric
+                goal
     [split]     train, validation, test
 """
 
@@ -69,8 +68,6 @@ blob5 = 82, 72, 3, 3, 30
 clusters = 5
 knn_k = 5
 score_multiplier = 2.0
-threshold_mode = mean
-threshold_value =
 
 [mlp]
 hidden = 10
@@ -89,7 +86,6 @@ alpha = 0.3
 mutation_rate = 0.1
 selection_rate = 0.7
 goal = 0.0
-fitness_metric = overall
 
 [split]
 train = 0.70
@@ -184,26 +180,29 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         parser.read(path, encoding="utf-8")
 
     run = parser["run"]
+    # the file's seed is checked even when --seed overrides it
+    raw = run.get("seed").strip()
+    try:
+        file_seed = int(raw) if raw else None
+    except ValueError:
+        raise ValueError(
+            f"[run] seed must be an integer, got {raw!r}") from None
     if seed is None:
-        raw = run.get("seed").strip()
-        if not raw:
+        if file_seed is None:
             raise ValueError(
                 "a seed is required: set [run] seed in the config file or "
                 "pass --seed"
             )
-        seed = int(raw)
+        seed = file_seed
     out_dir = Path(out if out is not None else run.get("out"))
 
     data = parser["data"]
     lab = parser["labeling"]
-    th_raw = lab.get("threshold_value", "").strip()
     labeling = LabelingConfig(
         num_clusters=lab.getint("clusters"),
         knn_k=lab.getint("knn_k"),
         pa_score_multiplier=lab.getfloat("score_multiplier"),
         seed=derive_seed(seed, STREAM_LABEL),
-        threshold_mode=lab.get("threshold_mode"),
-        threshold_value=float(th_raw) if th_raw else None,
     )
     hidden = parser["mlp"].getint("hidden")
     if hidden < 1:
@@ -225,7 +224,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         selection_rate=ga.getfloat("selection_rate"),
         goal=ga.getfloat("goal"),
         seed=derive_seed(seed, STREAM_GA),
-        fitness_metric=ga.get("fitness_metric"),
     )
     split = parser["split"]
     ratios = SplitRatios(split.getfloat("train"),

@@ -21,7 +21,6 @@ __all__ = [
     "confusion",
     "precision_recall",
     "test_error",
-    "misclassification_rate",
     "tpr_fpr",
     "roc_curve",
     "fmt_pct",
@@ -100,26 +99,6 @@ def test_error(matrix: ConfusionMatrix) -> float:
     return (total - trace) / total
 
 
-def misclassification_rate(targets, predictions, num_classes: int,
-                           metric: str = "overall") -> float:
-    """Misclassification rate of ``predictions``.
-
-    ``overall`` is the fraction of all samples misclassified, as
-    :func:`test_error`.  ``per_class_mean`` is the mean, over the classes
-    present in ``targets``, of each class's fraction misclassified, so
-    every present class weighs the same however many samples it has.
-    """
-    matrix = confusion(targets, predictions, num_classes)
-    if metric == "overall":
-        return test_error(matrix)
-    if metric != "per_class_mean":
-        raise ValueError(f"unknown error metric {metric!r}")
-    per_class = matrix.counts.sum(axis=0)
-    present = per_class > 0
-    wrong = per_class - np.diag(matrix.counts)
-    return float((wrong[present] / per_class[present]).mean())
-
-
 def tpr_fpr(matrix: ConfusionMatrix, c: int):
     """One-vs-rest (TPR, FPR) for class c.
 
@@ -169,28 +148,18 @@ def roc_curve(scores, positives) -> RocCurve:
         )
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = positives[order]
-
-    fprs = [0.0]
-    tprs = [0.0]
-    thresholds = [math.inf]
-    tp = fp = 0
-    i = 0
-    while i < sorted_scores.size:
-        j = i
-        while (j < sorted_scores.size
-               and sorted_scores[j] == sorted_scores[i]):
-            j += 1
-        tp += int(sorted_pos[i:j].sum())
-        fp += (j - i) - int(sorted_pos[i:j].sum())
-        fprs.append(fp / n_neg)
-        tprs.append(tp / n_pos)
-        thresholds.append(float(sorted_scores[i]))
-        i = j
+    # one point per run of equal scores, taken after the run's last sample
+    new_run = sorted_scores[1:] != sorted_scores[:-1]
+    first = np.flatnonzero(np.concatenate(([True], new_run)))
+    last = np.flatnonzero(np.concatenate((new_run, [True])))
+    tp = np.cumsum(positives[order])[last]
+    fprs = np.concatenate(([0.0], (last + 1 - tp) / n_neg))
+    tprs = np.concatenate(([0.0], tp / n_pos))
+    thresholds = np.concatenate(([math.inf], sorted_scores[first]))
 
     points = np.column_stack([fprs, tprs])
     auc = float(np.trapezoid(points[:, 1], points[:, 0]))
-    return RocCurve(points, np.array(thresholds), auc)
+    return RocCurve(points, thresholds, auc)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .data import Dataset
 from .evaluation import (
     ConfusionMatrix,
     confusion,
-    misclassification_rate,
     test_error,
 )
 from .mlp import (
@@ -69,13 +68,12 @@ class Individual:
 
 class GaConfig:
     __slots__ = ("cycles", "population_size", "crossover_alpha",
-                 "mutation_rate", "selection_rate", "goal", "seed",
-                 "fitness_metric")
+                 "mutation_rate", "selection_rate", "goal", "seed")
 
     def __init__(self, cycles: int = 20, population_size: int = 15,
                  crossover_alpha: float = 0.3, mutation_rate: float = 0.1,
                  selection_rate: float = 0.7, goal: float = 0.0,
-                 seed: int = 0, fitness_metric: str = "overall"):
+                 seed: int = 0):
         if cycles < 1 or population_size < 1:
             raise ValueError("cycles and population_size must be >= 1")
         for name, v in (("crossover_alpha", crossover_alpha),
@@ -83,8 +81,6 @@ class GaConfig:
                         ("selection_rate", selection_rate)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if fitness_metric not in ("overall", "per_class_mean"):
-            raise ValueError(f"unknown fitness_metric {fitness_metric!r}")
         self.cycles = cycles
         self.population_size = population_size
         self.crossover_alpha = crossover_alpha
@@ -92,7 +88,6 @@ class GaConfig:
         self.selection_rate = selection_rate
         self.goal = goal
         self.seed = seed
-        self.fitness_metric = fitness_metric  # or "per_class_mean"
 
 
 class CycleStats(NamedTuple):
@@ -187,8 +182,7 @@ def mutate(genome: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
 
 
 def evaluate_fitness(individual: Individual, topology: Topology,
-                     splits: PreparedSplits, tcfg: TrainingConfig,
-                     metric: str = "overall") -> float:
+                     splits: PreparedSplits, tcfg: TrainingConfig) -> float:
     """Train from the genome and score the test split; the fitness and the
     trained model are cached on the individual.  A diverged training
     counts as the worst fitness, 1.0, and leaves no model."""
@@ -199,8 +193,8 @@ def evaluate_fitness(individual: Individual, topology: Topology,
                           splits.x_train, splits.t_train,
                           splits.x_val, splits.t_val, tcfg)
         pred = predict_batch(model, splits.x_test)
-        fitness = misclassification_rate(splits.y_test, pred,
-                                         splits.num_classes, metric)
+        fitness = test_error(confusion(splits.y_test, pred,
+                                       splits.num_classes))
     except TrainingDivergedError as exc:
         log.warning("training diverged during fitness evaluation: %s", exc)
         model, fitness = None, 1.0
@@ -258,7 +252,7 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
         nonlocal evaluations
         todo = [ind for ind in pop if ind.fitness is None]
         for ind in todo:
-            evaluate_fitness(ind, topology, splits, tcfg, cfg.fitness_metric)
+            evaluate_fitness(ind, topology, splits, tcfg)
         evaluations += len(todo)
 
     for cycle in range(1, cfg.cycles + 1):

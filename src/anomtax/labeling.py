@@ -56,6 +56,10 @@ STRIP_REL_MARGIN = 1e-9
 STRIP_ABS_MARGIN = 1e-150
 
 
+class EmptyClusterError(ValueError):
+    """k-means could not give every cluster a member."""
+
+
 class RadiusTable(NamedTuple):
     """Per-point mean distance to the other point anomalies, plus the
     global mean of those means."""
@@ -82,36 +86,23 @@ class LabelingConfig:
     """Knobs for the labeling pipeline.
 
     ``pa_score_multiplier`` is the c in the mean + c*std cutoff on kNN
-    distance scores.  ``threshold_mode`` picks how the cluster density-std
-    threshold is formed from the per-cluster values: their mean (default),
-    their median, or a fixed value.
+    distance scores.
     """
 
-    __slots__ = ("num_clusters", "knn_k", "pa_score_multiplier", "seed",
-                 "threshold_mode", "threshold_value")
+    __slots__ = ("num_clusters", "knn_k", "pa_score_multiplier", "seed")
 
     def __init__(self, num_clusters: int, knn_k: int = 5,
-                 pa_score_multiplier: float = 2.0, seed: int = 0,
-                 threshold_mode: str = "mean",
-                 threshold_value: float | None = None):
+                 pa_score_multiplier: float = 2.0, seed: int = 0):
         if num_clusters < 1:
             raise ValueError("num_clusters must be >= 1")
         if knn_k < 1:
             raise ValueError("knn_k must be >= 1")
         if pa_score_multiplier <= 0:
             raise ValueError("pa_score_multiplier must be > 0")
-        if threshold_mode not in ("mean", "median", "fixed"):
-            raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
-        if threshold_mode == "fixed" and threshold_value is None:
-            raise ValueError("fixed threshold_mode needs threshold_value")
-        if threshold_mode != "fixed" and threshold_value is not None:
-            raise ValueError("threshold_value needs fixed threshold_mode")
         self.num_clusters = num_clusters
         self.knn_k = knn_k
         self.pa_score_multiplier = pa_score_multiplier
         self.seed = seed
-        self.threshold_mode = threshold_mode
-        self.threshold_value = threshold_value
 
 
 class LabelingReport:
@@ -290,8 +281,9 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     Runs to an assignment fixpoint or 300 iterations.  Empty clusters are
     repaired by reseeding the centroid at the point farthest from its
     current centroid, which keeps the objective non-increasing.  Raises
-    ``ValueError`` if a cluster stays empty after repair, which happens
-    when the points hold fewer than k distinct values.
+    :class:`EmptyClusterError` if a cluster stays empty after repair,
+    which happens when the points hold fewer than k distinct values, or
+    distinct values whose squared distances underflow to 0.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -335,8 +327,9 @@ def _repair_empty(points, centroids, assign, d2, k):
         assign, d2 = _nearest_centroids(points, centroids)
     empty = int((np.bincount(assign, minlength=k) == 0).sum())
     if empty:
-        raise ValueError(f"k-means left {empty} of {k} clusters empty; "
-                         f"the points hold fewer than k distinct values")
+        raise EmptyClusterError(
+            f"k-means left {empty} of {k} clusters empty; the points hold "
+            f"fewer than k distinct values")
     return assign, d2
 
 
@@ -347,9 +340,8 @@ def cluster_density_stats(model: ClusterModel, points,
     A member's density is the reciprocal of its mean distance to its
     ``knn_k`` nearest co-cluster members (all of them when the cluster is
     smaller), capped at 1e12 for near-coincident points.  A singleton
-    cluster gets spread 0.  The threshold defaults to the mean of the
-    per-cluster spreads; :func:`label_dataset` re-derives it when the
-    config asks for the median or a fixed value.
+    cluster gets spread 0.  The threshold is the mean of the per-cluster
+    spreads.
     """
     points = _as_points(points)
     k = model.num_clusters
@@ -376,14 +368,6 @@ def detect_cna(model: ClusterModel) -> np.ndarray:
     if model.density_std is None or model.threshold is None:
         raise ValueError("cluster model lacks density stats")
     return np.flatnonzero(model.density_std >= model.threshold)
-
-
-def _resolve_threshold(cfg: LabelingConfig, stds: np.ndarray) -> float:
-    if cfg.threshold_mode == "median":
-        return float(np.median(stds))
-    if cfg.threshold_mode == "fixed":
-        return float(cfg.threshold_value)
-    return float(stds.mean())
 
 
 def label_dataset(ds: Dataset, cfg: LabelingConfig):
@@ -416,10 +400,18 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
         if clusters_used < cfg.num_clusters:
             log.info("reduced cluster count to %d (only %d distinct "
                      "clusterable points)", clusters_used, distinct)
-        model = kmeans(rest_points, clusters_used, cfg.seed)
+        while True:
+            try:
+                model = kmeans(rest_points, clusters_used, cfg.seed)
+                break
+            except EmptyClusterError:
+                # rows closer than about 1.6e-162 have a squared distance
+                # of 0, so k-means cannot part them; one cluster always fills
+                clusters_used -= 1
+                log.info("reduced cluster count to %d (k-means cannot "
+                         "separate points whose squared distances "
+                         "underflow to 0)", clusters_used)
         model = cluster_density_stats(model, rest_points, cfg.knn_k)
-        model = model._replace(
-            threshold=_resolve_threshold(cfg, model.density_std))
         cna_clusters = detect_cna(model)
         if cna_clusters.size == clusters_used:
             log.info("all %d clusters are CNA: every density spread meets "

@@ -174,6 +174,50 @@ class TestLabel:
         assert "error in stage 'load'" in err and "oops" in err
 
 
+class TestOutDir:
+    """``--out`` is made in stage 'write', once the work has succeeded."""
+
+    @pytest.mark.parametrize("text, data", [
+        ("x,y,z,class\n", "[data]\nretained = x, y\ndiscarded = z\n"),
+        ("x,y\n0,0\n1,0\n0,1\n", ""),
+    ], ids=["header-only-supervised", "three-rows"])
+    def test_failed_label_leaves_no_out_dir(self, tmp_path, capsys, text,
+                                            data):
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + "\n" + data, encoding="utf-8")
+        out = tmp_path / "lab"
+        assert main(["--seed", "0", "--config", str(cfg), "--quiet",
+                     "--out", str(out), "label", str(csv_path)]) == 1
+        assert "error in stage 'label'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["label", "train", "eval"])
+    def test_out_naming_a_file_stops_in_write(self, tmp_path, tiny_config,
+                                              labeled_csv, command):
+        args = {"label": ["label", "--relabel", str(labeled_csv)],
+                "train": ["train", str(labeled_csv)],
+                "eval": ["eval", str(tmp_path / "tr" / "model.txt"),
+                         str(labeled_csv)]}[command]
+        if command == "eval":
+            assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                         "--out", str(tmp_path / "tr"), "train",
+                         str(labeled_csv)]) == 0
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "anomtax.cli", "--seed", "5", "--config",
+             tiny_config, "--quiet", "--out", str(taken)] + args,
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 1
+        assert "error in stage 'write'" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 class TestCompare:
     def test_outputs_and_summary(self, tmp_path, tiny_config, labeled_csv,
                                  capsys):
@@ -328,7 +372,13 @@ class TestNetworkShape:
         ("[mlp]\nhidden = 0\n", "[mlp] hidden"),
         ("[labeling]\nknnk = 9\n", "[labeling] knnk"),
         ("[tarin]\nmax_epochs = 5\n", "[tarin]"),
-    ], ids=["input", "output", "hidden", "knnk", "tarin"])
+        ("[labeling]\nthreshold_mode = mean\n", "[labeling] threshold_mode"),
+        ("[labeling]\nthreshold_value = 0.25\n",
+         "[labeling] threshold_value"),
+        ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
+        ("[run]\nseed = abc\n", "[run] seed"),
+    ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
+            "threshold-value", "fitness-metric", "file-seed"])
     def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,
                                         capsys, text, named):
         cfg = tmp_path / "bad.ini"

@@ -32,13 +32,12 @@ def test_file_overrides_and_inline_comments(tmp_path):
     path.write_text(
         "[run]\nseed = 9\n\n"
         "[ga]\ncycles = 3   ; short run\n\n"
-        "[labeling]\nthreshold_mode = fixed\nthreshold_value = 0.25\n",
+        "[labeling]\nknn_k = 7\n",
         encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.seed == 9
     assert cfg.ga.cycles == 3
-    assert cfg.labeling.threshold_mode == "fixed"
-    assert cfg.labeling.threshold_value == 0.25
+    assert cfg.labeling.knn_k == 7
     # untouched sections keep their defaults
     assert cfg.ga.population_size == 15
 
@@ -108,7 +107,11 @@ def test_output_size_must_match_taxonomy(tmp_path):
     ("[run]\nseeds = 4\n", "[run] seeds"),
     ("[synthetic]\nblob1 = 0, 0, 1, 1, 5\nscater = 3\n",
      "[synthetic] scater"),
-], ids=["mlp-input", "labeling", "run", "synthetic"])
+    ("[labeling]\nthreshold_mode = mean\n", "[labeling] threshold_mode"),
+    ("[labeling]\nthreshold_value = 0.25\n", "[labeling] threshold_value"),
+    ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
+], ids=["mlp-input", "labeling", "run", "synthetic", "threshold-mode",
+        "threshold-value", "fitness-metric"])
 def test_unread_key_rejected(tmp_path, text, named):
     path = tmp_path / "cfg.ini"
     path.write_text(text, encoding="utf-8")
@@ -124,7 +127,7 @@ def test_unread_key_message_lists_accepted_keys(tmp_path):
         load_config(str(path), seed=0)
     assert str(info.value) == (
         f"{path}: [labeling] knnk is not a config key; [labeling] accepts "
-        "clusters, knn_k, score_multiplier, threshold_mode, threshold_value")
+        "clusters, knn_k, score_multiplier")
 
 
 @pytest.mark.parametrize("section", ["tarin", "DEFAULT", "Run"])

@@ -39,9 +39,6 @@ CASES = {
     "GaConfig-rate": (
         lambda: GaConfig(mutation_rate=1.5),
         "mutation_rate must lie in [0, 1], got 1.5"),
-    "GaConfig-metric": (
-        lambda: GaConfig(fitness_metric="best"),
-        "unknown fitness_metric 'best'"),
     "LabelingConfig-clusters": (
         lambda: LabelingConfig(num_clusters=0),
         "num_clusters must be >= 1"),
@@ -51,16 +48,6 @@ CASES = {
     "LabelingConfig-multiplier": (
         lambda: LabelingConfig(num_clusters=2, pa_score_multiplier=0.0),
         "pa_score_multiplier must be > 0"),
-    "LabelingConfig-mode": (
-        lambda: LabelingConfig(num_clusters=2, threshold_mode="max"),
-        "unknown threshold_mode 'max'"),
-    "LabelingConfig-fixed": (
-        lambda: LabelingConfig(num_clusters=2, threshold_mode="fixed"),
-        "fixed threshold_mode needs threshold_value"),
-    "LabelingConfig-unused-value": (
-        lambda: LabelingConfig(num_clusters=2, threshold_mode="median",
-                               threshold_value=0.25),
-        "threshold_value needs fixed threshold_mode"),
     "LabelingReport": (
         lambda: LabelingReport(points=10, clusters=2, nd=5, cna=2, cpa=1,
                                pa=1),

@@ -12,7 +12,6 @@ from anomtax.evaluation import (
     confusion,
     fmt_pct,
     format_confusion,
-    misclassification_rate,
     precision_recall,
     roc_curve,
     tpr_fpr,
@@ -166,42 +165,17 @@ class TestTestError:
             error_rate(ConfusionMatrix(np.zeros((2, 2), dtype=int),
                                        ("a", "b")))
 
-
-def old_error_rate(pred, y_test, metric):
-    """The GA's former fitness formula, kept as the bit-for-bit oracle."""
-    if metric == "per_class_mean":
-        rates = []
-        for c in np.unique(y_test):
-            mask = y_test == c
-            rates.append(float((pred[mask] != c).mean()))
-        return float(np.mean(rates))
-    return float((pred != y_test).mean())
-
-
-class TestMisclassificationRate:
-    @pytest.mark.parametrize("metric", ["overall", "per_class_mean"])
-    def test_matches_former_fitness_formula(self, metric):
+    def test_matches_former_fitness_formula(self):
+        # GA fitness is test_error(confusion(...)); the GA's former
+        # formula below is the bit-for-bit oracle
         rng = np.random.default_rng(7)
         for _ in range(300):
             num_classes = int(rng.integers(1, 6))
             n = int(rng.integers(1, 60))
             y = rng.integers(0, num_classes, n)
             pred = rng.integers(0, num_classes, n)
-            got = misclassification_rate(y, pred, num_classes, metric)
-            assert got == old_error_rate(pred, y, metric)
-
-    def test_per_class_mean_skips_absent_class(self):
-        # class 1 is absent from the targets: the mean runs over classes
-        # 0 (1 of 4 wrong) and 2 (2 of 2 wrong), not over three classes
-        y = np.array([0, 0, 0, 0, 2, 2])
-        pred = np.array([0, 0, 0, 1, 1, 0])
-        assert misclassification_rate(y, pred, 3, "per_class_mean") == \
-            (0.25 + 1.0) / 2
-        assert misclassification_rate(y, pred, 3, "overall") == 3 / 6
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError, match="median"):
-            misclassification_rate([0], [0], 1, "median")
+            got = error_rate(confusion(y, pred, num_classes))
+            assert got == float((pred != y).mean())
 
 
 class TestTprFpr:
@@ -243,6 +217,33 @@ class TestTprFpr:
         assert sum(per_class_pos) == m.total
         tps = [int(counts[c, c]) for c in range(4)]
         assert sum(tps) == int(np.trace(counts))
+
+
+def old_roc_curve(scores, positives):
+    """The former roc_curve body: a Python loop over runs of equal scores,
+    kept as the bit-for-bit oracle."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_pos = positives[order]
+    n_pos = int(positives.sum())
+    n_neg = positives.size - n_pos
+    fprs, tprs, thresholds = [0.0], [0.0], [math.inf]
+    tp = fp = 0
+    i = 0
+    while i < sorted_scores.size:
+        j = i
+        while (j < sorted_scores.size
+               and sorted_scores[j] == sorted_scores[i]):
+            j += 1
+        tp += int(sorted_pos[i:j].sum())
+        fp += (j - i) - int(sorted_pos[i:j].sum())
+        fprs.append(fp / n_neg)
+        tprs.append(tp / n_pos)
+        thresholds.append(float(sorted_scores[i]))
+        i = j
+    points = np.column_stack([fprs, tprs])
+    auc = float(np.trapezoid(points[:, 1], points[:, 0]))
+    return points, np.array(thresholds), auc
 
 
 class TestRocCurve:
@@ -291,6 +292,26 @@ class TestRocCurve:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_curve([0.1, 0.9], [True, True])
+
+    @pytest.mark.parametrize("pool", [None, (0.1, 0.5, 0.9),
+                                      (-0.0, 0.0, 0.25)],
+                             ids=["random", "tied", "signed-zero"])
+    def test_matches_former_tie_group_loop(self, pool):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            scores = rng.random(n) if pool is None else rng.choice(pool, n)
+            labels = rng.random(n) < 0.5
+            if labels.all() or not labels.any():
+                continue
+            curve = roc_curve(scores, labels)
+            points, thresholds, auc = old_roc_curve(scores, labels)
+            assert curve.points.tobytes() == points.tobytes()
+            assert curve.thresholds.tobytes() == thresholds.tobytes()
+            assert curve.auc == auc
+            checked += 1
+        assert checked > 250
 
 
 class TestFormatting:

@@ -480,6 +480,16 @@ class TestLabelDataset:
         assert report.clusters == 2
         assert report.pa + report.cpa == 3
 
+    def test_points_with_underflowing_distance_share_a_cluster(self):
+        # two distinct rows whose squared distance rounds to 0: k-means
+        # cannot part them, so one cluster holds both
+        pts = np.array([[0.0, -2.38191542e-165], [0.0, 1.89140052e-165]])
+        assert labeling._count_distinct(pts) == 2
+        labeled, report = label_dataset(
+            Dataset(pts), LabelingConfig(num_clusters=2, knn_k=1, seed=0))
+        assert report.clusters == 1
+        assert report_counts(report)[0] == 2
+
     def test_rigid_motion_invariance(self):
         ds = self._dataset(seed=3)
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
