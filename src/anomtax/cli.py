@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, ga, labeling, mlp
-from .config import (
-    STREAM_NN,
-    STREAM_SPLIT,
-    STREAM_SYNTH,
-    RunConfig,
-    load_config,
-)
+from .config import STREAM_SPLIT, STREAM_SYNTH, RunConfig, load_config
 from .data import (
     LABEL_TOKENS,
     Dataset,
@@ -138,6 +132,11 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
             if unknown:
                 raise ValueError("[data] retained/discarded names not in "
                                  f"the CSV header: {', '.join(unknown)}")
+            twice = [n for chosen in (cfg.retained, cfg.discarded)
+                     for i, n in enumerate(chosen) if n in chosen[:i]]
+            if twice:
+                raise ValueError("[data] names a feature twice in one list: "
+                                 f"{', '.join(dict.fromkeys(twice))}")
             both = [n for n in cfg.retained if n in cfg.discarded]
             if both:
                 raise ValueError("[data] names both retained and "
@@ -188,23 +187,25 @@ def _write_history(model: mlp.TrainedModel, path: Path) -> None:
             fh.write(f"{i},{train_mse!r},{val}\n")
 
 
-def _model_confusion(model, x, y) -> evaluation.ConfusionMatrix:
-    pred = mlp.predict_batch(model, x)
-    return evaluation.confusion(y, pred, len(LABEL_TOKENS), LABEL_TOKENS)
+def _scored(model, x, y):
+    """A model's output scores on ``x`` from one forward pass, and the
+    named confusion matrix of their argmax against ``y``."""
+    scores = mlp.forward_batch(model.weights, model.topology, x)
+    return scores, evaluation.confusion(y, scores.argmax(axis=1),
+                                        len(LABEL_TOKENS), LABEL_TOKENS)
 
 
-def _write_model_eval(tag: str, model, matrix, x, y, out: Path) -> None:
+def _write_model_eval(tag: str, scores, matrix, y, out: Path) -> None:
     """Write a model's confusion matrix (text and CSV), its metrics and
     its ROC set, all named by ``tag``."""
     (out / f"{tag}_confusion.txt").write_text(
         evaluation.format_confusion(matrix), encoding="utf-8")
     evaluation.write_confusion_csv(matrix, out / f"{tag}_confusion.csv")
     evaluation.write_metrics_csv(matrix, out / f"{tag}_metrics.csv")
-    _write_roc_files(model, x, y, out, tag)
+    _write_roc_files(scores, y, out, tag)
 
 
-def _write_roc_files(model, x, y, out: Path, tag: str):
-    scores = mlp.forward_batch(model.weights, model.topology, x)
+def _write_roc_files(scores, y, out: Path, tag: str):
     for c, name in enumerate(LABEL_TOKENS):
         positives = np.asarray(y) == c
         if positives.all() or not positives.any():
@@ -225,21 +226,16 @@ def cmd_train(cfg: RunConfig, input_path) -> int:
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     with _stage("train"):
-        rng = np.random.default_rng([derive_seed(cfg.seed, STREAM_NN)])
-        model = mlp.train_scg(
-            mlp.init_weights(topology, rng), topology,
-            prepared.x_train, prepared.t_train,
-            prepared.x_val, prepared.t_val, cfg.training)
-        matrix = _model_confusion(model, prepared.x_test, prepared.y_test)
+        nn = ga.conventional(prepared, topology, cfg.training, cfg.ga)
+        scores, matrix = _scored(nn.model, prepared.x_test, prepared.y_test)
     with _stage("write"):
         out = _outdir(cfg)
-        mlp.save_model(model, out / "model.txt")
-        _write_history(model, out / "history.csv")
-        _write_model_eval("nn", model, matrix, prepared.x_test,
-                          prepared.y_test, out)
-    err = evaluation.test_error(matrix)
-    _say(cfg, f"trained {model.epochs} epochs (stop: {model.stop_reason}), "
-              f"test error {evaluation.fmt_pct(err)}")
+        mlp.save_model(nn.model, out / "model.txt")
+        _write_history(nn.model, out / "history.csv")
+        _write_model_eval("nn", scores, matrix, prepared.y_test, out)
+    _say(cfg, f"trained {nn.model.epochs} epochs "
+              f"(stop: {nn.model.stop_reason}), "
+              f"test error {evaluation.fmt_pct(nn.fitness)}")
     return 0
 
 
@@ -249,21 +245,19 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     with _stage("compare"):
-        report = ga.compare(prepared, topology, cfg.training, cfg.ga,
-                            LABEL_TOKENS)
+        report = ga.compare(prepared, topology, cfg.training, cfg.ga)
+        models = {"nn": report.nn.model, "ga": report.ga_run.best.model}
+        scored = {tag: _scored(model, prepared.x_test, prepared.y_test)
+                  for tag, model in models.items()}
     with _stage("write"):
         out = _outdir(cfg)
-        mlp.save_model(report.nn_model, out / "nn_model.txt")
-        mlp.save_model(report.ga_run.best.model, out / "ga_best_model.txt")
-        for tag, model, matrix in (
-                ("nn", report.nn_model, report.nn_confusion),
-                ("ga", report.ga_run.best.model, report.ga_confusion)):
-            _write_model_eval(tag, model, matrix, prepared.x_test,
-                              prepared.y_test, out)
+        mlp.save_model(models["nn"], out / "nn_model.txt")
+        mlp.save_model(models["ga"], out / "ga_best_model.txt")
+        for tag, (scores, matrix) in scored.items():
+            _write_model_eval(tag, scores, matrix, prepared.y_test, out)
         with open(out / "tpr_fpr.csv", "w", encoding="utf-8") as fh:
             fh.write("model,class,tpr,fpr\n")
-            for tag, matrix in (("nn", report.nn_confusion),
-                                ("ga", report.ga_confusion)):
+            for tag, (_, matrix) in scored.items():
                 for c in range(matrix.num_classes):
                     tpr, fpr = evaluation.tpr_fpr(matrix, c)
                     fh.write(f"{tag},{matrix.class_names[c]},"
@@ -273,8 +267,9 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
             for st in report.ga_run.cycles:
                 fh.write(f"{st.cycle},{st.best_fitness!r},"
                          f"{st.mean_fitness!r}\n")
-        summary = (f"NN test error {evaluation.fmt_pct(report.nn_error)}, "
-                   f"GA test error {evaluation.fmt_pct(report.ga_error)}")
+        summary = (
+            f"NN test error {evaluation.fmt_pct(report.nn.fitness)}, "
+            f"GA test error {evaluation.fmt_pct(report.ga_run.best.fitness)}")
         (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     _say(cfg, summary)
     return 0
@@ -299,10 +294,9 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
     _require_labels(ds)
     model = _load_model_for(ds, model_path)
     with _stage("eval"):
-        matrix = _model_confusion(model, ds.features, ds.labels)
+        scores, matrix = _scored(model, ds.features, ds.labels)
     with _stage("write"):
-        _write_model_eval("eval", model, matrix, ds.features, ds.labels,
-                          _outdir(cfg))
+        _write_model_eval("eval", scores, matrix, ds.labels, _outdir(cfg))
     _say(cfg, f"test error {evaluation.fmt_pct(evaluation.test_error(matrix))}")
     return 0
 
@@ -313,7 +307,8 @@ def cmd_roc(cfg: RunConfig, model_path, input_path) -> int:
     model = _load_model_for(ds, model_path)
     with _stage("roc"):
         out = _outdir(cfg)
-        _write_roc_files(model, ds.features, ds.labels, out, "model")
+        scores = mlp.forward_batch(model.weights, model.topology, ds.features)
+        _write_roc_files(scores, ds.labels, out, "model")
     _say(cfg, f"wrote ROC files to {out}")
     return 0
 

@@ -19,6 +19,7 @@ file or from ``--seed``); any other section or key is rejected:
 from __future__ import annotations
 
 import configparser
+import math
 import re
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +36,6 @@ __all__ = [
     "STREAM_LABEL",
     "STREAM_SPLIT",
     "STREAM_GA",
-    "STREAM_NN",
 ]
 
 # substream tags for deriving purpose-specific seeds from the run seed
@@ -43,7 +43,6 @@ STREAM_SYNTH = 0
 STREAM_LABEL = 1
 STREAM_SPLIT = 2
 STREAM_GA = 3
-STREAM_NN = 4
 
 _DEFAULTS = """
 [run]
@@ -109,8 +108,20 @@ class RunConfig(NamedTuple):
     quiet: bool = False
 
 
-def _floats(raw: str):
-    return [float(v.strip()) for v in raw.split(",") if v.strip()]
+def _number(section, key: str, kind=float, raw: str | None = None):
+    """``[section] key`` as an int or a finite float; ``raw``, one item of
+    the key's comma list, is parsed in its place when given.  Any other
+    value raises an error naming the key."""
+    text = (section.get(key) if raw is None else raw).strip()
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"[{section.name}] {key} must be {what}, "
+                         f"got {text!r}")
+    return value
 
 
 def _names(raw: str):
@@ -126,19 +137,21 @@ def _blob_number(key: str) -> int:
 
 
 def _synthetic_spec(section) -> SyntheticSpec:
-    bounds = _floats(section.get("bounds"))
+    bounds = section.get("bounds").split(",")
     if len(bounds) != 4:
-        raise ValueError("synthetic bounds need xmin,ymin,xmax,ymax")
+        raise ValueError("[synthetic] bounds needs xmin,ymin,xmax,ymax")
     blobs = []
     for key in sorted((k for k in section if k.startswith("blob")),
                       key=_blob_number):
-        vals = _floats(section.get(key))
+        vals = section.get(key).split(",")
         if len(vals) != 5:
-            raise ValueError(f"{key} needs cx,cy,sx,sy,count")
-        blobs.append(BlobSpec((vals[0], vals[1]), (vals[2], vals[3]),
-                              int(vals[4])))
-    return SyntheticSpec(tuple(blobs), int(section.get("scatter")),
-                         tuple(bounds))
+            raise ValueError(f"[synthetic] {key} needs cx,cy,sx,sy,count")
+        cx, cy, sx, sy = (_number(section, key, raw=v) for v in vals[:4])
+        blobs.append(BlobSpec((cx, cy), (sx, sy),
+                              _number(section, key, int, vals[4])))
+    return SyntheticSpec(
+        tuple(blobs), _number(section, "scatter", int),
+        tuple(_number(section, "bounds", raw=v) for v in bounds))
 
 
 def _reject_unread_keys(user, defaults, path) -> None:
@@ -181,12 +194,11 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
 
     run = parser["run"]
     # the file's seed is checked even when --seed overrides it
-    raw = run.get("seed").strip()
-    try:
-        file_seed = int(raw) if raw else None
-    except ValueError:
-        raise ValueError(
-            f"[run] seed must be an integer, got {raw!r}") from None
+    file_seed = _number(run, "seed", int) if run.get("seed").strip() else None
+    for name, value in (("[run] seed", file_seed), ("--seed", seed)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, "
+                             f"got {value}")
     if seed is None:
         if file_seed is None:
             raise ValueError(
@@ -199,36 +211,35 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     data = parser["data"]
     lab = parser["labeling"]
     labeling = LabelingConfig(
-        num_clusters=lab.getint("clusters"),
-        knn_k=lab.getint("knn_k"),
-        pa_score_multiplier=lab.getfloat("score_multiplier"),
+        num_clusters=_number(lab, "clusters", int),
+        knn_k=_number(lab, "knn_k", int),
+        pa_score_multiplier=_number(lab, "score_multiplier"),
         seed=derive_seed(seed, STREAM_LABEL),
     )
-    hidden = parser["mlp"].getint("hidden")
+    hidden = _number(parser["mlp"], "hidden", int)
     if hidden < 1:
         raise ValueError(f"[mlp] hidden must be >= 1, got {hidden}")
     tr = parser["train"]
     training = TrainingConfig(
-        max_epochs=tr.getint("max_epochs"),
-        patience=tr.getint("patience"),
-        sigma0=tr.getfloat("sigma0"),
-        lambda0=tr.getfloat("lambda0"),
-        goal=tr.getfloat("goal"),
+        max_epochs=_number(tr, "max_epochs", int),
+        patience=_number(tr, "patience", int),
+        sigma0=_number(tr, "sigma0"),
+        lambda0=_number(tr, "lambda0"),
+        goal=_number(tr, "goal"),
     )
     ga = parser["ga"]
     ga_cfg = GaConfig(
-        cycles=ga.getint("cycles"),
-        population_size=ga.getint("population"),
-        crossover_alpha=ga.getfloat("alpha"),
-        mutation_rate=ga.getfloat("mutation_rate"),
-        selection_rate=ga.getfloat("selection_rate"),
-        goal=ga.getfloat("goal"),
+        cycles=_number(ga, "cycles", int),
+        population_size=_number(ga, "population", int),
+        crossover_alpha=_number(ga, "alpha"),
+        mutation_rate=_number(ga, "mutation_rate"),
+        selection_rate=_number(ga, "selection_rate"),
+        goal=_number(ga, "goal"),
         seed=derive_seed(seed, STREAM_GA),
     )
     split = parser["split"]
-    ratios = SplitRatios(split.getfloat("train"),
-                         split.getfloat("validation"),
-                         split.getfloat("test"))
+    ratios = SplitRatios(*(_number(split, key)
+                           for key in ("train", "validation", "test")))
 
     return RunConfig(
         seed=seed,

@@ -4,8 +4,7 @@ aggregation, stratified splitting, and synthetic 2-D data generation.
 A :class:`Dataset` is column-oriented (one ``(n, d)`` float array plus
 optional per-sample class ids and anomaly labels) and is treated as
 immutable after construction: every transform returns a new instance and
-the underlying arrays are marked read-only, so values are safe to share
-across concurrent readers.
+the underlying arrays are marked read-only.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Each individual is a flat weight vector; its fitness is the test-set error
 of an MLP trained from exactly those initial weights with the same
-configuration as the conventional network being compared against.  Blend
+configuration as the conventional network being compared against, which
+is trained and scored by the same function.  Blend
 crossover from a random cut point, single-gene additive mutation with
 clamping to [0, 1], truncation selection topped up by rank-scaled sampling,
 and elitism.
@@ -16,11 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .evaluation import (
-    ConfusionMatrix,
-    confusion,
-    test_error,
-)
+from .evaluation import confusion, test_error
 from .mlp import (
     Topology,
     TrainedModel,
@@ -47,6 +44,7 @@ __all__ = [
     "evaluate_fitness",
     "select",
     "run_ga",
+    "conventional",
     "compare",
 ]
 
@@ -290,41 +288,33 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     return GaRun(stats, best, stop, evaluations)
 
 
+def conventional(splits: PreparedSplits, topology: Topology,
+                 tcfg: TrainingConfig, ga_cfg: GaConfig) -> Individual:
+    """The conventionally initialized network, trained and scored by
+    :func:`evaluate_fitness` like every GA individual.
+
+    Its uniform [0, 1] initial weights come from a substream of the GA
+    seed, so it is independent of the GA run but reproducible from the
+    same seed.  Raises ``TrainingDivergedError`` when its training
+    diverged.
+    """
+    nn = Individual(init_weights(topology,
+                                 np.random.default_rng([ga_cfg.seed, 1])))
+    evaluate_fitness(nn, topology, splits, tcfg)
+    if nn.model is None:
+        raise TrainingDivergedError(
+            "training diverged for the conventional network")
+    return nn
+
+
 class ComparisonReport(NamedTuple):
-    nn_model: TrainedModel
-    nn_confusion: ConfusionMatrix
-    nn_error: float
+    nn: Individual
     ga_run: GaRun
-    ga_confusion: ConfusionMatrix
-    ga_error: float
 
 
 def compare(splits: PreparedSplits, topology: Topology,
-            tcfg: TrainingConfig, ga_cfg: GaConfig,
-            class_names=None) -> ComparisonReport:
-    """Train a conventionally initialized MLP and a GA-enhanced one on the
-    same frozen splits and report both confusion matrices and test errors.
-
-    The conventional network draws its uniform [0, 1] initial weights from
-    a substream of the GA seed so the two runs are independent but the
-    whole comparison is reproducible from one seed.
-    """
-    nn_rng = np.random.default_rng([ga_cfg.seed, 1])
-    nn_model = train_scg(init_weights(topology, nn_rng), topology,
-                         splits.x_train, splits.t_train,
-                         splits.x_val, splits.t_val, tcfg)
-    nn_pred = predict_batch(nn_model, splits.x_test)
-    nn_conf = confusion(splits.y_test, nn_pred, splits.num_classes,
-                        class_names)
-
-    ga_run = run_ga(ga_cfg, topology, splits, tcfg)
-    ga_pred = predict_batch(ga_run.best.model, splits.x_test)
-    ga_conf = confusion(splits.y_test, ga_pred, splits.num_classes,
-                        class_names)
-
-    return ComparisonReport(
-        nn_model=nn_model, nn_confusion=nn_conf,
-        nn_error=test_error(nn_conf),
-        ga_run=ga_run, ga_confusion=ga_conf,
-        ga_error=test_error(ga_conf),
-    )
+            tcfg: TrainingConfig, ga_cfg: GaConfig) -> ComparisonReport:
+    """The conventional network and the GA run on the same frozen splits;
+    each network's test error is its ``fitness``."""
+    return ComparisonReport(conventional(splits, topology, tcfg, ga_cfg),
+                            run_ga(ga_cfg, topology, splits, tcfg))

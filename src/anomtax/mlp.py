@@ -435,12 +435,32 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a :func:`save_model` file; a malformed topology line or a
+    weight that is not a finite number is rejected with the file and line
+    named."""
     with open(path, encoding="utf-8") as fh:
         sizes = fh.readline().split()
-        if len(sizes) != 3:
-            raise ValueError(f"{path}: bad topology line")
-        topology = Topology(*(int(s) for s in sizes))
-        weights = np.array([float(line) for line in fh if line.strip()])
+        try:
+            topology = Topology(*map(int, sizes)) if len(sizes) == 3 else None
+        except ValueError:
+            topology = None
+        if topology is None:
+            raise ValueError(f"{path}: line 1: expected three positive "
+                             f"layer sizes, got {' '.join(sizes)!r}")
+        weights = []
+        for lineno, line in enumerate(fh, start=2):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: weight must be a "
+                                 f"finite number, got {text!r}")
+            weights.append(value)
+        weights = np.array(weights)
     if weights.shape != (topology.genome_length,):
         raise ValueError(
             f"{path}: {weights.size} weights, topology needs "

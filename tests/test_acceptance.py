@@ -215,8 +215,8 @@ def ga_comparison_runs(labeled_synthetic):
 
 def test_criterion_06_ga_improvement(ga_comparison_runs):
     report, runs = ga_comparison_runs
-    nn = [r.nn_error for _, r, _ in runs]
-    ga = [r.ga_error for _, r, _ in runs]
+    nn = [r.nn.fitness for _, r, _ in runs]
+    ga = [r.ga_run.best.fitness for _, r, _ in runs]
     wins = sum(g <= n for g, n in zip(ga, nn))
     slowest = max(elapsed for _, _, elapsed in runs)
     total = sum(elapsed for _, _, elapsed in runs)

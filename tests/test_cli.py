@@ -138,7 +138,9 @@ class TestLabel:
          "petal_wdt, sepal"),
         ("retained = petal_len, petal_wid\n"
          "discarded = petal_wid, sepal_len\n", "petal_wid"),
-    ], ids=["unknown", "both"])
+        ("retained = petal_len, petal_len\n"
+         "discarded = sepal_len, sepal_wid\n", "twice in one list: petal_len"),
+    ], ids=["unknown", "both", "twice"])
     def test_supervised_feature_names_checked(self, tmp_path, capsys, data,
                                               named):
         assert self._label_supervised(tmp_path, data) == 1
@@ -315,6 +317,23 @@ class TestEvalAndRoc:
         assert "(ND, CNA, CPA, PA)" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weight", ["nan", "abc"])
+    def test_bad_weight_stops_in_load(self, tmp_path, tiny_config,
+                                      labeled_csv, capsys, weight):
+        model = tmp_path / "model.txt"
+        n_weights = (2 + 1) * 10 + (10 + 1) * 4
+        model.write_text("2 10 4\n" + "0.5\n" * 5 + weight + "\n"
+                         + "0.5\n" * (n_weights - 6), encoding="utf-8")
+        out = tmp_path / "ev"
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "--out", str(out), "eval", str(model),
+                     str(labeled_csv)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'load'" in err
+        assert f"model.txt: line 7: weight must be a finite number, " \
+               f"got '{weight}'" in err
+        assert not out.exists()
+
     def test_roc_files(self, tmp_path, tiny_config, labeled_csv):
         cmp_out = tmp_path / "cmp"
         main(["--seed", "5", "--config", tiny_config, "--quiet",
@@ -377,8 +396,22 @@ class TestNetworkShape:
          "[labeling] threshold_value"),
         ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
         ("[run]\nseed = abc\n", "[run] seed"),
+        ("[labeling]\nclusters = abc\n",
+         "[labeling] clusters must be an integer, got 'abc'"),
+        ("[labeling]\nscore_multiplier = nan\n",
+         "[labeling] score_multiplier must be a finite number, got 'nan'"),
+        ("[split]\ntrain = 0.7x\n",
+         "[split] train must be a finite number, got '0.7x'"),
+        ("[synthetic]\nblob1 = 1, 1, 1, 1, 2.7\n",
+         "[synthetic] blob1 must be an integer, got '2.7'"),
+        ("[synthetic]\nbounds = 0, 0, 1, inf\n",
+         "[synthetic] bounds must be a finite number, got 'inf'"),
+        ("[run]\nseed = -1\n",
+         "[run] seed must be a non-negative integer, got -1"),
     ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
-            "threshold-value", "fitness-metric", "file-seed"])
+            "threshold-value", "fitness-metric", "file-seed",
+            "clusters-abc", "multiplier-nan", "split-ratio", "blob-count",
+            "bounds-inf", "negative-file-seed"])
     def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,
                                         capsys, text, named):
         cfg = tmp_path / "bad.ini"
@@ -399,6 +432,24 @@ class TestTrain:
         for name in ("model.txt", "history.csv", "nn_confusion.txt",
                      "nn_metrics.csv"):
             assert (out / name).is_file(), name
+
+    def test_same_network_as_compare(self, tmp_path, tiny_config,
+                                     labeled_csv):
+        # train writes compare's conventional (NN) half, byte for byte
+        tr, cmp_out = tmp_path / "tr", tmp_path / "cmp"
+        for out, command in ((tr, "train"), (cmp_out, "compare")):
+            assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                         "--out", str(out), command,
+                         str(labeled_csv)]) == 0
+        assert (tr / "model.txt").read_bytes() == \
+            (cmp_out / "nn_model.txt").read_bytes()
+        roc = sorted(p.name for p in tr.glob("roc_nn_*"))
+        assert roc and roc == sorted(p.name
+                                     for p in cmp_out.glob("roc_nn_*"))
+        for name in ["nn_confusion.txt", "nn_confusion.csv",
+                     "nn_metrics.csv"] + roc:
+            assert (tr / name).read_bytes() == \
+                (cmp_out / name).read_bytes(), name
 
     def test_output_size_other_than_four_rejected(self, tmp_path,
                                                   labeled_csv, capsys):

@@ -27,6 +27,12 @@ def test_seed_mandatory():
         load_config()
 
 
+def test_negative_flag_seed_named():
+    with pytest.raises(ValueError, match="^--seed must be a non-negative "
+                                         "integer, got -1$"):
+        load_config(seed=-1)
+
+
 def test_file_overrides_and_inline_comments(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(

@@ -3,6 +3,8 @@ import pytest
 
 from anomtax import ga
 from anomtax.data import Dataset, SplitRatios, stratified_split
+from anomtax.evaluation import confusion
+from anomtax.evaluation import test_error as error_rate
 from anomtax.ga import (
     GaConfig,
     Individual,
@@ -17,7 +19,12 @@ from anomtax.ga import (
     run_ga,
     select,
 )
-from anomtax.mlp import Topology, TrainingConfig, TrainingDivergedError
+from anomtax.mlp import (
+    Topology,
+    TrainingConfig,
+    TrainingDivergedError,
+    predict_batch,
+)
 
 
 TOPO = Topology(2, 4, 2)
@@ -274,9 +281,20 @@ class TestCompare:
         cfg = GaConfig(cycles=3, population_size=4, goal=-1.0, seed=5)
         a = compare(splits, TOPO, TCFG, cfg)
         b = compare(splits, TOPO, TCFG, cfg)
-        assert a.nn_error == b.nn_error
-        assert a.ga_error == b.ga_error
-        np.testing.assert_array_equal(a.nn_confusion.counts,
-                                      b.nn_confusion.counts)
-        # the reported GA error is the best individual's cached fitness
-        assert a.ga_error == a.ga_run.best.fitness
+        assert a.nn.fitness == b.nn.fitness
+        assert a.ga_run.best.fitness == b.ga_run.best.fitness
+        np.testing.assert_array_equal(a.nn.model.weights, b.nn.model.weights)
+        # the conventional network's fitness is its own test error
+        assert a.nn.fitness == error_rate(confusion(
+            splits.y_test, predict_batch(a.nn.model, splits.x_test),
+            splits.num_classes))
+
+    def test_diverged_conventional_network_raises(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("non-finite training loss at epoch 0")
+
+        monkeypatch.setattr(ga, "train_scg", diverge)
+        with pytest.raises(TrainingDivergedError,
+                           match="conventional network"):
+            compare(tiny_splits(), TOPO, TCFG,
+                    GaConfig(cycles=2, population_size=3, seed=0))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,25 @@ class TestSerialization:
         path = tmp_path / "model.txt"
         path.write_text("2 3 2\n0.5\n0.5\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a b c\n0.5\n", "line 1: expected three positive layer sizes, "
+                          "got 'a b c'"),
+        ("0 10 4\n0.5\n", "line 1: expected three positive layer sizes, "
+                           "got '0 10 4'"),
+        ("2 10\n0.5\n", "line 1: expected three positive layer sizes, "
+                         "got '2 10'"),
+    ] + [("1 1 1\n0.5\n\n0.5\n" + weight + "\n",
+          f"line 5: weight must be a finite number, got '{weight}'")
+         for weight in ("nan", "inf", "-inf", "abc", "1,5")],
+        ids=["letters", "zero-size", "two-sizes", "nan", "inf", "-inf",
+             "abc", "comma"])
+    def test_malformed_line_named(self, tmp_path, text, message):
+        path = tmp_path / "model.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: {message}")):
             load_model(path)
 
 

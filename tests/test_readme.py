@@ -1,6 +1,7 @@
 import configparser
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,50 @@ def test_library_example_runs(tmp_path):
     assert done.returncode == 0, done.stderr
     nn_error, ga_error = map(float, done.stdout.split())
     assert 0.0 <= nn_error <= 1.0 and 0.0 <= ga_error <= 1.0
+
+
+def _expand(name: str) -> list:
+    """Every file name a brace list such as ``a.{txt,csv}`` stands for."""
+    match = re.search(r"\{([^}]*)\}", name)
+    if match is None:
+        return [name]
+    return [full for alt in match.group(1).split(",")
+            for full in _expand(name[:match.start()] + alt
+                                + name[match.end():])]
+
+
+def test_command_line_block_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    ran, checked, out, listing = 0, 0, ".", False
+    for line in block.splitlines():
+        if line.startswith("anomtax "):
+            argv = shlex.split(line)[1:]
+            out = argv[argv.index("--out") + 1] if "--out" in argv else "."
+            done = subprocess.run([sys.executable, "-m", "anomtax.cli"]
+                                  + argv, cwd=tmp_path, env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, (line, done.stderr)
+            ran += 1
+            continue
+        # a "->" comment and its indented continuation lines name the
+        # files of the command above; a name with a "/" is relative to
+        # the working directory, a bare one to the command's --out
+        listing = "->" in line or (listing and line.startswith("#    "))
+        if not listing:
+            continue
+        text = re.sub(r'"[^"]*"|\([^)]*\)', "",
+                      line.split("->")[-1].lstrip("#"))
+        for token in re.findall(r"(?:[\w<>/.-]|\{[^}]*\})+", text):
+            for name in _expand(token):
+                base = tmp_path if "/" in name else tmp_path / out
+                found = list(base.glob(name.replace("<CLASS>", "*")))
+                assert found, (line, name)
+                checked += 1
+    assert ran == 6 and checked >= 20
 
 
 def _listed(tmp_path, text: str, after: str) -> set:
