@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: synth, label, train, compare, eval, roc.  Every command is
+Subcommands: synth, label, compare, eval.  Every command is
 deterministic for a fixed config and seed, and every failure names the
 stage it happened in and exits nonzero.
 """
@@ -179,14 +179,6 @@ def _split_and_prepare(cfg: RunConfig, ds: Dataset) -> ga.PreparedSplits:
         return ga.prepare_splits(train, val, test, len(LABEL_TOKENS))
 
 
-def _write_history(model: mlp.TrainedModel, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_mse,val_mse\n")
-        for i, train_mse in enumerate(model.train_mse, start=1):
-            val = "" if model.val_mse is None else repr(model.val_mse[i - 1])
-            fh.write(f"{i},{train_mse!r},{val}\n")
-
-
 def _scored(model, x, y):
     """A model's output scores on ``x`` from one forward pass, and the
     named confusion matrix of their argmax against ``y``."""
@@ -202,10 +194,6 @@ def _write_model_eval(tag: str, scores, matrix, y, out: Path) -> None:
         evaluation.format_confusion(matrix), encoding="utf-8")
     evaluation.write_confusion_csv(matrix, out / f"{tag}_confusion.csv")
     evaluation.write_metrics_csv(matrix, out / f"{tag}_metrics.csv")
-    _write_roc_files(scores, y, out, tag)
-
-
-def _write_roc_files(scores, y, out: Path, tag: str):
     for c, name in enumerate(LABEL_TOKENS):
         positives = np.asarray(y) == c
         if positives.all() or not positives.any():
@@ -218,25 +206,6 @@ def _write_roc_files(scores, y, out: Path, tag: str):
             f"ROC {tag} class {name}", "False positive rate",
             "True positive rate")
         (out / f"roc_{tag}_{name}.svg").write_text(svg, encoding="utf-8")
-
-
-def cmd_train(cfg: RunConfig, input_path) -> int:
-    ds = _load_input(cfg, input_path)
-    _require_labels(ds)
-    prepared = _split_and_prepare(cfg, ds)
-    topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
-    with _stage("train"):
-        nn = ga.conventional(prepared, topology, cfg.training, cfg.ga)
-        scores, matrix = _scored(nn.model, prepared.x_test, prepared.y_test)
-    with _stage("write"):
-        out = _outdir(cfg)
-        mlp.save_model(nn.model, out / "model.txt")
-        _write_history(nn.model, out / "history.csv")
-        _write_model_eval("nn", scores, matrix, prepared.y_test, out)
-    _say(cfg, f"trained {nn.model.epochs} epochs "
-              f"(stop: {nn.model.stop_reason}), "
-              f"test error {evaluation.fmt_pct(nn.fitness)}")
-    return 0
 
 
 def cmd_compare(cfg: RunConfig, input_path) -> int:
@@ -275,7 +244,9 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     return 0
 
 
-def _load_model_for(ds: Dataset, model_path):
+def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
+    ds = _load_input(cfg, input_path)
+    _require_labels(ds)
     with _stage("load"):
         model = mlp.load_model(model_path)
     topo = model.topology
@@ -286,30 +257,11 @@ def _load_model_for(ds: Dataset, model_path):
             f"{topo.output_size}, but the dataset needs {ds.dim} inputs and "
             f"one output per taxonomy label ({', '.join(LABEL_TOKENS)})",
         )
-    return model
-
-
-def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
-    ds = _load_input(cfg, input_path)
-    _require_labels(ds)
-    model = _load_model_for(ds, model_path)
     with _stage("eval"):
         scores, matrix = _scored(model, ds.features, ds.labels)
     with _stage("write"):
         _write_model_eval("eval", scores, matrix, ds.labels, _outdir(cfg))
     _say(cfg, f"test error {evaluation.fmt_pct(evaluation.test_error(matrix))}")
-    return 0
-
-
-def cmd_roc(cfg: RunConfig, model_path, input_path) -> int:
-    ds = _load_input(cfg, input_path)
-    _require_labels(ds)
-    model = _load_model_for(ds, model_path)
-    with _stage("roc"):
-        out = _outdir(cfg)
-        scores = mlp.forward_batch(model.weights, model.topology, ds.features)
-        _write_roc_files(scores, ds.labels, out, "model")
-    _say(cfg, f"wrote ROC files to {out}")
     return 0
 
 
@@ -339,18 +291,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relabel", action="store_true",
                    help="overwrite existing labels")
 
-    p = sub.add_parser("train", help="train a conventional MLP")
-    p.add_argument("input", nargs="?")
-
     p = sub.add_parser("compare",
                        help="conventional vs GA-enhanced MLP comparison")
     p.add_argument("input", nargs="?")
 
     p = sub.add_parser("eval", help="evaluate a saved model on a labeled CSV")
-    p.add_argument("model")
-    p.add_argument("input")
-
-    p = sub.add_parser("roc", help="emit ROC curves for a saved model")
     p.add_argument("model")
     p.add_argument("input")
     return parser
@@ -369,15 +314,9 @@ def main(argv=None) -> int:
             return cmd_synth(cfg, args.out_csv)
         if args.command == "label":
             return cmd_label(cfg, args.input, args.relabel)
-        if args.command == "train":
-            return cmd_train(cfg, args.input)
         if args.command == "compare":
             return cmd_compare(cfg, args.input)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.model, args.input)
-        if args.command == "roc":
-            return cmd_roc(cfg, args.model, args.input)
-        raise StageError("config", f"unknown command {args.command!r}")
+        return cmd_eval(cfg, args.model, args.input)
     except StageError as exc:
         print(f"error in stage '{exc.stage_name}': {exc}", file=sys.stderr)
         return 1

@@ -149,9 +149,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # CSV I/O
 #
-# Format: UTF-8, comma separated, first row is the header.  A column named
-# "label" holds anomaly tokens (ND/CNA/CPA/PA), one named "class" holds
-# integer class ids, everything else is a numeric feature.
+# Format: UTF-8, comma separated, first row is the header, which names
+# each column once.  A column named "label" holds anomaly tokens
+# (ND/CNA/CPA/PA), one named "class" holds integer class ids, everything
+# else is a numeric feature.
 # ---------------------------------------------------------------------------
 
 def load_csv(path) -> Dataset:
@@ -163,12 +164,15 @@ def load_csv(path) -> Dataset:
         except StopIteration:
             raise CsvStructureError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
+        twice = [name for i, name in enumerate(header)
+                 if name in header[:i]]
+        if twice:
+            raise CsvStructureError(
+                f"{path}: header names column {twice[0]!r} twice")
         feat_cols = [i for i, name in enumerate(header)
                      if name not in ("class", "label")]
         class_col = [i for i, name in enumerate(header) if name == "class"]
         label_col = [i for i, name in enumerate(header) if name == "label"]
-        if len(class_col) > 1 or len(label_col) > 1:
-            raise ValueError("at most one class and one label column allowed")
         if not feat_cols:
             raise ValueError(f"{path}: no feature columns")
 

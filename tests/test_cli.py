@@ -167,6 +167,26 @@ class TestLabel:
         assert "'class' column" in err
         assert not out.exists()
 
+    def test_column_named_twice_stops_in_load(self, tmp_path, tiny_config,
+                                              capsys):
+        # '[data] retained = a' could mean either 'a' column
+        rng = np.random.default_rng(0)
+        rows = [f"{a:.3f},{b:.3f},{c:.3f},{i % 3}"
+                for i, (a, b, c) in enumerate(rng.normal(size=(120, 3)))]
+        dup = tmp_path / "dup.csv"
+        dup.write_text("a,a,b,class\n" + "\n".join(rows) + "\n",
+                       encoding="utf-8")
+        cfg = tmp_path / "dup.ini"
+        cfg.write_text(TINY_CONFIG + "\n[data]\nretained = a\n"
+                       "discarded = b\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["--seed", "0", "--config", str(cfg), "--quiet",
+                     "--out", str(out), "label", str(dup)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'load'" in err
+        assert f"{dup}: header names column 'a' twice" in err
+        assert not out.exists()
+
     def test_parse_error_names_stage(self, tmp_path, tiny_config, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\n1,oops\n", encoding="utf-8")
@@ -195,16 +215,16 @@ class TestOutDir:
         assert "error in stage 'label'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["label", "train", "eval"])
+    @pytest.mark.parametrize("command", ["label", "compare", "eval"])
     def test_out_naming_a_file_stops_in_write(self, tmp_path, tiny_config,
                                               labeled_csv, command):
         args = {"label": ["label", "--relabel", str(labeled_csv)],
-                "train": ["train", str(labeled_csv)],
-                "eval": ["eval", str(tmp_path / "tr" / "model.txt"),
+                "compare": ["compare", str(labeled_csv)],
+                "eval": ["eval", str(tmp_path / "cmp" / "nn_model.txt"),
                          str(labeled_csv)]}[command]
         if command == "eval":
             assert main(["--seed", "5", "--config", tiny_config, "--quiet",
-                         "--out", str(tmp_path / "tr"), "train",
+                         "--out", str(tmp_path / "cmp"), "compare",
                          str(labeled_csv)]) == 0
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
@@ -298,18 +318,16 @@ class TestEvalAndRoc:
         err = capsys.readouterr().err
         assert "3" in err and "2" in err
 
-    @pytest.mark.parametrize("command", ["eval", "roc"])
     @pytest.mark.parametrize("outputs", [3, 5])
     def test_output_size_other_than_four_rejected(
-            self, tmp_path, tiny_config, labeled_csv, capsys, command,
-            outputs):
+            self, tmp_path, tiny_config, labeled_csv, capsys, outputs):
         model = tmp_path / "model.txt"
         n_weights = (2 + 1) * 10 + (10 + 1) * outputs
         model.write_text(f"2 10 {outputs}\n" + "0.5\n" * n_weights,
                          encoding="utf-8")
         out = tmp_path / "z"
         assert main(["--seed", "5", "--config", tiny_config, "--quiet",
-                     "--out", str(out), command, str(model),
+                     "--out", str(out), "eval", str(model),
                      str(labeled_csv)]) == 1
         err = capsys.readouterr().err
         assert "error in stage 'load'" in err
@@ -338,12 +356,12 @@ class TestEvalAndRoc:
         cmp_out = tmp_path / "cmp"
         main(["--seed", "5", "--config", tiny_config, "--quiet",
               "--out", str(cmp_out), "compare", str(labeled_csv)])
-        out = tmp_path / "roc"
+        out = tmp_path / "ev"
         assert main(["--seed", "5", "--config", tiny_config, "--quiet",
-                     "--out", str(out), "roc",
+                     "--out", str(out), "eval",
                      str(cmp_out / "nn_model.txt"), str(labeled_csv)]) == 0
-        csvs = list(out.glob("roc_model_*.csv"))
-        svgs = list(out.glob("roc_model_*.svg"))
+        csvs = list(out.glob("roc_eval_*.csv"))
+        svgs = list(out.glob("roc_eval_*.svg"))
         assert csvs and len(csvs) == len(svgs)
 
 
@@ -373,17 +391,16 @@ class TestNetworkShape:
         model = str(cmp_out / "ga_best_model.txt")
         assert main(base + ["--out", str(tmp_path / "ev"), "eval", model,
                             str(labeled)]) == 0
-        assert main(base + ["--out", str(tmp_path / "roc"), "roc", model,
-                            str(labeled)]) == 0
 
     def test_hidden_size_sets_model(self, tmp_path, labeled_csv):
         cfg = tmp_path / "h3.ini"
         cfg.write_text(TINY_CONFIG + "\n[mlp]\nhidden = 3\n",
                        encoding="utf-8")
-        out = tmp_path / "tr"
+        out = tmp_path / "cmp"
         assert main(["--seed", "5", "--config", str(cfg), "--quiet",
-                     "--out", str(out), "train", str(labeled_csv)]) == 0
-        assert (out / "model.txt").read_text().startswith("2 3 4\n")
+                     "--out", str(out), "compare", str(labeled_csv)]) == 0
+        for name in ("nn_model.txt", "ga_best_model.txt"):
+            assert (out / name).read_text().startswith("2 3 4\n"), name
 
     @pytest.mark.parametrize("text, named", [
         ("[mlp]\ninput = 2\n", "[mlp] input"),
@@ -424,51 +441,16 @@ class TestNetworkShape:
         assert not out.exists()
 
 
-class TestTrain:
-    def test_train_outputs(self, tmp_path, tiny_config, labeled_csv):
-        out = tmp_path / "tr"
-        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
-                     "--out", str(out), "train", str(labeled_csv)]) == 0
-        for name in ("model.txt", "history.csv", "nn_confusion.txt",
-                     "nn_metrics.csv"):
-            assert (out / name).is_file(), name
-
-    def test_same_network_as_compare(self, tmp_path, tiny_config,
-                                     labeled_csv):
-        # train writes compare's conventional (NN) half, byte for byte
-        tr, cmp_out = tmp_path / "tr", tmp_path / "cmp"
-        for out, command in ((tr, "train"), (cmp_out, "compare")):
-            assert main(["--seed", "5", "--config", tiny_config, "--quiet",
-                         "--out", str(out), command,
-                         str(labeled_csv)]) == 0
-        assert (tr / "model.txt").read_bytes() == \
-            (cmp_out / "nn_model.txt").read_bytes()
-        roc = sorted(p.name for p in tr.glob("roc_nn_*"))
-        assert roc and roc == sorted(p.name
-                                     for p in cmp_out.glob("roc_nn_*"))
-        for name in ["nn_confusion.txt", "nn_confusion.csv",
-                     "nn_metrics.csv"] + roc:
-            assert (tr / name).read_bytes() == \
-                (cmp_out / name).read_bytes(), name
-
-    def test_output_size_other_than_four_rejected(self, tmp_path,
-                                                  labeled_csv, capsys):
-        # one output per taxonomy label, so no config can set another size
-        cfg = tmp_path / "five.ini"
-        cfg.write_text(TINY_CONFIG + "\n[mlp]\noutput = 5\n",
-                       encoding="utf-8")
-        out = tmp_path / "tr5"
-        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
-                     "--out", str(out), "train", str(labeled_csv)]) == 1
-        err = capsys.readouterr().err
-        assert "error in stage 'config'" in err
-        assert "[mlp] output is not a config key" in err
-        assert not out.exists()
-
-    def test_labeled_csv_roundtrips(self, labeled_csv):
-        ds = load_csv(labeled_csv)
-        assert ds.labels is not None
-        assert ds.n == 90
+@pytest.mark.parametrize("command", ["train", "roc"])
+def test_removed_command_is_invalid_choice(tmp_path, tiny_config,
+                                           labeled_csv, capsys, command):
+    # compare trains the conventional network and eval writes ROC files
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "5", "--config", tiny_config, "--quiet", "--out",
+              str(tmp_path / "old"), command, str(labeled_csv)])
+    assert info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "old").exists()
 
 
 LAZY_MODULES = ("numpy.ma", "concurrent.futures", "dataclasses")

@@ -69,6 +69,19 @@ class TestLoadCsv:
         with pytest.raises(CsvStructureError, match="row 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header, name", [
+        ("x,y,x", "x"), ("x,class,class", "class"),
+        ("x,label,label", "label"), ("x, x", "x"),
+    ], ids=["feature", "class", "label", "after-strip"])
+    def test_column_named_twice(self, tmp_path, header, name):
+        width = header.count(",") + 1
+        path = _write(tmp_path, header + "\n" + ",".join(["0"] * width)
+                      + "\n")
+        with pytest.raises(CsvStructureError) as info:
+            load_csv(path)
+        assert str(info.value) == \
+            f"{path}: header names column {name!r} twice"
+
     def test_unknown_label_token(self, tmp_path):
         path = _write(tmp_path, "x,label\n1,ND\n2,WAT\n")
         with pytest.raises(LabelTokenError, match="WAT"):

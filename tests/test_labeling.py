@@ -550,6 +550,29 @@ class TestLabelDataset:
         np.testing.assert_array_equal(scaled.labels, labeled.labels)
         assert report_counts(scaled_report) == report_counts(report)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 120),
+           d=st.integers(1, 3), knn_k=st.integers(1, 5),
+           shift=st.lists(st.integers(-2**20, 2**20), min_size=3,
+                          max_size=3))
+    def test_pa_and_cpa_invariant_under_lattice_shift(self, seed, n, d,
+                                                      knn_k, shift):
+        # on integer points an integer shift leaves every coordinate
+        # difference exact, so every distance, score and radius is the
+        # same bits; k-means and CNA are left out, since their centroid
+        # means round differently after a shift
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(-50, 51, (n, d)).astype(np.float64)
+        pts[: n // 4] *= 6.0  # some spread-out points to become anomalies
+        moved = pts + np.array(shift[:d], dtype=np.float64)
+        cfg = LabelingConfig(num_clusters=1, knn_k=knn_k)
+        pa = detect_point_anomalies(pts, cfg)
+        np.testing.assert_array_equal(detect_point_anomalies(moved, cfg), pa)
+        if len(pa) >= 2:
+            np.testing.assert_array_equal(
+                detect_cpa(build_radius_table(moved[pa])),
+                detect_cpa(build_radius_table(pts[pa])))
+
     @settings(max_examples=100, deadline=None)
     @given(blobs=st.lists(st.tuples(st.floats(0, 60), st.floats(0, 60),
                                     st.floats(0, 5), st.floats(0, 5),

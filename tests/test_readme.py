@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from anomtax.cli import _build_parser
 from anomtax.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,17 +43,18 @@ def test_command_line_block_runs(tmp_path):
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```\n(.*?)```", section, re.S).group(1)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    ran, checked, out, listing = 0, 0, ".", False
+    parser = _build_parser()
+    ran, checked, out, listing = set(), 0, ".", False
     for line in block.splitlines():
         if line.startswith("anomtax "):
             argv = shlex.split(line)[1:]
+            ran.add(parser.parse_args(argv).command)
             out = argv[argv.index("--out") + 1] if "--out" in argv else "."
             done = subprocess.run([sys.executable, "-m", "anomtax.cli"]
                                   + argv, cwd=tmp_path, env=env,
                                   capture_output=True, text=True,
                                   timeout=300)
             assert done.returncode == 0, (line, done.stderr)
-            ran += 1
             continue
         # a "->" comment and its indented continuation lines name the
         # files of the command above; a name with a "/" is relative to
@@ -67,7 +70,10 @@ def test_command_line_block_runs(tmp_path):
                 found = list(base.glob(name.replace("<CLASS>", "*")))
                 assert found, (line, name)
                 checked += 1
-    assert ran == 6 and checked >= 20
+    # the walkthrough runs every subcommand the parser has, and no other
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert ran == set(commands) and checked >= 20
 
 
 def _listed(tmp_path, text: str, after: str) -> set:
