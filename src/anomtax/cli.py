@@ -176,15 +176,7 @@ def _split_and_prepare(cfg: RunConfig, ds: Dataset) -> ga.PreparedSplits:
             raise ValueError("empty test split")
         if train.n == 0:
             raise ValueError("empty training split")
-        return ga.prepare_splits(train, val, test, len(LABEL_TOKENS))
-
-
-def _scored(model, x, y):
-    """A model's output scores on ``x`` from one forward pass, and the
-    named confusion matrix of their argmax against ``y``."""
-    scores = mlp.forward_batch(model.weights, model.topology, x)
-    return scores, evaluation.confusion(y, scores.argmax(axis=1),
-                                        len(LABEL_TOKENS), LABEL_TOKENS)
+        return ga.prepare_splits(train, val, test, LABEL_TOKENS)
 
 
 def _write_model_eval(tag: str, scores, matrix, y, out: Path) -> None:
@@ -214,31 +206,30 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     with _stage("compare"):
-        report = ga.compare(prepared, topology, cfg.training, cfg.ga)
-        models = {"nn": report.nn.model, "ga": report.ga_run.best.model}
-        scored = {tag: _scored(model, prepared.x_test, prepared.y_test)
-                  for tag, model in models.items()}
+        nn = ga.conventional(prepared, topology, cfg.training, cfg.ga)
+        ga_run = ga.run_ga(cfg.ga, topology, prepared, cfg.training)
+    nets = {"nn": nn, "ga": ga_run.best}
     with _stage("write"):
         out = _outdir(cfg)
-        mlp.save_model(models["nn"], out / "nn_model.txt")
-        mlp.save_model(models["ga"], out / "ga_best_model.txt")
-        for tag, (scores, matrix) in scored.items():
-            _write_model_eval(tag, scores, matrix, prepared.y_test, out)
+        mlp.save_model(nn.model, out / "nn_model.txt")
+        mlp.save_model(ga_run.best.model, out / "ga_best_model.txt")
+        for tag, ind in nets.items():
+            _write_model_eval(tag, ind.scores, ind.matrix, prepared.y_test,
+                              out)
         with open(out / "tpr_fpr.csv", "w", encoding="utf-8") as fh:
             fh.write("model,class,tpr,fpr\n")
-            for tag, (_, matrix) in scored.items():
-                for c in range(matrix.num_classes):
-                    tpr, fpr = evaluation.tpr_fpr(matrix, c)
-                    fh.write(f"{tag},{matrix.class_names[c]},"
+            for tag, ind in nets.items():
+                for c in range(ind.matrix.num_classes):
+                    tpr, fpr = evaluation.tpr_fpr(ind.matrix, c)
+                    fh.write(f"{tag},{ind.matrix.class_names[c]},"
                              f"{tpr!r},{fpr!r}\n")
         with open(out / "ga_cycles.csv", "w", encoding="utf-8") as fh:
             fh.write("cycle,best_fitness,mean_fitness\n")
-            for st in report.ga_run.cycles:
+            for st in ga_run.cycles:
                 fh.write(f"{st.cycle},{st.best_fitness!r},"
                          f"{st.mean_fitness!r}\n")
-        summary = (
-            f"NN test error {evaluation.fmt_pct(report.nn.fitness)}, "
-            f"GA test error {evaluation.fmt_pct(report.ga_run.best.fitness)}")
+        summary = (f"NN test error {evaluation.fmt_pct(nn.fitness)}, "
+                   f"GA test error {evaluation.fmt_pct(ga_run.best.fitness)}")
         (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")
     _say(cfg, summary)
     return 0
@@ -258,7 +249,8 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
             f"one output per taxonomy label ({', '.join(LABEL_TOKENS)})",
         )
     with _stage("eval"):
-        scores, matrix = _scored(model, ds.features, ds.labels)
+        scores, matrix = ga.score(model, ds.features, ds.labels,
+                                  LABEL_TOKENS)
     with _stage("write"):
         _write_model_eval("eval", scores, matrix, ds.labels, _outdir(cfg))
     _say(cfg, f"test error {evaluation.fmt_pct(evaluation.test_error(matrix))}")

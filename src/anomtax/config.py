@@ -206,6 +206,11 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
                 "pass --seed"
             )
         seed = file_seed
+    # Path("") would silently be the working directory; like the seed, the
+    # file's value is checked even when --out overrides it
+    for name, value in (("[run] out", run.get("out")), ("--out", out)):
+        if value is not None and not value.strip():
+            raise ValueError(f"{name} must name a directory, got {value!r}")
     out_dir = Path(out if out is not None else run.get("out"))
 
     data = parser["data"]

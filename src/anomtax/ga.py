@@ -23,9 +23,9 @@ from .mlp import (
     TrainedModel,
     TrainingConfig,
     TrainingDivergedError,
+    forward_batch,
     init_weights,
     one_hot,
-    predict_batch,
     train_scg,
 )
 
@@ -34,34 +34,35 @@ __all__ = [
     "GaConfig",
     "CycleStats",
     "GaRun",
-    "ComparisonReport",
     "PreparedSplits",
     "prepare_splits",
     "init_population",
     "crossover",
     "apply_mutation",
     "mutate",
+    "score",
     "evaluate_fitness",
     "select",
     "run_ga",
     "conventional",
-    "compare",
 ]
 
 log = logging.getLogger(__name__)
 
 
 class Individual:
-    """A genome, and once evaluated its fitness and the model trained from
-    it (None when that training diverged)."""
+    """A genome, and once evaluated its fitness, the model trained from it
+    and that model's test scores and confusion matrix (all three None when
+    the training diverged)."""
 
-    __slots__ = ("genome", "fitness", "model")
+    __slots__ = ("genome", "fitness", "model", "scores", "matrix")
 
-    def __init__(self, genome: np.ndarray, fitness: float | None = None,
-                 model: TrainedModel | None = None):
+    def __init__(self, genome: np.ndarray, fitness: float | None = None):
         self.genome = genome
         self.fitness = fitness
-        self.model = model
+        self.model = None
+        self.scores = None
+        self.matrix = None
 
 
 class GaConfig:
@@ -110,12 +111,13 @@ class PreparedSplits(NamedTuple):
     t_val: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    num_classes: int
+    class_names: tuple
 
 
 def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
-                   num_classes: int) -> PreparedSplits:
-    """One-hot the training/validation targets, keep test targets as ids."""
+                   class_names: tuple) -> PreparedSplits:
+    """One-hot the training/validation targets over the named classes, keep
+    test targets as ids."""
     def ids(ds):
         key = ds.labels if ds.labels is not None else ds.class_ids
         if key is None:
@@ -123,10 +125,10 @@ def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
         return np.asarray(key, dtype=np.int64)
 
     return PreparedSplits(
-        x_train=train.features, t_train=one_hot(ids(train), num_classes),
-        x_val=val.features, t_val=one_hot(ids(val), num_classes),
+        x_train=train.features, t_train=one_hot(ids(train), len(class_names)),
+        x_val=val.features, t_val=one_hot(ids(val), len(class_names)),
         x_test=test.features, y_test=ids(test),
-        num_classes=num_classes,
+        class_names=class_names,
     )
 
 
@@ -179,26 +181,34 @@ def mutate(genome: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
     return apply_mutation(genome, j, magnitude, direction_draw)
 
 
+def score(model: TrainedModel, x, y, class_names) -> tuple:
+    """A model's output scores on ``x`` from one forward pass, and the
+    named confusion matrix of their argmax against the class ids ``y``."""
+    scores = forward_batch(model.weights, model.topology, x)
+    return scores, confusion(y, scores.argmax(axis=1), len(class_names),
+                             class_names)
+
+
 def evaluate_fitness(individual: Individual, topology: Topology,
                      splits: PreparedSplits, tcfg: TrainingConfig) -> float:
-    """Train from the genome and score the test split; the fitness and the
-    trained model are cached on the individual.  A diverged training
-    counts as the worst fitness, 1.0, and leaves no model."""
+    """Train from the genome and :func:`score` the test split; the trained
+    model, its scores and confusion matrix, and the fitness (the matrix's
+    test error) are cached on the individual.  A diverged training counts
+    as the worst fitness, 1.0, and leaves the other three None."""
     if individual.fitness is not None:
         return individual.fitness
     try:
-        model = train_scg(individual.genome, topology,
-                          splits.x_train, splits.t_train,
-                          splits.x_val, splits.t_val, tcfg)
-        pred = predict_batch(model, splits.x_test)
-        fitness = test_error(confusion(splits.y_test, pred,
-                                       splits.num_classes))
+        individual.model = train_scg(individual.genome, topology,
+                                     splits.x_train, splits.t_train,
+                                     splits.x_val, splits.t_val, tcfg)
     except TrainingDivergedError as exc:
         log.warning("training diverged during fitness evaluation: %s", exc)
-        model, fitness = None, 1.0
-    individual.fitness = fitness
-    individual.model = model
-    return fitness
+        individual.fitness = 1.0
+        return individual.fitness
+    individual.scores, individual.matrix = score(
+        individual.model, splits.x_test, splits.y_test, splits.class_names)
+    individual.fitness = test_error(individual.matrix)
+    return individual.fitness
 
 
 def select(population: list, cfg: GaConfig, rng) -> list:
@@ -235,10 +245,10 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     a parent pool, pair adjacent pool members (an odd pool pairs its last
     member with the first), crossover at a random cut, mutate, and carry
     the best individual over unmodified.  The carried-over individual
-    keeps its fitness and trained model, so each cycle after the first
-    trains ``population_size - 1`` new individuals, and the best model is
-    the one its evaluation trained.  Raises ``TrainingDivergedError`` when
-    that training diverged.
+    keeps its fitness, trained model and scores, so each cycle after the
+    first trains ``population_size - 1`` new individuals, and the best
+    model and scores are the ones its evaluation made.  Raises
+    ``TrainingDivergedError`` when that training diverged.
     """
     rng = np.random.default_rng(cfg.seed)
     population = init_population(cfg, topology, rng)
@@ -276,12 +286,8 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
                                          k, cfg.crossover_alpha)
             infants.append(Individual(mutate(child_a, cfg, rng)))
             infants.append(Individual(mutate(child_b, cfg, rng)))
-        elite = Individual(best.genome.copy(), best.fitness, best.model)
-        population = [elite] + infants[:cfg.population_size - 1]
+        population = [best] + infants[:cfg.population_size - 1]
 
-    fits = [ind.fitness for ind in population]
-    best_idx = min(range(len(fits)), key=lambda i: (fits[i], i))
-    best = population[best_idx]
     if best.model is None:
         raise TrainingDivergedError(
             "training diverged for the best GA genome")
@@ -305,16 +311,3 @@ def conventional(splits: PreparedSplits, topology: Topology,
         raise TrainingDivergedError(
             "training diverged for the conventional network")
     return nn
-
-
-class ComparisonReport(NamedTuple):
-    nn: Individual
-    ga_run: GaRun
-
-
-def compare(splits: PreparedSplits, topology: Topology,
-            tcfg: TrainingConfig, ga_cfg: GaConfig) -> ComparisonReport:
-    """The conventional network and the GA run on the same frozen splits;
-    each network's test error is its ``fitness``."""
-    return ComparisonReport(conventional(splits, topology, tcfg, ga_cfg),
-                            run_ga(ga_cfg, topology, splits, tcfg))

@@ -35,7 +35,6 @@ __all__ = [
     "forward_batch",
     "mse_and_gradient",
     "train_scg",
-    "predict_batch",
     "one_hot",
     "save_model",
     "load_model",
@@ -406,10 +405,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             break
 
     return TrainedModel(topology, w, train_hist, val_hist, stop)
-
-
-def predict_batch(model: TrainedModel, x) -> np.ndarray:
-    return forward_batch(model.weights, model.topology, x).argmax(axis=1)
 
 
 def one_hot(class_ids, num_classes: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 
 from anomtax.cli import main as cli_main
 from anomtax.data import (
+    LABEL_TOKENS,
     AnomalyLabel,
     BlobSpec,
     SplitRatios,
@@ -23,7 +24,14 @@ from anomtax.data import (
 )
 from anomtax.evaluation import precision_recall, roc_curve
 from anomtax.evaluation import test_error as error_rate
-from anomtax.ga import GaConfig, apply_mutation, compare, crossover, prepare_splits
+from anomtax.ga import (
+    GaConfig,
+    apply_mutation,
+    conventional,
+    crossover,
+    prepare_splits,
+    run_ga,
+)
 from anomtax.labeling import (
     LabelingConfig,
     build_radius_table,
@@ -37,8 +45,8 @@ from anomtax.mlp import (
     TrainingConfig,
     init_weights,
     mse_and_gradient,
+    forward_batch,
     one_hot,
-    predict_batch,
     train_scg,
 )
 from test_eval import FIG_GA, FIG_NN, matrix_from_counts
@@ -186,7 +194,8 @@ def test_criterion_05_scg_sanity():
         y = np.array([0] * 50 + [1] * 50)
         model = train_scg(init_weights(topo, rng), topo, x, one_hot(y, 2),
                           cfg=TrainingConfig(max_epochs=200))
-        solved += int((predict_batch(model, x) != y).sum() == 0)
+        pred = forward_batch(model.weights, topo, x).argmax(axis=1)
+        solved += int((pred != y).sum() == 0)
     elapsed = time.perf_counter() - start
     ok = solved >= 9 and elapsed < 10.0
     _criterion(5, "SCG separates a two-blob dataset within 200 epochs",
@@ -206,20 +215,22 @@ def ga_comparison_runs(labeled_synthetic):
     runs = []
     for seed in range(10):
         train, val, test = stratified_split(labeled, SplitRatios(), seed)
-        prepared = prepare_splits(train, val, test, 4)
+        prepared = prepare_splits(train, val, test, LABEL_TOKENS)
         start = time.perf_counter()
-        rep = compare(prepared, topo, tcfg, GaConfig(seed=seed))
-        runs.append((seed, rep, time.perf_counter() - start))
+        ga_cfg = GaConfig(seed=seed)
+        nn = conventional(prepared, topo, tcfg, ga_cfg)
+        ga_run = run_ga(ga_cfg, topo, prepared, tcfg)
+        runs.append((seed, nn, ga_run, time.perf_counter() - start))
     return report, runs
 
 
 def test_criterion_06_ga_improvement(ga_comparison_runs):
     report, runs = ga_comparison_runs
-    nn = [r.nn.fitness for _, r, _ in runs]
-    ga = [r.ga_run.best.fitness for _, r, _ in runs]
+    nn = [net.fitness for _, net, _, _ in runs]
+    ga = [ga_run.best.fitness for _, _, ga_run, _ in runs]
     wins = sum(g <= n for g, n in zip(ga, nn))
-    slowest = max(elapsed for _, _, elapsed in runs)
-    total = sum(elapsed for _, _, elapsed in runs)
+    slowest = max(elapsed for *_, elapsed in runs)
+    total = sum(elapsed for *_, elapsed in runs)
     ok = min(report.nd, report.cna, report.cpa, report.pa) > 0
     ok &= wins >= 7
     ok &= float(np.median(ga)) < float(np.median(nn))
@@ -235,8 +246,8 @@ def test_criterion_06_ga_improvement(ga_comparison_runs):
 def test_criterion_07_elitism_monotonic(ga_comparison_runs):
     _, runs = ga_comparison_runs
     ok = True
-    for _, rep, _ in runs:
-        best = [c.best_fitness for c in rep.ga_run.cycles]
+    for _, _, ga_run, _ in runs:
+        best = [c.best_fitness for c in ga_run.cycles]
         ok &= all(later <= earlier
                   for earlier, later in zip(best, best[1:]))
     _criterion(7, "per-cycle best fitness is non-increasing in every GA run",

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +216,41 @@ class TestOutDir:
         assert "error in stage 'label'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, config, name", [
+        (["--out", ""], "", "--out"),
+        (["--out", "  "], "", "--out"),
+        ([], "[run]\nout =\n", "[run] out"),
+        (["--out", "run"], "[run]\nout =\n", "[run] out"),
+    ], ids=["flag-empty", "flag-blank", "config-empty",
+            "config-empty-under-flag"])
+    def test_empty_out_stops_in_config(self, tmp_path, monkeypatch, capsys,
+                                       tiny_config, flag, config, name):
+        # Path("") is the working directory, so an empty value must not
+        # reach the writers
+        synth = tmp_path / "synth.csv"
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "synth", str(synth)]) == 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY_CONFIG + "\n" + config, encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["--seed", "5", "--config", str(cfg), "--quiet"] + flag
+                    + ["label", str(synth)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'config'" in err and name in err
+        assert list(work.iterdir()) == []
+
+    def test_dot_out_writes_to_working_directory(self, tmp_path, monkeypatch,
+                                                 tiny_config):
+        synth = tmp_path / "synth.csv"
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "synth", str(synth)]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "--out", ".", "label", str(synth)]) == 0
+        assert (tmp_path / "labeled.csv").is_file()
+
     @pytest.mark.parametrize("command", ["label", "compare", "eval"])
     def test_out_naming_a_file_stops_in_write(self, tmp_path, tiny_config,
                                               labeled_csv, command):
@@ -241,6 +277,22 @@ class TestOutDir:
 
 
 class TestCompare:
+    def test_summary_errors_match_confusion_csvs(self, tmp_path, tiny_config,
+                                                 labeled_csv):
+        # each printed test error is 1 - trace/total of the confusion
+        # matrix written beside it: both come from one scoring
+        out = tmp_path / "cmp"
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "--out", str(out), "compare", str(labeled_csv)]) == 0
+        shown = re.fullmatch(r"NN test error (\S+)%, GA test error (\S+)%",
+                             (out / "summary.txt").read_text().strip())
+        assert shown is not None
+        for tag, pct in zip(("nn", "ga"), shown.groups()):
+            rows = list(csv.reader((out / f"{tag}_confusion.csv").open()))
+            counts = np.array([[int(v) for v in r[1:]] for r in rows[1:]])
+            error = 1 - np.trace(counts) / counts.sum()
+            assert pct == f"{100.0 * error:.1f}", tag
+
     def test_outputs_and_summary(self, tmp_path, tiny_config, labeled_csv,
                                  capsys):
         out = tmp_path / "cmp"

@@ -10,7 +10,7 @@ from anomtax.ga import (
     Individual,
     PreparedSplits,
     apply_mutation,
-    compare,
+    conventional,
     crossover,
     evaluate_fitness,
     init_population,
@@ -23,12 +23,13 @@ from anomtax.mlp import (
     Topology,
     TrainingConfig,
     TrainingDivergedError,
-    predict_batch,
+    forward_batch,
 )
 
 
 TOPO = Topology(2, 4, 2)
 TCFG = TrainingConfig(max_epochs=40)
+CLASS_NAMES = ("low", "high")
 
 
 def tiny_splits(seed=0):
@@ -38,7 +39,7 @@ def tiny_splits(seed=0):
                    rng.normal((0.75, 0.75), 0.06, (30, 2))])
     ds = Dataset(x, class_ids=[0] * 30 + [1] * 30)
     train, val, test = stratified_split(ds, SplitRatios(), seed)
-    return prepare_splits(train, val, test, 2)
+    return prepare_splits(train, val, test, CLASS_NAMES)
 
 
 class TestInitPopulation:
@@ -179,12 +180,12 @@ class TestEvaluateFitness:
         splits = tiny_splits()
         # train once to find weights that solve the problem, then inject
         # the trained weights as a genome evaluated without training steps
-        from anomtax.mlp import init_weights, train_scg, predict_batch
+        from anomtax.mlp import init_weights, train_scg
         w0 = init_weights(TOPO, np.random.default_rng(0))
         model = train_scg(w0, TOPO, splits.x_train, splits.t_train,
                           cfg=TCFG)
-        assert (predict_batch(model, splits.x_test) != splits.y_test).sum() \
-            == 0
+        pred = forward_batch(model.weights, TOPO, splits.x_test).argmax(axis=1)
+        assert (pred != splits.y_test).sum() == 0
         ind = Individual(np.clip(model.weights, 0, 1))
         fitness = evaluate_fitness(ind, TOPO, splits, TCFG)
         assert fitness == 0.0
@@ -209,7 +210,7 @@ class TestEvaluateFitness:
             x_train=x, t_train=one_hot(np.zeros(24, dtype=int), 2),
             x_val=np.zeros((0, 2)), t_val=np.zeros((0, 2)),
             x_test=x[:8], y_test=np.zeros(8, dtype=int),
-            num_classes=2)
+            class_names=CLASS_NAMES)
         genome = rng.random(TOPO.genome_length)
         fitness = evaluate_fitness(Individual(genome), TOPO, one_class, TCFG)
         assert fitness == 0.0
@@ -275,19 +276,54 @@ class TestRunGa:
                    tiny_splits(), TCFG)
 
 
+def assert_scored_by_its_fitness(ind, splits):
+    """The individual's fitness is the test error of its stored matrix, and
+    its stored scores are its model's forward pass on the test rows."""
+    assert ind.fitness == error_rate(ind.matrix)
+    assert ind.matrix.class_names == CLASS_NAMES
+    again = forward_batch(ind.model.weights, ind.model.topology,
+                          splits.x_test)
+    assert ind.scores.tobytes() == again.tobytes()
+    np.testing.assert_array_equal(
+        ind.matrix.counts,
+        confusion(splits.y_test, again.argmax(axis=1), 2).counts)
+
+
+class TestScore:
+    def test_conventional_and_best_keep_their_scoring(self):
+        splits = tiny_splits()
+        cfg = GaConfig(cycles=3, population_size=4, goal=-1.0, seed=5)
+        assert_scored_by_its_fitness(conventional(splits, TOPO, TCFG, cfg),
+                                     splits)
+        assert_scored_by_its_fitness(run_ga(cfg, TOPO, splits, TCFG).best,
+                                     splits)
+
+    def test_diverged_evaluation_keeps_nothing(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("non-finite training loss at epoch 0")
+
+        monkeypatch.setattr(ga, "train_scg", diverge)
+        ind = Individual(np.full(TOPO.genome_length, 0.5))
+        assert evaluate_fitness(ind, TOPO, tiny_splits(), TCFG) == 1.0
+        assert ind.fitness == 1.0
+        assert ind.model is None and ind.scores is None \
+            and ind.matrix is None
+
+
 class TestCompare:
     def test_report_consistency_and_determinism(self):
         splits = tiny_splits()
         cfg = GaConfig(cycles=3, population_size=4, goal=-1.0, seed=5)
-        a = compare(splits, TOPO, TCFG, cfg)
-        b = compare(splits, TOPO, TCFG, cfg)
-        assert a.nn.fitness == b.nn.fitness
-        assert a.ga_run.best.fitness == b.ga_run.best.fitness
-        np.testing.assert_array_equal(a.nn.model.weights, b.nn.model.weights)
+        (nn_a, ga_a), (nn_b, ga_b) = [
+            (conventional(splits, TOPO, TCFG, cfg),
+             run_ga(cfg, TOPO, splits, TCFG)) for _ in range(2)]
+        assert nn_a.fitness == nn_b.fitness
+        assert ga_a.best.fitness == ga_b.best.fitness
+        np.testing.assert_array_equal(nn_a.model.weights, nn_b.model.weights)
         # the conventional network's fitness is its own test error
-        assert a.nn.fitness == error_rate(confusion(
-            splits.y_test, predict_batch(a.nn.model, splits.x_test),
-            splits.num_classes))
+        pred = forward_batch(nn_a.model.weights, TOPO,
+                             splits.x_test).argmax(axis=1)
+        assert nn_a.fitness == error_rate(confusion(splits.y_test, pred, 2))
 
     def test_diverged_conventional_network_raises(self, monkeypatch):
         def diverge(*args, **kwargs):
@@ -296,5 +332,5 @@ class TestCompare:
         monkeypatch.setattr(ga, "train_scg", diverge)
         with pytest.raises(TrainingDivergedError,
                            match="conventional network"):
-            compare(tiny_splits(), TOPO, TCFG,
-                    GaConfig(cycles=2, population_size=3, seed=0))
+            conventional(tiny_splits(), TOPO, TCFG,
+                         GaConfig(cycles=2, population_size=3, seed=0))
