@@ -10,7 +10,7 @@ file or from ``--seed``); any other section or key is rejected:
                 blob1..blobN = cx,cy,sx,sy,count  (taken in order of N)
     [labeling]  clusters, knn_k, score_multiplier
     [mlp]       hidden      (inputs: one per feature; outputs: 4 labels)
-    [train]     max_epochs, patience, sigma0, lambda0, goal
+    [train]     max_epochs, patience, goal
     [ga]        cycles, population, alpha, mutation_rate, selection_rate,
                 goal
     [split]     train, validation, test
@@ -74,8 +74,6 @@ hidden = 10
 [train]
 max_epochs = 200
 patience = 6
-sigma0 = 5e-5
-lambda0 = 5e-7
 goal = 0.0
 
 [ga]
@@ -228,8 +226,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     training = TrainingConfig(
         max_epochs=_number(tr, "max_epochs", int),
         patience=_number(tr, "patience", int),
-        sigma0=_number(tr, "sigma0"),
-        lambda0=_number(tr, "lambda0"),
         goal=_number(tr, "goal"),
     )
     ga = parser["ga"]

@@ -329,7 +329,8 @@ def _repair_empty(points, centroids, assign, d2, k):
     if empty:
         raise EmptyClusterError(
             f"k-means left {empty} of {k} clusters empty; the points hold "
-            f"fewer than k distinct values")
+            f"fewer than k distinct values, or values whose squared "
+            f"distances underflow to 0")
     return assign, d2
 
 
@@ -395,22 +396,16 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
     clusters_used = 0
     if rest.size:
         rest_points = points[rest]
-        distinct = _count_distinct(rest_points)
-        clusters_used = min(cfg.num_clusters, distinct)
-        if clusters_used < cfg.num_clusters:
-            log.info("reduced cluster count to %d (only %d distinct "
-                     "clusterable points)", clusters_used, distinct)
+        clusters_used = min(cfg.num_clusters, rest.size)
         while True:
             try:
                 model = kmeans(rest_points, clusters_used, cfg.seed)
                 break
-            except EmptyClusterError:
-                # rows closer than about 1.6e-162 have a squared distance
-                # of 0, so k-means cannot part them; one cluster always fills
+            except EmptyClusterError as err:
+                # points k-means cannot tell apart share a nearest
+                # centroid; one cluster always fills
                 clusters_used -= 1
-                log.info("reduced cluster count to %d (k-means cannot "
-                         "separate points whose squared distances "
-                         "underflow to 0)", clusters_used)
+                log.info("%s; retrying with k=%d", err, clusters_used)
         model = cluster_density_stats(model, rest_points, cfg.knn_k)
         cna_clusters = detect_cna(model)
         if cna_clusters.size == clusters_used:
@@ -430,14 +425,6 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
         pa=int((labels == AnomalyLabel.PA).sum()),
     )
     return ds.with_labels(labels), report
-
-
-def _count_distinct(pts) -> int:
-    """Number of distinct rows of a non-empty point array, with -0.0 and
-    0.0 equal (as in ``np.unique(pts, axis=0)``).  A lexicographic sort
-    puts equal rows next to each other."""
-    rows = pts[np.lexsort(pts.T)]
-    return 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
 
 
 def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,

@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 SCG_CONVERGENCE_TOL = 1e-10
+# the curvature-probe scale sigma_0 and initial damping lambda_1 of Moller
+# (Neural Networks 1993)
+SCG_SIGMA0 = 5e-5
+SCG_LAMBDA0 = 5e-7
 
 
 class TrainingDivergedError(RuntimeError):
@@ -67,21 +71,16 @@ class Topology:
 
 
 class TrainingConfig:
-    __slots__ = ("max_epochs", "patience", "sigma0", "lambda0", "goal")
+    __slots__ = ("max_epochs", "patience", "goal")
 
     def __init__(self, max_epochs: int = 200, patience: int = 6,
-                 sigma0: float = 5e-5, lambda0: float = 5e-7,
                  goal: float = 0.0):
         if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if patience < 1:
             raise ValueError("patience must be >= 1")
-        if sigma0 <= 0 or lambda0 <= 0:
-            raise ValueError("sigma0 and lambda0 must be > 0")
         self.max_epochs = max_epochs
         self.patience = patience
-        self.sigma0 = sigma0
-        self.lambda0 = lambda0
         self.goal = goal
 
 
@@ -311,7 +310,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     np.negative(grad.flat, out=r)
     p[:] = r
     success = True
-    lam = cfg.lambda0
+    lam = SCG_LAMBDA0
     lam_bar = 0.0
     delta = 0.0
     accepted_steps = 0
@@ -337,7 +336,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             mu = r_norm2
             success = True
         if success:
-            sigma = cfg.sigma0 / math.sqrt(p_norm2)
+            sigma = SCG_SIGMA0 / math.sqrt(p_norm2)
             np.multiply(p, sigma, out=trial.flat)
             np.add(w, trial.flat, out=trial.flat)
             batch.loss_grad(trial.views, grad_sigma.views, loss=False)

@@ -130,7 +130,8 @@ class TestLabel:
             tmp_path, "retained = petal_len, petal_wid\n"
                       "discarded = sepal_len, sepal_wid\n") == 0
         rows = list(csv.reader(
-            (tmp_path / "sup" / "labeling_report.csv").open()))
+            (tmp_path / "sup" / "labeling_report.csv").read_text()
+            .splitlines()))
         assert len(rows) == 4  # header + three classes
         assert [r[1] for r in rows[1:]] == ["50", "50", "50"]
 
@@ -288,7 +289,8 @@ class TestCompare:
                              (out / "summary.txt").read_text().strip())
         assert shown is not None
         for tag, pct in zip(("nn", "ga"), shown.groups()):
-            rows = list(csv.reader((out / f"{tag}_confusion.csv").open()))
+            rows = list(csv.reader(
+                (out / f"{tag}_confusion.csv").read_text().splitlines()))
             counts = np.array([[int(v) for v in r[1:]] for r in rows[1:]])
             error = 1 - np.trace(counts) / counts.sum()
             assert pct == f"{100.0 * error:.1f}", tag
@@ -348,9 +350,11 @@ class TestEvalAndRoc:
                      "--out", str(out), "eval",
                      str(cmp_out / "nn_model.txt"), str(labeled_csv)]) == 0
         # metrics recomputed from the emitted confusion CSV must agree
-        rows = list(csv.reader((out / "eval_confusion.csv").open()))
+        rows = list(csv.reader(
+            (out / "eval_confusion.csv").read_text().splitlines()))
         counts = np.array([[int(v) for v in r[1:]] for r in rows[1:]])
-        metrics = list(csv.reader((out / "eval_metrics.csv").open()))[1:]
+        metrics = list(csv.reader(
+            (out / "eval_metrics.csv").read_text().splitlines()))[1:]
         for c, row in enumerate(metrics):
             col = counts[:, c].sum()
             expected_recall = counts[c, c] / col if col else float("nan")
@@ -464,6 +468,8 @@ class TestNetworkShape:
         ("[labeling]\nthreshold_value = 0.25\n",
          "[labeling] threshold_value"),
         ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
+        ("[train]\nsigma0 = 5e-5\n", "[train] sigma0"),
+        ("[train]\nlambda0 = 5e-7\n", "[train] lambda0"),
         ("[run]\nseed = abc\n", "[run] seed"),
         ("[labeling]\nclusters = abc\n",
          "[labeling] clusters must be an integer, got 'abc'"),
@@ -478,7 +484,8 @@ class TestNetworkShape:
         ("[run]\nseed = -1\n",
          "[run] seed must be a non-negative integer, got -1"),
     ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
-            "threshold-value", "fitness-metric", "file-seed",
+            "threshold-value", "fitness-metric", "sigma0", "lambda0",
+            "file-seed",
             "clusters-abc", "multiplier-nan", "split-ratio", "blob-count",
             "bounds-inf", "negative-file-seed"])
     def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,

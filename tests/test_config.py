@@ -116,8 +116,10 @@ def test_output_size_must_match_taxonomy(tmp_path):
     ("[labeling]\nthreshold_mode = mean\n", "[labeling] threshold_mode"),
     ("[labeling]\nthreshold_value = 0.25\n", "[labeling] threshold_value"),
     ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
+    ("[train]\nsigma0 = 5e-5\n", "[train] sigma0"),
+    ("[train]\nlambda0 = 5e-7\n", "[train] lambda0"),
 ], ids=["mlp-input", "labeling", "run", "synthetic", "threshold-mode",
-        "threshold-value", "fitness-metric"])
+        "threshold-value", "fitness-metric", "sigma0", "lambda0"])
 def test_unread_key_rejected(tmp_path, text, named):
     path = tmp_path / "cfg.ini"
     path.write_text(text, encoding="utf-8")
@@ -126,14 +128,18 @@ def test_unread_key_rejected(tmp_path, text, named):
         load_config(str(path), seed=0)
 
 
-def test_unread_key_message_lists_accepted_keys(tmp_path):
+@pytest.mark.parametrize("text, message", [
+    ("[labeling]\nknnk = 9\n", "[labeling] knnk is not a config key; "
+     "[labeling] accepts clusters, knn_k, score_multiplier"),
+    ("[train]\nsigma0 = 5e-5\n", "[train] sigma0 is not a config key; "
+     "[train] accepts max_epochs, patience, goal"),
+], ids=["knnk", "sigma0"])
+def test_unread_key_message_lists_accepted_keys(tmp_path, text, message):
     path = tmp_path / "cfg.ini"
-    path.write_text("[labeling]\nknnk = 9\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as info:
         load_config(str(path), seed=0)
-    assert str(info.value) == (
-        f"{path}: [labeling] knnk is not a config key; [labeling] accepts "
-        "clusters, knn_k, score_multiplier")
+    assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("section", ["tarin", "DEFAULT", "Run"])

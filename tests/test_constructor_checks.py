@@ -61,9 +61,6 @@ CASES = {
     "TrainingConfig-patience": (
         lambda: TrainingConfig(patience=0),
         "patience must be >= 1"),
-    "TrainingConfig-steps": (
-        lambda: TrainingConfig(sigma0=5e-5, lambda0=0.0),
-        "sigma0 and lambda0 must be > 0"),
 }
 
 

@@ -329,14 +329,14 @@ class TestFormatting:
         m = matrix_from_counts(FIG_GA)
         path = tmp_path / "m.csv"
         write_confusion_csv(m, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[1][1:] == ["12", "1", "0", "0"]
 
     def test_metrics_csv_parseable(self, tmp_path):
         m = matrix_from_counts(FIG_NN)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(m, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["class", "precision", "recall", "tpr", "fpr"]
         assert float(rows[1][1]) == pytest.approx(12 / 14)
         assert rows[2][1] == "nan"
@@ -345,7 +345,7 @@ class TestFormatting:
         curve = roc_curve([0.9, 0.4, 0.6, 0.1], [True, True, False, False])
         path = tmp_path / "roc.csv"
         write_roc_csv(curve, path)
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["threshold", "fpr", "tpr"]
         assert rows[1] == ["inf", "0.0", "0.0"]
         assert len(rows) == len(curve.points) + 1

@@ -470,21 +470,33 @@ class TestLabelDataset:
         back = load_csv(path)
         np.testing.assert_array_equal(back.labels, labeled.labels)
 
-    def test_fewer_distinct_points_than_clusters(self):
-        pts = np.array([[0.0, 0.0]] * 20 + [[1.0, 1.0]] * 20
-                       + [[5.0, 5.0], [9.0, 0.0], [0.0, 9.0]])
+    @pytest.mark.parametrize("rows, clusters, counts, labels", [
+        ([[0.0, 0.0]] * 20 + [[1.0, 1.0]] * 20
+         + [[5.0, 5.0], [9.0, 0.0], [0.0, 9.0]], 5,
+         (43, 2, 0, 40, 1, 2), [1] * 40 + [2, 3, 3]),
+        # -0.0 and 0.0 are one value: two distinct rows
+        ([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]] * 2
+         + [[1.0, 0.0], [1.0, -0.0]] * 2, 3,
+         (12, 2, 0, 12, 0, 0), [1] * 12),
+        # fewer points than clusters: one cluster per point
+        ([[float(i), 0.0] for i in range(7)], 10,
+         (7, 7, 0, 7, 0, 0), [1] * 7),
+        ([[3.0, -1.5]] * 50, 5, (50, 1, 0, 50, 0, 0), [1] * 50),
+    ], ids=["two-values", "signed-zeros", "seven-points", "identical"])
+    def test_fewer_distinct_points_than_clusters(self, rows, clusters,
+                                                 counts, labels):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             labeled, report = label_dataset(
-                Dataset(pts), LabelingConfig(num_clusters=5, seed=0))
-        assert report.clusters == 2
-        assert report.pa + report.cpa == 3
+                Dataset(np.array(rows)),
+                LabelingConfig(num_clusters=clusters, seed=0))
+        assert report_counts(report) == counts
+        assert labeled.labels.tolist() == labels
 
     def test_points_with_underflowing_distance_share_a_cluster(self):
         # two distinct rows whose squared distance rounds to 0: k-means
         # cannot part them, so one cluster holds both
         pts = np.array([[0.0, -2.38191542e-165], [0.0, 1.89140052e-165]])
-        assert labeling._count_distinct(pts) == 2
         labeled, report = label_dataset(
             Dataset(pts), LabelingConfig(num_clusters=2, knn_k=1, seed=0))
         assert report.clusters == 1
@@ -517,18 +529,6 @@ class TestLabelDataset:
             want = rest[np.isin(model.assignment, cna)]
             np.testing.assert_array_equal(
                 np.flatnonzero(labeled.labels == AnomalyLabel.CNA), want)
-
-    @pytest.mark.parametrize("rows", [
-        [[0.0, 1.0], [0.0, 1.0], [2.0, 0.5], [0.0, 1.0], [2.0, 0.5]],
-        [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]],
-        [[-0.0], [0.0], [3.0], [-3.0], [3.0]],
-        [[1.0, 2.0, 3.0]],
-        [[1.0, 2.0], [2.0, 1.0], [1.0, 1.0], [2.0, 2.0]],
-    ])
-    def test_count_distinct_matches_unique_rows(self, rows):
-        pts = np.array(rows)
-        assert labeling._count_distinct(pts) == \
-            np.unique(pts, axis=0).shape[0]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 80),

@@ -350,7 +350,7 @@ def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
     r = -grad
     p = r.copy()
     success = True
-    lam = cfg.lambda0
+    lam = 5e-7
     lam_bar = 0.0
     delta = 0.0
     accepted_steps = 0
@@ -377,7 +377,7 @@ def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
             mu = r_norm2
             success = True
         if success:
-            sigma = cfg.sigma0 / math.sqrt(p_norm2)
+            sigma = 5e-5 / math.sqrt(p_norm2)
             _, grad_sigma = loss_grad(w + sigma * p)
             delta = float(p @ (grad_sigma - grad)) / sigma
         delta += (lam - lam_bar) * p_norm2
