@@ -106,10 +106,12 @@ class RunConfig(NamedTuple):
     quiet: bool = False
 
 
-def _number(section, key: str, kind=float, raw: str | None = None):
+def _number(section, key: str, kind=float, raw: str | None = None, *,
+            low=None, high=None, strict: bool = False):
     """``[section] key`` as an int or a finite float; ``raw``, one item of
-    the key's comma list, is parsed in its place when given.  Any other
-    value raises an error naming the key."""
+    the key's comma list, is parsed in its place when given.  A value
+    below ``low`` (or equal to it when ``strict``) or above ``high``, like
+    any other bad value, raises an error naming the key."""
     text = (section.get(key) if raw is None else raw).strip()
     try:
         value = kind(text)
@@ -119,6 +121,11 @@ def _number(section, key: str, kind=float, raw: str | None = None):
         what = "an integer" if kind is int else "a finite number"
         raise ValueError(f"[{section.name}] {key} must be {what}, "
                          f"got {text!r}")
+    too_low = low is not None and (value < low or strict and value == low)
+    if too_low or high is not None and value > high:
+        rule = (f"lie in [{low}, {high}]" if high is not None
+                else f"be > {low}" if strict else f"be >= {low}")
+        raise ValueError(f"[{section.name}] {key} must {rule}, got {value}")
     return value
 
 
@@ -214,32 +221,31 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     data = parser["data"]
     lab = parser["labeling"]
     labeling = LabelingConfig(
-        num_clusters=_number(lab, "clusters", int),
-        knn_k=_number(lab, "knn_k", int),
-        pa_score_multiplier=_number(lab, "score_multiplier"),
+        num_clusters=_number(lab, "clusters", int, low=1),
+        knn_k=_number(lab, "knn_k", int, low=1),
+        pa_score_multiplier=_number(lab, "score_multiplier", low=0,
+                                    strict=True),
         seed=derive_seed(seed, STREAM_LABEL),
     )
-    hidden = _number(parser["mlp"], "hidden", int)
-    if hidden < 1:
-        raise ValueError(f"[mlp] hidden must be >= 1, got {hidden}")
+    hidden = _number(parser["mlp"], "hidden", int, low=1)
     tr = parser["train"]
     training = TrainingConfig(
-        max_epochs=_number(tr, "max_epochs", int),
-        patience=_number(tr, "patience", int),
+        max_epochs=_number(tr, "max_epochs", int, low=1),
+        patience=_number(tr, "patience", int, low=1),
         goal=_number(tr, "goal"),
     )
     ga = parser["ga"]
     ga_cfg = GaConfig(
-        cycles=_number(ga, "cycles", int),
-        population_size=_number(ga, "population", int),
-        crossover_alpha=_number(ga, "alpha"),
-        mutation_rate=_number(ga, "mutation_rate"),
-        selection_rate=_number(ga, "selection_rate"),
+        cycles=_number(ga, "cycles", int, low=1),
+        population_size=_number(ga, "population", int, low=1),
+        crossover_alpha=_number(ga, "alpha", low=0, high=1),
+        mutation_rate=_number(ga, "mutation_rate", low=0, high=1),
+        selection_rate=_number(ga, "selection_rate", low=0, high=1),
         goal=_number(ga, "goal"),
         seed=derive_seed(seed, STREAM_GA),
     )
     split = parser["split"]
-    ratios = SplitRatios(*(_number(split, key)
+    ratios = SplitRatios(*(_number(split, key, low=0)
                            for key in ("train", "validation", "test")))
 
     return RunConfig(

@@ -270,21 +270,25 @@ def _parse_rows(path, header, rows, feat_cols, class_col, label_col):
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Write a dataset as CSV; floats use repr so reloading is lossless."""
+    """Write a dataset as CSV; floats use repr so reloading is lossless.
+
+    Only the header goes through :mod:`csv`, which quotes a name when it
+    must.  No data field needs quoting (float reprs, ints and label
+    tokens), so the rows are joined directly, with ``csv``'s line ending.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         header = list(ds.feature_names)
         if ds.class_ids is not None:
             header.append("class")
         if ds.labels is not None:
             header.append("label")
-        writer.writerow(header)
+        csv.writer(fh).writerow(header)
         columns = [map(repr, col) for col in ds.features.T.tolist()]
         if ds.class_ids is not None:
             columns.append(map(str, ds.class_ids.tolist()))
         if ds.labels is not None:
             columns.append(map(LABEL_TOKENS.__getitem__, ds.labels.tolist()))
-        writer.writerows(zip(*columns))
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(*columns)]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ Labeling pipelines for both unsupervised datasets and supervised datasets
 from __future__ import annotations
 
 import logging
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +45,9 @@ DENSITY_EPS = 1e-12
 # Float64 elements in one block of distance rows (16 MB per temporary), so
 # labeling memory grows linearly with the number of points.
 BLOCK_ELEMENTS = 1 << 21
-# Sorted rows per kNN sweep block; its window reaches twice as far (and
-# at least k rows) past each side.  Measured fastest from 6k to 50k points.
+# Sorted rows per kNN sweep block.  Its window reaches max(k, isqrt(2n))
+# rows past each side: on spread-out 2-D data the rows inside a strip grow
+# like sqrt(n), so no fixed reach suits both 6k and 50k points.
 SWEEP_ROWS = 128
 # Widening of a kNN strip.  A row measured again keeps only its strip, so
 # the strip must hold every point as near as the bound, ties included.
@@ -145,11 +147,12 @@ def _knn_scores(pts, k: int) -> np.ndarray:
 
     An exact sorted sweep.  The points are sorted along the coordinate
     with the largest range.  Each block of ``SWEEP_ROWS`` sorted rows is
-    measured against a window of neighboring rows, whose k-th smallest
-    distance bounds the row's true k-th distance from above.  Every point
-    at most that far lies in the row's strip: the sorted rows whose
-    coordinate is within that bound, widened for rounding.  A row whose
-    strip sticks out of its window is measured again against its strip.
+    measured against a window reaching max(k, isqrt(2n)) rows past each
+    side, whose k-th smallest distance bounds the row's true k-th distance
+    from above.  Every point at most that far lies in the row's strip: the
+    sorted rows whose coordinate is within that bound, widened for
+    rounding.  A row whose strip sticks out of its window is measured
+    again against its strip.
     Extra candidates never change which k smallest values are found, so
     each row gets the same k distances as a scan of all points, and they
     are summed in ascending order.
@@ -159,9 +162,9 @@ def _knn_scores(pts, k: int) -> np.ndarray:
         raise ValueError("kNN scores need finite coordinates")
     axis = int(np.ptp(pts, axis=0).argmax())
     order = np.argsort(pts[:, axis], kind="stable")
-    sp = pts[order]
-    coord = np.ascontiguousarray(sp[:, axis])
-    reach = max(2 * SWEEP_ROWS, k)
+    cols = np.ascontiguousarray(pts[order].T)
+    coord = cols[axis]
+    reach = max(k, math.isqrt(2 * n))
     nearest = np.empty((n, k))
     first = np.empty(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)
@@ -169,7 +172,7 @@ def _knn_scores(pts, k: int) -> np.ndarray:
     for lo in range(0, n, SWEEP_ROWS):
         hi = min(n, lo + SWEEP_ROWS)
         w_lo, w_hi = max(0, lo - reach), min(n, hi + reach)
-        nearest[lo:hi] = _k_smallest(sp, np.arange(lo, hi), w_lo, w_hi, k)
+        nearest[lo:hi] = _k_smallest(cols, np.arange(lo, hi), w_lo, w_hi, k)
         bound = nearest[lo:hi, k - 1] * (1.0 + STRIP_REL_MARGIN) \
             + STRIP_ABS_MARGIN
         first[lo:hi] = np.searchsorted(coord, coord[lo:hi] - bound, "left")
@@ -177,20 +180,20 @@ def _knn_scores(pts, k: int) -> np.ndarray:
         redo.append(lo + np.flatnonzero((first[lo:hi] < w_lo)
                                         | (last[lo:hi] > w_hi)))
     for rows, s_lo, s_hi in _strip_groups(np.concatenate(redo), first, last):
-        nearest[rows] = _k_smallest(sp, rows, s_lo, s_hi, k)
+        nearest[rows] = _k_smallest(cols, rows, s_lo, s_hi, k)
     scores = np.empty(n)
     scores[order] = np.sort(nearest, axis=1).sum(axis=1) / k
     return scores
 
 
-def _k_smallest(sp, rows, lo: int, hi: int, k: int) -> np.ndarray:
-    """The k smallest distances from each of the points ``sp[rows]`` to
-    the points ``sp[lo:hi]`` other than itself, in partition order.
-    Every ``rows`` entry must lie in lo:hi.
+def _k_smallest(cols, rows, lo: int, hi: int, k: int) -> np.ndarray:
+    """The k smallest distances from each of the points ``rows`` to the
+    points lo:hi other than itself, in partition order; ``cols`` holds the
+    points as columns.  Every ``rows`` entry must lie in lo:hi.
 
     The selection runs on squared distances; ``sqrt`` is monotone, so the
     root of the k kept values gives the same bits as selecting roots."""
-    block = _sq_distances(sp[rows], sp[lo:hi])
+    block = _sq_distances(cols[:, rows].T, cols[:, lo:hi])
     block[np.arange(rows.size), rows - lo] = np.inf
     block.partition(k - 1, axis=1)
     return np.sqrt(block[:, :k])
@@ -220,9 +223,10 @@ def _strip_groups(rows, first, last):
         i = j
 
 
-def _sq_distances(rows, cands, out=None) -> np.ndarray:
-    """Squared distance from each of ``rows`` to each of ``cands``,
-    written into ``out`` when given.
+def _sq_distances(rows, cols, out=None, tmp=None) -> np.ndarray:
+    """Squared distance from each of ``rows`` (m, d) to each of the points
+    held as the columns ``cols`` (d, n), written into ``out`` when given;
+    ``tmp``, of the same shape, is scratch space.
 
     Squared coordinate differences (row minus candidate) accumulate in
     dimension order, so a pair gets the same value in every block it falls
@@ -230,14 +234,12 @@ def _sq_distances(rows, cands, out=None) -> np.ndarray:
     ** 2).sum(axis=2)`` bit for bit; from d = 8 on numpy sums pairwise in
     8-way blocks, and the two differ in the last bits.
     """
-    out = np.subtract(rows[:, 0, None], cands[None, :, 0], out=out)
+    out = np.subtract(rows[:, 0, None], cols[0], out=out)
     out *= out
-    if rows.shape[1] > 1:
-        tmp = np.empty_like(out)
-        for q in range(1, rows.shape[1]):
-            np.subtract(rows[:, q, None], cands[None, :, q], out=tmp)
-            tmp *= tmp
-            out += tmp
+    for q in range(1, rows.shape[1]):
+        tmp = np.subtract(rows[:, q, None], cols[q], out=tmp)
+        tmp *= tmp
+        out += tmp
     return out
 
 
@@ -248,10 +250,11 @@ def _distance_rows(pts):
     overwrite it but must not keep it past the next step."""
     n = pts.shape[0]
     step = max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
-    buf = np.empty((step, n))
+    cols = np.ascontiguousarray(pts.T)
+    buf, tmp = np.empty((2, step, n))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        block = _sq_distances(pts[lo:hi], pts, out=buf[:hi - lo])
+        block = _sq_distances(pts[lo:hi], cols, buf[:hi - lo], tmp[:hi - lo])
         yield lo, hi, np.sqrt(block, out=block)
 
 
@@ -286,20 +289,26 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     distinct values whose squared distances underflow to 0.
     """
     points = _as_points(points)
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} points, got k={k}")
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    assign, d2 = _nearest_centroids(points, centroids)
-    assign, d2 = _repair_empty(points, centroids, assign, d2, k)
+    cols = np.ascontiguousarray(points.T)
+    buf = np.empty((2, k, n))
+    assign, d2 = _nearest_centroids(cols, centroids, buf)
+    assign, d2, sizes = _repair_empty(cols, centroids, assign, d2, buf)
     history = [float(d2.sum())]
     for _ in range(KMEANS_MAX_ITER):
-        for c in range(k):
-            members = assign == c
-            centroids[c] = points[members].mean(axis=0)
-        new_assign, d2 = _nearest_centroids(points, centroids)
-        new_assign, d2 = _repair_empty(points, centroids, new_assign, d2, k)
+        if d == 1:  # numpy's mean sums one column pairwise, not in order
+            for c in range(k):
+                centroids[c] = points[assign == c].mean(axis=0)
+        else:  # equals mean(axis=0), which adds the rows in order
+            for q in range(d):
+                centroids[:, q] = np.bincount(assign, cols[q], k) / sizes
+        new_assign, d2 = _nearest_centroids(cols, centroids, buf)
+        new_assign, d2, sizes = _repair_empty(cols, centroids, new_assign,
+                                              d2, buf)
         history.append(float(d2.sum()))
         if np.array_equal(new_assign, assign):
             break
@@ -307,31 +316,43 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     return ClusterModel(centroids, assign, tuple(history))
 
 
-def _nearest_centroids(pts, centroids):
+def _nearest_centroids(cols, centroids, buf=None):
     """Index of each point's nearest centroid (ties go to the lowest
-    index) and the squared distance to it."""
-    d2 = _sq_distances(pts, centroids)
-    assign = d2.argmin(axis=1)
-    return assign, d2[np.arange(pts.shape[0]), assign]
+    index) and the squared distance to it.  ``cols`` holds the points as
+    columns, shape (d, n); ``buf``, shape (2, k, n), is scratch space."""
+    k, n = centroids.shape[0], cols.shape[1]
+    d2, tmp = np.empty((2, k, n)) if buf is None else buf
+    _sq_distances(centroids, cols, d2, tmp)
+    # strict < keeps the lowest index on ties, as argmin does; the
+    # distances are never nan, because the points are finite
+    best = d2[0].copy()
+    assign = np.zeros(n, dtype=np.intp)
+    closer = np.empty(n, dtype=bool)
+    for c in range(1, k):
+        np.less(d2[c], best, out=closer)
+        assign[closer] = c
+        np.minimum(best, d2[c], out=best)
+    return assign, best
 
 
-def _repair_empty(points, centroids, assign, d2, k):
-    # move each empty cluster's centroid onto the point currently farthest
-    # from its own centroid, then reassign
-    for _ in range(k):
+def _repair_empty(cols, centroids, assign, d2, buf):
+    """Move each empty cluster's centroid onto the point currently
+    farthest from its own centroid, then reassign; returns the repaired
+    assignment, its squared distances and the cluster sizes."""
+    k = centroids.shape[0]
+    for attempt in range(k + 1):
         sizes = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(sizes == 0)
         if empties.size == 0:
+            return assign, d2, sizes
+        if attempt == k:
             break
-        centroids[empties[0]] = points[int(d2.argmax())]
-        assign, d2 = _nearest_centroids(points, centroids)
-    empty = int((np.bincount(assign, minlength=k) == 0).sum())
-    if empty:
-        raise EmptyClusterError(
-            f"k-means left {empty} of {k} clusters empty; the points hold "
-            f"fewer than k distinct values, or values whose squared "
-            f"distances underflow to 0")
-    return assign, d2
+        centroids[empties[0]] = cols[:, int(d2.argmax())]
+        assign, d2 = _nearest_centroids(cols, centroids, buf)
+    raise EmptyClusterError(
+        f"k-means left {empties.size} of {k} clusters empty; the points "
+        f"hold fewer than k distinct values, or values whose squared "
+        f"distances underflow to 0")
 
 
 def cluster_density_stats(model: ClusterModel, points,

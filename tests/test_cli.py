@@ -483,11 +483,19 @@ class TestNetworkShape:
          "[synthetic] bounds must be a finite number, got 'inf'"),
         ("[run]\nseed = -1\n",
          "[run] seed must be a non-negative integer, got -1"),
+        ("[ga]\npopulation = 0\n", "[ga] population must be >= 1, got 0"),
+        ("[ga]\nalpha = 2\n", "[ga] alpha must lie in [0, 1], got 2.0"),
+        ("[labeling]\nclusters = 0\n",
+         "[labeling] clusters must be >= 1, got 0"),
+        ("[labeling]\nscore_multiplier = 0\n",
+         "[labeling] score_multiplier must be > 0, got 0.0"),
+        ("[split]\ntrain = -0.5\n", "[split] train must be >= 0, got -0.5"),
     ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
             "threshold-value", "fitness-metric", "sigma0", "lambda0",
             "file-seed",
             "clusters-abc", "multiplier-nan", "split-ratio", "blob-count",
-            "bounds-inf", "negative-file-seed"])
+            "bounds-inf", "negative-file-seed", "population-0", "alpha-2",
+            "clusters-0", "multiplier-0", "split-negative"])
     def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,
                                         capsys, text, named):
         cfg = tmp_path / "bad.ini"

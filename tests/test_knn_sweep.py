@@ -95,13 +95,14 @@ class TestSortedSweep:
         np.testing.assert_array_equal(got, dense_knn_scores(pts, 5))
 
     def test_nearest_point_one_row_past_the_window(self, monkeypatch):
-        # row 0's window is rows 0-2 (one-row blocks reach two rows); its
-        # nearest neighbor is row 3, the last row of its strip
+        # six points: row 0's window is rows 0-3 (the window reaches
+        # isqrt(2 * 6) = 3 rows); its nearest neighbor is row 4, the last
+        # row of its strip
         monkeypatch.setattr(labeling, "SWEEP_ROWS", 1)
-        pts = np.array([[0.0, 0.0], [0.1, 10.0], [0.2, 10.0], [0.3, 0.0],
-                        [100.0, 0.0], [100.1, 0.0]])
+        pts = np.array([[0.0, 0.0], [0.1, 10.0], [0.2, 10.0], [0.3, 10.0],
+                        [0.4, 0.0], [100.0, 0.0]])
         got = labeling._knn_scores(pts, 1)
-        assert got[0] == pytest.approx(0.3)
+        assert got[0] == pytest.approx(0.4)
         np.testing.assert_array_equal(got, dense_knn_scores(pts, 1))
 
     @pytest.mark.parametrize("pts,expected", [

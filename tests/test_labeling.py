@@ -206,7 +206,7 @@ class TestKmeans:
             else:
                 pts = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (n, d))
                 cents = rng.normal(0.0, pts.std() + 1.0, (k, d))
-            got = labeling._nearest_centroids(pts, cents)
+            got = labeling._nearest_centroids(pts.T.copy(), cents)
             want = broadcast_nearest_centroids(pts, cents)
             if d <= 7:
                 np.testing.assert_array_equal(got[0], want[0])
@@ -218,6 +218,16 @@ class TestKmeans:
     def test_matches_broadcast_lloyd_loop(self, d):
         rng = np.random.default_rng(40 + d)
         repairs = 0
+        if d in (2, 3):  # a blob mixture of the size label_6k clusters
+            centers = rng.uniform(0.0, 100.0, (5, d))
+            pts = centers[rng.integers(0, 5, 5000)] \
+                + rng.normal(0.0, 6.0, (5000, d))
+            model = kmeans(pts, 5, 7)
+            cents, assign, history, _ = broadcast_kmeans(pts, 5, 7)
+            np.testing.assert_array_equal(model.centroids, cents)
+            np.testing.assert_array_equal(model.assignment, assign)
+            assert model.objective_history == history
+            assert len(history) > 5  # several centroid updates ran
         for seed in range(12):
             if seed % 2:  # few distinct values: coincident initial
                 base = rng.normal(0.0, 1.0, (4, d))  # centroids, repairs
@@ -289,8 +299,22 @@ class TestKmeans:
     def test_nearest_centroids_tie_to_lowest_index(self):
         pts = np.array([[0.0, 0.0]])
         cents = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assign, _ = labeling._nearest_centroids(pts, cents)
+        assign, _ = labeling._nearest_centroids(pts.T.copy(), cents)
         assert assign[0] == 0
+
+    def test_nearest_centroids_many_ties_k9(self):
+        # the nine lattice points around the origin: every point ties
+        # between several of them, and coincident centroids tie exactly
+        cents = np.array([[x, y] for x in (-1.0, 0.0, 1.0)
+                          for y in (-1.0, 0.0, 1.0)])
+        cents[8] = cents[4]  # a repeated centroid never wins
+        pts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.0], [0.0, -0.5],
+                        [1.0, 1.0], [2.0, 2.0], [-0.5, -0.5], [0.5, -0.5]])
+        assign, d2 = labeling._nearest_centroids(pts.T.copy(), cents)
+        want = broadcast_nearest_centroids(pts, cents)
+        np.testing.assert_array_equal(assign, want[0])
+        np.testing.assert_array_equal(d2, want[1])
+        assert assign.tolist() == [4, 4, 1, 3, 5, 5, 0, 3]
 
     def test_nonempty_clusters(self):
         # duplicated points force empty-cluster repair paths
