@@ -150,7 +150,7 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
             discarded = [names.index(n) for n in cfg.discarded]
             labeled, reports = labeling.label_supervised(
                 ds, cfg.labeling, retained, discarded)
-        class_ids = sorted(set(int(c) for c in ds.class_ids))
+        class_ids = sorted(set(ds.class_ids.tolist()))
     else:
         with _stage("normalize"):
             normalized, params = minmax_normalize(ds)
@@ -193,8 +193,8 @@ def _write_model_eval(tag: str, scores, matrix, y, out: Path) -> None:
         curve = evaluation.roc_curve(scores[:, c], positives)
         evaluation.write_roc_csv(curve, out / f"roc_{tag}_{name}.csv")
         svg = unit_line_chart(
-            [(f"{tag} {name} (AUC {curve.auc:.3f})",
-              [(p[0], p[1]) for p in curve.points])],
+            (f"{tag} {name} (AUC {curve.auc:.3f})",
+             [(p[0], p[1]) for p in curve.points]),
             f"ROC {tag} class {name}", "False positive rate",
             "True positive rate")
         (out / f"roc_{tag}_{name}.svg").write_text(svg, encoding="utf-8")
@@ -208,21 +208,13 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     with _stage("compare"):
         nn = ga.conventional(prepared, topology, cfg.training, cfg.ga)
         ga_run = ga.run_ga(cfg.ga, topology, prepared, cfg.training)
-    nets = {"nn": nn, "ga": ga_run.best}
     with _stage("write"):
         out = _outdir(cfg)
         mlp.save_model(nn.model, out / "nn_model.txt")
         mlp.save_model(ga_run.best.model, out / "ga_best_model.txt")
-        for tag, ind in nets.items():
+        for tag, ind in (("nn", nn), ("ga", ga_run.best)):
             _write_model_eval(tag, ind.scores, ind.matrix, prepared.y_test,
                               out)
-        with open(out / "tpr_fpr.csv", "w", encoding="utf-8") as fh:
-            fh.write("model,class,tpr,fpr\n")
-            for tag, ind in nets.items():
-                for c in range(ind.matrix.num_classes):
-                    tpr, fpr = evaluation.tpr_fpr(ind.matrix, c)
-                    fh.write(f"{tag},{ind.matrix.class_names[c]},"
-                             f"{tpr!r},{fpr!r}\n")
         with open(out / "ga_cycles.csv", "w", encoding="utf-8") as fh:
             fh.write("cycle,best_fitness,mean_fitness\n")
             for st in ga_run.cycles:

@@ -153,9 +153,9 @@ def _synthetic_spec(section) -> SyntheticSpec:
             raise ValueError(f"[synthetic] {key} needs cx,cy,sx,sy,count")
         cx, cy, sx, sy = (_number(section, key, raw=v) for v in vals[:4])
         blobs.append(BlobSpec((cx, cy), (sx, sy),
-                              _number(section, key, int, vals[4])))
+                              _number(section, key, int, vals[4], low=1)))
     return SyntheticSpec(
-        tuple(blobs), _number(section, "scatter", int),
+        tuple(blobs), _number(section, "scatter", int, low=0),
         tuple(_number(section, "bounds", raw=v) for v in bounds))
 
 
@@ -245,8 +245,12 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         seed=derive_seed(seed, STREAM_GA),
     )
     split = parser["split"]
-    ratios = SplitRatios(*(_number(split, key, low=0)
-                           for key in ("train", "validation", "test")))
+    parts = [_number(split, key, low=0)
+             for key in ("train", "validation", "test")]
+    if abs(sum(parts) - 1.0) > 1e-9:
+        raise ValueError("[split] train, validation and test must sum to 1, "
+                         f"got {' + '.join(map(str, parts))} = {sum(parts)}")
+    ratios = SplitRatios(*parts)
 
     return RunConfig(
         seed=seed,

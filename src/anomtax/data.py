@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from enum import IntEnum
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -119,12 +119,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def num_classes(self) -> int | None:
-        if self.class_ids is not None and self.n:
-            return int(self.class_ids.max()) + 1
-        return None
-
     def subset(self, indices) -> "Dataset":
         """New dataset holding the given rows, re-indexed from 0."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -151,12 +145,54 @@ class Dataset:
 #
 # Format: UTF-8, comma separated, first row is the header, which names
 # each column once.  A column named "label" holds anomaly tokens
-# (ND/CNA/CPA/PA), one named "class" holds integer class ids, everything
-# else is a numeric feature.
+# (ND/CNA/CPA/PA), one named "class" holds integer class ids in
+# [0, 2^63), everything else is a numeric feature.  Each kind of cell has
+# one rule below; it takes the stripped cell and returns its value or
+# raises an error that names the cell.
 # ---------------------------------------------------------------------------
 
+def _feature(cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvParseError(f"not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise CsvParseError(f"not a finite number: {cell!r}")
+    return value
+
+
+def _class_id(cell: str) -> int:
+    try:
+        value = int(cell)
+    except ValueError:
+        raise CsvParseError(f"not an integer: {cell!r}") from None
+    if not 0 <= value < 2**63:
+        raise CsvParseError(f"not an integer in [0, 2^63): {cell!r}")
+    return value
+
+
+_LABEL_VALUES = {label.name: int(label) for label in AnomalyLabel}
+
+
+def _label(cell: str) -> int:
+    try:
+        return _LABEL_VALUES[cell]
+    except KeyError:
+        raise LabelTokenError(
+            f"unknown label {cell!r} (expected one of "
+            f"{', '.join(LABEL_TOKENS)})") from None
+
+
+# the rule of each named column; every other column holds a feature
+_NAMED_RULES = {"class": _class_id, "label": _label}
+
+
 def load_csv(path) -> Dataset:
-    """Parse a CSV file in the format above into a :class:`Dataset`."""
+    """Parse a CSV file in the format above into a :class:`Dataset`.
+
+    Each column goes through its rule whole.  Only a file with a fault is
+    walked again row by row, to name its first faulty cell.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -170,103 +206,45 @@ def load_csv(path) -> Dataset:
             raise CsvStructureError(
                 f"{path}: header names column {twice[0]!r} twice")
         feat_cols = [i for i, name in enumerate(header)
-                     if name not in ("class", "label")]
-        class_col = [i for i, name in enumerate(header) if name == "class"]
-        label_col = [i for i, name in enumerate(header) if name == "label"]
+                     if name not in _NAMED_RULES]
         if not feat_cols:
             raise ValueError(f"{path}: no feature columns")
 
         rows = list(reader)
 
+    # in the order a row's faults are named: features, class, label
+    rules = [(i, _feature) for i in feat_cols] + [
+        (header.index(name), rule) for name, rule in _NAMED_RULES.items()
+        if name in header]
     try:
-        features, class_ids, labels = _parse_columns(
-            rows, len(header), feat_cols, class_col, label_col)
-    except (ValueError, KeyError):
-        features, class_ids, labels = _parse_rows(
-            path, header, rows, feat_cols, class_col, label_col)
-    return Dataset(
-        features,
-        [header[i] for i in feat_cols],
-        np.array(class_ids, dtype=np.int64) if class_col else None,
-        np.array(labels, dtype=np.int8) if label_col else None,
-    )
-
-
-_LABEL_VALUES = {label.name: int(label) for label in AnomalyLabel}
-
-
-def _parse_columns(rows, width, feat_cols, class_col, label_col):
-    """Parse well-formed rows a whole column at a time.
-
-    Raises ``ValueError`` or ``KeyError`` on any fault and leaves naming
-    the first one to :func:`_parse_rows`.  ``float`` and ``int`` strip
-    surrounding whitespace themselves (all but the separators
-    \\x1c-\\x1f, which then go the row-by-row way), so a cell they
-    accept gets the value it gets there.
-    """
-    if any(len(row) != width for row in rows):
-        raise ValueError("ragged rows")
-    cols = list(zip(*rows)) or [()] * width
+        if set(map(len, rows)) - {len(header)}:
+            raise CsvStructureError("ragged rows")
+        columns = list(zip(*rows)) or [()] * len(header)
+        parsed = {header[i]: list(map(rule, map(str.strip, columns[i])))
+                  for i, rule in rules}
+    except ValueError:
+        _raise_first_fault(path, header, rows, rules)
     features = np.empty((len(rows), len(feat_cols)))
     for j, i in enumerate(feat_cols):
-        features[:, j] = list(map(float, cols[i]))
-    if not np.isfinite(features).all():
-        raise ValueError("non-finite feature")
-    class_ids = list(map(int, cols[class_col[0]])) if class_col else None
-    labels = (list(map(_LABEL_VALUES.__getitem__,
-                       map(str.strip, cols[label_col[0]])))
-              if label_col else None)
-    return features, class_ids, labels
+        features[:, j] = parsed[header[i]]
+    return Dataset(features, [header[i] for i in feat_cols],
+                   parsed.get("class"), parsed.get("label"))
 
 
-def _parse_rows(path, header, rows, feat_cols, class_col, label_col):
-    """Parse row by row, cell by cell, raising for the first faulty row:
-    its width first, then its feature cells in order, its class, its
-    label."""
-    features, class_ids, labels = [], [], []
+def _raise_first_fault(path, header, rows, rules) -> NoReturn:
+    """Raise for the first faulty row: its width first, then its cells in
+    the order of ``rules``, named by file, row and column."""
     for rownum, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise CsvStructureError(
                 f"{path}: row {rownum}: expected {len(header)} columns, "
-                f"got {len(row)}"
-            )
-        vals = []
-        for i in feat_cols:
-            cell = row[i].strip()
+                f"got {len(row)}")
+        for i, rule in rules:
             try:
-                val = float(cell)
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: row {rownum}, column {header[i]!r}: "
-                    f"not a number: {cell!r}"
-                ) from None
-            if not math.isfinite(val):
-                raise CsvParseError(
-                    f"{path}: row {rownum}, column {header[i]!r}: "
-                    f"not a finite number: {cell!r}"
-                )
-            vals.append(val)
-        features.append(vals)
-        if class_col:
-            cell = row[class_col[0]].strip()
-            try:
-                class_ids.append(int(cell))
-            except ValueError:
-                raise CsvParseError(
-                    f"{path}: row {rownum}, column "
-                    f"{header[class_col[0]]!r}: not an integer: {cell!r}"
-                ) from None
-        if label_col:
-            cell = row[label_col[0]].strip()
-            if cell not in LABEL_TOKENS:
-                raise LabelTokenError(
-                    f"{path}: row {rownum}, column "
-                    f"{header[label_col[0]]!r}: unknown label {cell!r} "
-                    f"(expected one of {', '.join(LABEL_TOKENS)})"
-                )
-            labels.append(int(AnomalyLabel[cell]))
-    features = np.array(features, dtype=np.float64)
-    return features.reshape(len(rows), len(feat_cols)), class_ids, labels
+                rule(row[i].strip())
+            except ValueError as exc:
+                raise type(exc)(f"{path}: row {rownum}, column "
+                                f"{header[i]!r}: {exc}") from None
 
 
 def save_csv(ds: Dataset, path) -> None:

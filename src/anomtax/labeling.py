@@ -463,7 +463,6 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,
     """
     if ds.class_ids is None:
         raise ValueError("supervised labeling needs class ids")
-    num_classes = ds.num_classes
 
     normalized, _ = minmax_normalize(ds)
     weights = compute_sample_weights(normalized, discarded_features)
@@ -472,10 +471,9 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,
     out_features = np.zeros_like(agg.features)
     out_labels = np.zeros(ds.n, dtype=np.int8)
     reports = []
-    for class_id in range(num_classes):
+    # only the ids that occur: a sparse id like 10**12 costs one class
+    for class_id in sorted(set(ds.class_ids.tolist())):
         rows = np.flatnonzero(ds.class_ids == class_id)
-        if rows.size == 0:
-            continue
         sub = agg.subset(rows)
         if rows.size <= cfg.knn_k:
             labeled = sub.with_labels(

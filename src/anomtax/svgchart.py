@@ -10,7 +10,7 @@ __all__ = ["unit_line_chart"]
 _SIZE = 480
 _MARGIN = 50
 _PLOT = _SIZE - 2 * _MARGIN
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLOR = "#1f77b4"
 
 
 def _px(x: float, y: float):
@@ -19,7 +19,7 @@ def _px(x: float, y: float):
 
 
 def unit_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
-    """SVG text for one or more (label, points) series over [0, 1] x [0, 1],
+    """SVG text for one ``(label, points)`` series over [0, 1] x [0, 1],
     with the dashed diagonal chance line.
 
     ``points`` is an iterable of (x, y) pairs.
@@ -59,18 +59,17 @@ def unit_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
                  f'transform="rotate(-90 14 {_SIZE / 2:.1f})">{ylabel}</text>')
     parts.append(f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x1:.1f}" '
                  f'y2="{y1:.1f}" stroke="#999999" stroke-dasharray="6,4"/>')
-    for idx, (label, points) in enumerate(series):
-        color = _COLORS[idx % len(_COLORS)]
-        coords = " ".join(f"{_px(x, y)[0]:.2f},{_px(x, y)[1]:.2f}"
-                          for x, y in points)
-        parts.append(f'<polyline points="{coords}" fill="none" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        ly = _MARGIN + 18 + 16 * idx
-        parts.append(f'<line x1="{_MARGIN + _PLOT - 120:.1f}" y1="{ly}" '
-                     f'x2="{_MARGIN + _PLOT - 96:.1f}" y2="{ly}" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_MARGIN + _PLOT - 90:.1f}" y="{ly + 4}" '
-                     f'font-family="sans-serif" font-size="12">'
-                     f'{label}</text>')
+    label, points = series
+    coords = " ".join(f"{_px(x, y)[0]:.2f},{_px(x, y)[1]:.2f}"
+                      for x, y in points)
+    parts.append(f'<polyline points="{coords}" fill="none" '
+                 f'stroke="{_COLOR}" stroke-width="2"/>')
+    # legend: a line sample and the label
+    ly = _MARGIN + 18
+    parts.append(f'<line x1="{_MARGIN + _PLOT - 120:.1f}" y1="{ly}" '
+                 f'x2="{_MARGIN + _PLOT - 96:.1f}" y2="{ly}" '
+                 f'stroke="{_COLOR}" stroke-width="2"/>')
+    parts.append(f'<text x="{_MARGIN + _PLOT - 90:.1f}" y="{ly + 4}" '
+                 f'font-family="sans-serif" font-size="12">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

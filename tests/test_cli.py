@@ -135,6 +135,43 @@ class TestLabel:
         assert len(rows) == 4  # header + three classes
         assert [r[1] for r in rows[1:]] == ["50", "50", "50"]
 
+    def test_sparse_class_ids_label_like_dense(self, tmp_path):
+        # labeling visits the ids that occur, not every integer below the
+        # largest; a subprocess with a timeout fails instead of hanging
+        from conftest import make_iris_like
+        from anomtax.data import Dataset, save_csv
+        iris = make_iris_like()
+        two = iris.subset(np.flatnonzero(iris.class_ids < 2))
+        cfg = tmp_path / "sup.ini"
+        cfg.write_text(TINY_CONFIG + "\n[data]\nretained = petal_len, "
+                       "petal_wid\ndiscarded = sepal_len, sepal_wid\n",
+                       encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+        outputs = []
+        for top in (1, 2**40):
+            csv_path = tmp_path / f"ids{top}.csv"
+            save_csv(Dataset(two.features, two.feature_names,
+                             two.class_ids * top), csv_path)
+            out = tmp_path / f"lab{top}"
+            done = subprocess.run(
+                [sys.executable, "-m", "anomtax.cli", "--seed", "0",
+                 "--config", str(cfg), "--quiet", "--out", str(out),
+                 "label", str(csv_path)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            labeled = list(csv.reader(
+                (out / "labeled.csv").read_text().splitlines()))
+            report = list(csv.reader(
+                (out / "labeling_report.csv").read_text().splitlines()))
+            assert [r[-2] for r in labeled[1:]] == \
+                [str(c * top) for c in two.class_ids]
+            assert [r[0] for r in report[1:]] == ["0", str(top)]
+            # everything but the class ids themselves
+            outputs.append(([r[:-2] + r[-1:] for r in labeled],
+                            [r[1:] for r in report]))
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("data, named", [
         ("retained = petal_len, petal_wdt\ndiscarded = sepal_len, sepal\n",
          "petal_wdt, sepal"),
@@ -301,9 +338,11 @@ class TestCompare:
         assert main(["--seed", "5", "--config", tiny_config,
                      "--out", str(out), "compare", str(labeled_csv)]) == 0
         for name in ("summary.txt", "nn_model.txt", "ga_best_model.txt",
-                     "nn_confusion.txt", "ga_confusion.csv", "tpr_fpr.csv",
-                     "ga_cycles.csv", "nn_metrics.csv", "ga_metrics.csv"):
+                     "nn_confusion.txt", "ga_confusion.csv", "ga_cycles.csv",
+                     "nn_metrics.csv", "ga_metrics.csv"):
             assert (out / name).is_file(), name
+        # the metrics files hold each class's tpr and fpr
+        assert not (out / "tpr_fpr.csv").exists()
         summary = (out / "summary.txt").read_text()
         assert summary.startswith("NN test error ")
         assert "GA test error " in summary
@@ -490,12 +529,20 @@ class TestNetworkShape:
         ("[labeling]\nscore_multiplier = 0\n",
          "[labeling] score_multiplier must be > 0, got 0.0"),
         ("[split]\ntrain = -0.5\n", "[split] train must be >= 0, got -0.5"),
+        ("[split]\ntrain = 0.5\n",
+         "[split] train, validation and test must sum to 1, "
+         "got 0.5 + 0.15 + 0.15 = 0.8"),
+        ("[synthetic]\nscatter = -1\n",
+         "[synthetic] scatter must be >= 0, got -1"),
+        ("[synthetic]\nblob1 = 35, 35, 5, 5, 0\n",
+         "[synthetic] blob1 must be >= 1, got 0"),
     ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
             "threshold-value", "fitness-metric", "sigma0", "lambda0",
             "file-seed",
             "clusters-abc", "multiplier-nan", "split-ratio", "blob-count",
             "bounds-inf", "negative-file-seed", "population-0", "alpha-2",
-            "clusters-0", "multiplier-0", "split-negative"])
+            "clusters-0", "multiplier-0", "split-negative", "split-sum",
+            "scatter-negative", "blob-count-0"])
     def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,
                                         capsys, text, named):
         cfg = tmp_path / "bad.ini"

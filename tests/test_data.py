@@ -49,7 +49,6 @@ class TestLoadCsv:
         path = _write(tmp_path, "x,class\n1,0\n2,1\n")
         ds = load_csv(path)
         assert list(ds.class_ids) == [0, 1]
-        assert ds.num_classes == 2
 
     def test_text_in_feature_cell(self, tmp_path):
         path = _write(tmp_path, "x,y\n1,2\n3,oops\n")
@@ -113,6 +112,17 @@ class TestLoadCsv:
         path = _write(tmp_path, text)
         with pytest.raises(error, match=match):
             load_csv(path)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("-1", "not an integer in [0, 2^63): '-1'"),
+        ("99999999999999999999",
+         "not an integer in [0, 2^63): '99999999999999999999'"),
+    ], ids=["negative", "past-int64"])
+    def test_class_id_outside_int64_range(self, tmp_path, cell, message):
+        path = _write(tmp_path, f"x,class\n1,0\n2, {cell}\n")
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: row 3, column 'class': {message}"
 
     def test_cells_padded_with_any_whitespace(self, tmp_path):
         # str.strip removes the ASCII separators \x1c-\x1f, float() does not

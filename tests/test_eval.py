@@ -354,8 +354,8 @@ class TestFormatting:
 class TestSvgChart:
     def test_valid_static_svg(self):
         curve = roc_curve([0.9, 0.4, 0.6, 0.1], [True, True, False, False])
-        svg = unit_line_chart([("demo", [(p[0], p[1])
-                                         for p in curve.points])],
+        svg = unit_line_chart(("demo", [(p[0], p[1])
+                                        for p in curve.points]),
                               "ROC", "FPR", "TPR")
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
