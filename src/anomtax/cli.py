@@ -90,25 +90,21 @@ def cmd_synth(cfg: RunConfig, out_csv) -> int:
     return 0
 
 
-def _report_rows(reports):
+def _write_reports(reports, out: Path, cfg: RunConfig):
+    """Write the ``(class id, report)`` pairs as CSV and text; the class id
+    of a dataset without classes is ""."""
     header = ["#Point", "#Cluster", "#ND", "#CNA", "#CPA", "#PA"]
-    rows = [[r.points, r.clusters, r.nd, r.cna, r.cpa, r.pa]
-            for r in reports]
-    return header, rows
-
-
-def _write_reports(reports, class_ids, out: Path, cfg: RunConfig):
-    header, rows = _report_rows(reports)
-    with open(out / "labeling_report.csv", "w", encoding="utf-8") as fh:
-        fh.write("class," + ",".join(header) + "\n")
-        for class_id, row in zip(class_ids, rows):
-            fh.write(f"{class_id}," + ",".join(str(v) for v in row) + "\n")
+    rows = ["class," + ",".join(header)]
     lines = []
-    for class_id, row in zip(class_ids, rows):
+    for class_id, r in reports:
+        values = [r.points, r.clusters, r.nd, r.cna, r.cpa, r.pa]
+        rows.append(f"{class_id}," + ",".join(map(str, values)))
         lines.append(f"sub-dataset (class {class_id})" if class_id != ""
                      else "dataset")
-        for name, value in zip(header, row):
-            lines.append(f"  {name:<9} {value}")
+        lines += [f"  {name:<9} {value}"
+                  for name, value in zip(header, values)]
+    (out / "labeling_report.csv").write_text("\n".join(rows) + "\n",
+                                             encoding="utf-8")
     text = "\n".join(lines) + "\n"
     (out / "labeling_report.txt").write_text(text, encoding="utf-8")
     _say(cfg, text.rstrip())
@@ -126,44 +122,20 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     params = None
     if ds.class_ids is not None:
         with _stage("label"):
-            names = ds.feature_names
-            unknown = [n for n in cfg.retained + cfg.discarded
-                       if n not in names]
-            if unknown:
-                raise ValueError("[data] retained/discarded names not in "
-                                 f"the CSV header: {', '.join(unknown)}")
-            twice = [n for chosen in (cfg.retained, cfg.discarded)
-                     for i, n in enumerate(chosen) if n in chosen[:i]]
-            if twice:
-                raise ValueError("[data] names a feature twice in one list: "
-                                 f"{', '.join(dict.fromkeys(twice))}")
-            both = [n for n in cfg.retained if n in cfg.discarded]
-            if both:
-                raise ValueError("[data] names both retained and "
-                                 f"discarded: {', '.join(both)}")
-            if not cfg.retained or not cfg.discarded:
-                raise ValueError(
-                    "supervised labeling needs [data] retained and "
-                    "discarded feature names matching the CSV header"
-                )
-            retained = [names.index(n) for n in cfg.retained]
-            discarded = [names.index(n) for n in cfg.discarded]
             labeled, reports = labeling.label_supervised(
-                ds, cfg.labeling, retained, discarded)
-        class_ids = sorted(set(ds.class_ids.tolist()))
+                ds, cfg.labeling, cfg.retained, cfg.discarded)
     else:
         with _stage("normalize"):
             normalized, params = minmax_normalize(ds)
         with _stage("label"):
             labeled, report = labeling.label_dataset(normalized, cfg.labeling)
-        reports = [report]
-        class_ids = [""]
+        reports = [("", report)]
     with _stage("write"):
         out = _outdir(cfg)
         if params is not None:
             params.save(out / "norm_params.txt")
         save_csv(labeled, out / "labeled.csv")
-        _write_reports(reports, class_ids, out, cfg)
+        _write_reports(reports, out, cfg)
     _say(cfg, f"wrote {out / 'labeled.csv'}")
     return 0
 
@@ -243,9 +215,10 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
     with _stage("eval"):
         scores, matrix = ga.score(model, ds.features, ds.labels,
                                   LABEL_TOKENS)
+        error = evaluation.test_error(matrix)
     with _stage("write"):
         _write_model_eval("eval", scores, matrix, ds.labels, _outdir(cfg))
-    _say(cfg, f"test error {evaluation.fmt_pct(evaluation.test_error(matrix))}")
+    _say(cfg, f"test error {evaluation.fmt_pct(error)}")
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Dataset container, CSV ingestion, normalization, feature weighting and
-aggregation, stratified splitting, and synthetic 2-D data generation.
+"""Dataset container, CSV ingestion, normalization, stratified splitting,
+and synthetic 2-D data generation.
 
 A :class:`Dataset` is column-oriented (one ``(n, d)`` float array plus
 optional per-sample class ids and anomaly labels) and is treated as
@@ -29,8 +29,6 @@ __all__ = [
     "load_csv",
     "save_csv",
     "minmax_normalize",
-    "compute_sample_weights",
-    "aggregate_features",
     "stratified_split",
     "generate_synthetic",
     "derive_seed",
@@ -318,46 +316,6 @@ def minmax_normalize(ds: Dataset):
 
 
 # ---------------------------------------------------------------------------
-# feature weighting and aggregation
-# ---------------------------------------------------------------------------
-
-def compute_sample_weights(ds: Dataset, discarded_features) -> np.ndarray:
-    """Per-sample weight: mean of the normalized values over the discarded
-    feature columns."""
-    idx = _check_feature_indices(ds, discarded_features, "discarded")
-    if len(idx) == 0:
-        raise ValueError("weighting needs at least one discarded feature")
-    if ds.n and (ds.features.min() < 0.0 or ds.features.max() > 1.0):
-        raise ValueError("sample weighting expects a normalized dataset")
-    return ds.features[:, idx].mean(axis=1)
-
-
-def aggregate_features(ds: Dataset, retained_features, weights) -> Dataset:
-    """Shift every retained feature of sample i by that sample's weight."""
-    idx = _check_feature_indices(ds, retained_features, "retained")
-    if len(idx) == 0:
-        raise ValueError("aggregation needs at least one retained feature")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (ds.n,):
-        raise ValueError(
-            f"weights length {weights.shape} does not match n={ds.n}"
-        )
-    new = ds.features[:, idx] + weights[:, None]
-    names = [ds.feature_names[j] for j in idx]
-    return ds.with_features(new, names)
-
-
-def _check_feature_indices(ds, indices, what):
-    idx = sorted(int(j) for j in indices)
-    for j in idx:
-        if not 0 <= j < ds.dim:
-            raise ValueError(f"{what} feature index {j} outside [0, {ds.dim})")
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate {what} feature index")
-    return idx
-
-
-# ---------------------------------------------------------------------------
 # stratified splitting
 # ---------------------------------------------------------------------------
 
@@ -392,20 +350,15 @@ def _largest_remainder(count: int, ratios: SplitRatios):
 
 
 def stratified_split(ds: Dataset, ratios: SplitRatios, seed: int):
-    """Split so each label group lands in train/val/test at the same rate.
+    """Split so each anomaly label lands in train/val/test at the same rate.
 
-    Groups come from anomaly labels when present, otherwise from class ids.
-    Per group the counts use floor-then-largest-remainder allocation and a
-    seeded shuffle decides membership, so the result is deterministic.
+    Groups are the anomaly labels, in ascending order.  Per group the
+    counts use floor-then-largest-remainder allocation and a seeded shuffle
+    decides membership, so the result is deterministic.
     """
-    if ds.labels is not None:
-        key = ds.labels
-    elif ds.class_ids is not None:
-        key = ds.class_ids
-    else:
-        raise ValueError(
-            "stratified_split needs anomaly labels or class ids to group by"
-        )
+    key = ds.labels
+    if key is None:
+        raise ValueError("stratified_split needs anomaly labels to group by")
     rng = np.random.default_rng(seed)
     picks = ([], [], [])
     for value in np.flatnonzero(np.bincount(key)):

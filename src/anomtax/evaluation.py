@@ -214,11 +214,11 @@ def write_metrics_csv(matrix: ConfusionMatrix, path) -> None:
     precision, recall = precision_recall(matrix)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "tpr", "fpr"])
+        writer.writerow(["class", "precision", "recall", "fpr"])
         for c in range(matrix.num_classes):
-            tpr, fpr = tpr_fpr(matrix, c)
+            _, fpr = tpr_fpr(matrix, c)
             writer.writerow([matrix.class_names[c], repr(float(precision[c])),
-                             repr(float(recall[c])), repr(tpr), repr(fpr)])
+                             repr(float(recall[c])), repr(fpr)])
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:

@@ -116,13 +116,12 @@ class PreparedSplits(NamedTuple):
 
 def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
                    class_names: tuple) -> PreparedSplits:
-    """One-hot the training/validation targets over the named classes, keep
-    test targets as ids."""
+    """One-hot the training/validation anomaly labels over the named
+    classes, keep test labels as ids."""
     def ids(ds):
-        key = ds.labels if ds.labels is not None else ds.class_ids
-        if key is None:
-            raise ValueError("split has neither anomaly labels nor class ids")
-        return np.asarray(key, dtype=np.int64)
+        if ds.labels is None:
+            raise ValueError("split has no anomaly labels")
+        return np.asarray(ds.labels, dtype=np.int64)
 
     return PreparedSplits(
         x_train=train.features, t_train=one_hot(ids(train), len(class_names)),

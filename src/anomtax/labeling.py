@@ -14,13 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import (
-    AnomalyLabel,
-    Dataset,
-    aggregate_features,
-    compute_sample_weights,
-    minmax_normalize,
-)
+from .data import AnomalyLabel, Dataset, minmax_normalize
 
 __all__ = [
     "ClusterModel",
@@ -448,25 +442,49 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
     return ds.with_labels(labels), report
 
 
-def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,
-                     discarded_features):
+def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
     """Label a supervised dataset class by class.
 
-    The dataset is normalized, each sample weighted by the mean of its
+    ``retained`` and ``discarded`` name feature columns; each list is taken
+    in the CSV's column order, whatever order it names them in.  The
+    dataset is normalized, each sample weighted by the mean of its
     discarded features, the retained features shifted by that weight, and
     the result split by class.  Every class sub-dataset is labeled
     independently, re-normalized, and the pieces are stitched back together
     in the original sample order.
 
     ``cfg`` applies to every class.  A class too small to analyze is
-    reported as degenerate and labeled all-ND.
+    reported as degenerate and labeled all-ND.  Returns the labeled dataset
+    and one ``(class_id, report)`` pair per class id that occurs, in
+    ascending id order.
     """
     if ds.class_ids is None:
         raise ValueError("supervised labeling needs class ids")
+    names = ds.feature_names
+    unknown = [n for n in [*retained, *discarded] if n not in names]
+    if unknown:
+        raise ValueError("[data] retained/discarded names not in "
+                         f"the CSV header: {', '.join(unknown)}")
+    twice = [n for chosen in (retained, discarded)
+             for i, n in enumerate(chosen) if n in chosen[:i]]
+    if twice:
+        raise ValueError("[data] names a feature twice in one list: "
+                         f"{', '.join(dict.fromkeys(twice))}")
+    both = [n for n in retained if n in discarded]
+    if both:
+        raise ValueError("[data] names both retained and "
+                         f"discarded: {', '.join(both)}")
+    if not retained or not discarded:
+        raise ValueError("supervised labeling needs [data] retained and "
+                         "discarded feature names matching the CSV header")
+    keep = sorted(map(names.index, retained))
+    drop = sorted(map(names.index, discarded))
 
     normalized, _ = minmax_normalize(ds)
-    weights = compute_sample_weights(normalized, discarded_features)
-    agg = aggregate_features(normalized, retained_features, weights)
+    x = normalized.features
+    weights = x[:, drop].mean(axis=1)
+    agg = normalized.with_features(x[:, keep] + weights[:, None],
+                                   [names[j] for j in keep])
 
     out_features = np.zeros_like(agg.features)
     out_labels = np.zeros(ds.n, dtype=np.int8)
@@ -487,7 +505,7 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained_features,
         renorm, _ = minmax_normalize(labeled)
         out_features[rows] = renorm.features
         out_labels[rows] = renorm.labels
-        reports.append(report)
+        reports.append((class_id, report))
 
     integrated = Dataset(out_features, agg.feature_names, ds.class_ids,
                          out_labels)

@@ -355,9 +355,10 @@ def test_criterion_11_compare_determinism(tmp_path, labeled_synthetic):
 
 def test_criterion_12_supervised_shape(iris_like):
     cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
-    labeled, reports = label_supervised(iris_like, cfg,
-                                        retained_features=[2, 3],
-                                        discarded_features=[0, 1])
+    labeled, pairs = label_supervised(iris_like, cfg,
+                                      ["petal_len", "petal_wid"],
+                                      ["sepal_len", "sepal_wid"])
+    reports = [report for _, report in pairs]
     ok = len(reports) == 3
     ok &= all(r.points == 50 for r in reports)
     ok &= all(min(r.nd, r.cna, r.cpa, r.pa) > 0 for r in reports

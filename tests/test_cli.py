@@ -341,7 +341,7 @@ class TestCompare:
                      "nn_confusion.txt", "ga_confusion.csv", "ga_cycles.csv",
                      "nn_metrics.csv", "ga_metrics.csv"):
             assert (out / name).is_file(), name
-        # the metrics files hold each class's tpr and fpr
+        # the metrics files hold each class's recall (its tpr) and fpr
         assert not (out / "tpr_fpr.csv").exists()
         summary = (out / "summary.txt").read_text()
         assert summary.startswith("NN test error ")
@@ -428,6 +428,21 @@ class TestEvalAndRoc:
         assert "error in stage 'load'" in err
         assert f"model is 2-10-{outputs}" in err
         assert "(ND, CNA, CPA, PA)" in err
+        assert not out.exists()
+
+    def test_header_only_csv_stops_in_eval(self, tmp_path, tiny_config,
+                                           capsys):
+        model = tmp_path / "model.txt"
+        n_weights = (2 + 1) * 10 + (10 + 1) * 4
+        model.write_text("2 10 4\n" + "0.5\n" * n_weights, encoding="utf-8")
+        csv_path = tmp_path / "e.csv"
+        csv_path.write_text("x,y,label\n", encoding="utf-8")
+        out = tmp_path / "ev"
+        assert main(["--seed", "0", "--config", tiny_config, "--quiet",
+                     "--out", str(out), "eval", str(model),
+                     str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'eval': empty confusion matrix" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("weight", ["nan", "abc"])

@@ -12,8 +12,6 @@ from anomtax.data import (
     LabelTokenError,
     SplitRatios,
     SyntheticSpec,
-    aggregate_features,
-    compute_sample_weights,
     generate_synthetic,
     load_csv,
     minmax_normalize,
@@ -21,6 +19,7 @@ from anomtax.data import (
     stratified_split,
 )
 from anomtax.data import _largest_remainder
+from anomtax.labeling import LabelingConfig, label_dataset, label_supervised
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -207,73 +206,119 @@ class TestNormalize:
             minmax_normalize(Dataset(np.zeros((0, 2))))
 
 
+# Weighting and aggregation run inside labeling.label_supervised.  A class
+# of at most knn_k rows is not labeled, so its output features are its
+# weighted, shifted features min-max rescaled per column.
+SMALL_CLASS = LabelingConfig(num_clusters=1, knn_k=5, seed=0)
+
+
+def _supervised(features, retained, discarded, class_ids=None,
+                cfg=SMALL_CLASS):
+    """label_supervised over columns f0, f1, ...; one class by default."""
+    features = np.asarray(features, dtype=np.float64)
+    n, d = features.shape
+    ds = Dataset(features, [f"f{j}" for j in range(d)],
+                 class_ids=[0] * n if class_ids is None else class_ids)
+    labeled, _ = label_supervised(ds, cfg, retained, discarded)
+    return labeled
+
+
 class TestWeighting:
+    # a constant retained column normalizes to 0, so its output column is
+    # the rescaled weight; the first two rows put the weights' range at
+    # [0, 1], where the rescaling is exact
     def test_mean_of_discarded(self):
-        ds = Dataset([[0.2, 0.4, 0.6, 0.5]])
-        w = compute_sample_weights(ds, [0, 1, 2])
+        out = _supervised([[0.0, 0.0, 0.0, 7.0], [1.0, 1.0, 1.0, 7.0],
+                           [0.2, 0.4, 0.6, 7.0]],
+                          ["f3"], ["f0", "f1", "f2"])
+        w = out.features[2, 0]
         # independent summation
-        assert w[0] == pytest.approx((0.2 + 0.4 + 0.6) / 3, abs=1e-15)
-        assert w[0] == pytest.approx(0.4, abs=1e-15)
+        assert w == pytest.approx((0.2 + 0.4 + 0.6) / 3, abs=1e-15)
+        assert w == pytest.approx(0.4, abs=1e-15)
 
     def test_zero_values(self):
-        ds = Dataset([[0.0, 0.0, 0.0, 1.0]])
-        assert compute_sample_weights(ds, [0, 1, 2])[0] == 0.0
+        # discarded values at their column minimum weigh exactly 0
+        # and leave the retained value as it is: [0, 1, 0] + [0, 0, 1]
+        out = _supervised([[3.0, 5.0, 0.2], [3.0, 5.0, 0.9],
+                           [4.0, 6.0, 0.2]], ["f2"], ["f0", "f1"])
+        np.testing.assert_array_equal(out.features[:, 0], [0.0, 1.0, 1.0])
 
     def test_single_discarded_is_identity(self):
-        ds = Dataset([[0.9, 0.1]])
-        assert compute_sample_weights(ds, [0])[0] == 0.9
+        raw = np.array([0.9, 0.1, 0.5, 0.3])
+        out = _supervised(np.column_stack([raw, np.full(4, 3.0)]),
+                          ["f1"], ["f0"])
+        np.testing.assert_array_equal(out.features[:, 0],
+                                      (raw - 0.1) / (0.9 - 0.1))
 
     def test_no_discarded_rejected(self):
-        ds = Dataset([[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            compute_sample_weights(ds, [])
-
-    def test_unnormalized_rejected(self):
-        ds = Dataset([[5.0, 1.0]])
-        with pytest.raises(ValueError):
-            compute_sample_weights(ds, [0])
+        with pytest.raises(ValueError, match="needs \\[data\\] retained "
+                                             "and discarded"):
+            _supervised([[0.5, 0.5], [0.1, 0.2]], ["f0", "f1"], [])
 
 
 class TestAggregation:
     def test_shift_by_weight(self):
-        ds = Dataset([[0.5, 0.3]])
-        out = aggregate_features(ds, [0], np.array([0.4]))
-        assert out.features[0, 0] == pytest.approx(0.9, abs=1e-15)
+        # retained [0, 1, 0.5] plus weights [0, 1, 0.4] is [0, 2, 0.9]
+        out = _supervised([[0.0, 0.0], [1.0, 1.0], [0.5, 0.4]],
+                          ["f0"], ["f1"])
+        assert out.features[2, 0] == pytest.approx(0.9 / 2, abs=1e-15)
 
     def test_zero_weights_identity(self):
+        # a constant discarded column weighs every sample 0, which leaves
+        # the unsupervised pipeline on the retained columns
         rng = np.random.default_rng(4)
-        ds = Dataset(rng.random((10, 3)))
-        out = aggregate_features(ds, [0, 2], np.zeros(10))
-        np.testing.assert_array_equal(out.features, ds.features[:, [0, 2]])
+        feats = np.column_stack([rng.random((40, 2)), np.full(40, 2.5)])
+        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        out = _supervised(feats, ["f0", "f1"], ["f2"], cfg=cfg)
+        norm, _ = minmax_normalize(Dataset(feats[:, :2]))
+        direct, _ = label_dataset(norm, cfg)
+        np.testing.assert_array_equal(out.labels, direct.labels)
+        np.testing.assert_array_equal(
+            out.features, minmax_normalize(direct)[0].features)
 
     def test_broadcast_over_retained(self):
-        ds = Dataset([[0.2, 0.6, 0.9]])
-        out = aggregate_features(ds, [0, 1], np.array([0.1]))
-        np.testing.assert_allclose(out.features[0], [0.3, 0.7], atol=1e-15)
+        # the same weight shifts both retained columns
+        out = _supervised([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                           [0.5, 0.25, 0.4]], ["f0", "f1"], ["f2"])
+        np.testing.assert_allclose(out.features[2], [0.9 / 2, 0.65 / 2],
+                                   atol=1e-15)
 
     def test_matches_per_cell_loop(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            n, d = int(rng.integers(1, 20)), int(rng.integers(2, 6))
-            ds = Dataset(rng.random((n, d)))
-            retained = sorted(rng.choice(d, size=int(rng.integers(1, d + 1)),
-                                         replace=False))
-            weights = rng.random(n)
-            out = aggregate_features(ds, retained, weights)
+            n, d = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+            feats = rng.random((n, d))
+            cols = rng.permutation(d)
+            cut = int(rng.integers(1, d))
+            retained = [f"f{j}" for j in cols[:cut]]
+            discarded = [f"f{j}" for j in cols[cut:]]
+            out = _supervised(feats, retained, discarded)
+            norm = minmax_normalize(Dataset(feats))[0].features
+            keep, drop = sorted(cols[:cut]), sorted(cols[cut:])
+            agg = np.empty((n, len(keep)))
             for i in range(n):
-                for jj, j in enumerate(retained):
-                    assert out.features[i, jj] == \
-                        weights[i] + ds.features[i, j]
-
-    def test_bad_weight_length(self):
-        ds = Dataset([[0.1], [0.2]])
-        with pytest.raises(ValueError):
-            aggregate_features(ds, [0], np.zeros(3))
+                weight = sum(norm[i, j] for j in drop) / len(drop)
+                for jj, j in enumerate(keep):
+                    agg[i, jj] = weight + norm[i, j]
+            np.testing.assert_array_equal(
+                out.features, minmax_normalize(Dataset(agg))[0].features)
+            assert out.feature_names == [f"f{j}" for j in keep]
 
     def test_labels_carried_through(self):
-        ds = Dataset([[0.1, 0.2]], labels=[2], class_ids=[1])
-        out = aggregate_features(ds, [1], np.array([0.0]))
-        assert list(out.labels) == [2] and list(out.class_ids) == [1]
+        # each class's labels and features land back on its own rows:
+        # interleaving the classes permutes the output the same way
+        rng = np.random.default_rng(6)
+        feats = np.vstack([rng.random((30, 3)), rng.random((30, 3)) + 4])
+        class_ids = np.array([3] * 30 + [8] * 30)
+        rows = np.column_stack([np.arange(30), np.arange(30, 60)]).ravel()
+        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        blocks = _supervised(feats, ["f0", "f1"], ["f2"], class_ids, cfg)
+        mixed = _supervised(feats[rows], ["f0", "f1"], ["f2"],
+                            class_ids[rows], cfg)
+        np.testing.assert_array_equal(mixed.class_ids, class_ids[rows])
+        np.testing.assert_array_equal(mixed.labels, blocks.labels[rows])
+        np.testing.assert_array_equal(mixed.features, blocks.features[rows])
+        assert len(set(blocks.labels.tolist())) > 1
 
 
 class TestStratifiedSplit:
@@ -334,11 +379,11 @@ class TestStratifiedSplit:
             return sorted(picks[0])
 
         rng = np.random.default_rng(8)
-        class_ids = rng.choice([0, 2, 5], 40)
-        ds = Dataset(rng.random((40, 2)), class_ids=class_ids)
+        labels = rng.choice([0, 1, 3], 40)
+        ds = Dataset(rng.random((40, 2)), labels=labels)
         ratios = SplitRatios(0.5, 0.25, 0.25)
         train, _, _ = stratified_split(ds, ratios, 3)
-        want = old_split_picks(class_ids, ratios, 3)
+        want = old_split_picks(labels, ratios, 3)
         np.testing.assert_array_equal(train.features, ds.features[want])
 
     def test_bad_ratios(self):
@@ -348,6 +393,12 @@ class TestStratifiedSplit:
     def test_needs_grouping_key(self):
         ds = Dataset([[1.0], [2.0]])
         with pytest.raises(ValueError):
+            stratified_split(ds, SplitRatios(), 0)
+
+    def test_class_ids_are_not_a_grouping_key(self):
+        # grouping by these ids would count up to 2**40
+        ds = Dataset([[1.0], [2.0]], class_ids=[0, 2**40])
+        with pytest.raises(ValueError, match="needs anomaly labels"):
             stratified_split(ds, SplitRatios(), 0)
 
 

@@ -337,7 +337,7 @@ class TestFormatting:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(m, path)
         rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[0] == ["class", "precision", "recall", "tpr", "fpr"]
+        assert rows[0] == ["class", "precision", "recall", "fpr"]
         assert float(rows[1][1]) == pytest.approx(12 / 14)
         assert rows[2][1] == "nan"
 

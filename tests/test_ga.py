@@ -37,7 +37,7 @@ def tiny_splits(seed=0):
     rng = np.random.default_rng(seed)
     x = np.vstack([rng.normal((0.25, 0.25), 0.06, (30, 2)),
                    rng.normal((0.75, 0.75), 0.06, (30, 2))])
-    ds = Dataset(x, class_ids=[0] * 30 + [1] * 30)
+    ds = Dataset(x, labels=[0] * 30 + [1] * 30)
     train, val, test = stratified_split(ds, SplitRatios(), seed)
     return prepare_splits(train, val, test, CLASS_NAMES)
 

@@ -624,53 +624,94 @@ class TestLabelDataset:
                              | (labels == AnomalyLabel.CNA)].any()
 
 
+IRIS_SPLIT = (["petal_len", "petal_wid"], ["sepal_len", "sepal_wid"])
+
+
 class TestLabelSupervised:
     def test_iris_like_shape(self, iris_like):
         cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
-        labeled, reports = label_supervised(iris_like, cfg,
-                                            retained_features=[2, 3],
-                                            discarded_features=[0, 1])
-        assert len(reports) == 3
-        assert [r.points for r in reports] == [50, 50, 50]
+        labeled, reports = label_supervised(iris_like, cfg, *IRIS_SPLIT)
+        assert [class_id for class_id, _ in reports] == [0, 1, 2]
+        assert [r.points for _, r in reports] == [50, 50, 50]
         assert labeled.n == iris_like.n
         np.testing.assert_array_equal(labeled.class_ids, iris_like.class_ids)
         assert labeled.dim == 2
 
     def test_sub_dataset_sizes_sum_to_n(self, iris_like):
         cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
-        _, reports = label_supervised(iris_like, cfg, [2, 3], [0, 1])
-        assert sum(r.points for r in reports) == iris_like.n
+        _, reports = label_supervised(iris_like, cfg, *IRIS_SPLIT)
+        assert sum(r.points for _, r in reports) == iris_like.n
 
-    def test_single_class_matches_unsupervised_pipeline(self):
+    @pytest.mark.parametrize("retained, discarded", [
+        (["r0", "r1"], ["d1"]),
+        (["r0", "r1"], ["d0", "d1", "d2"]),
+        (["r1", "r0"], ["d2", "d0"]),
+    ], ids=["discarded1", "discarded3", "out-of-order"])
+    def test_single_class_matches_unsupervised_pipeline(self, retained,
+                                                        discarded):
         rng = np.random.default_rng(11)
-        feats = np.column_stack([
-            rng.normal(2.0, 0.1, 60),
-            rng.normal(1.0, 0.1, 60),
-            np.vstack([rng.normal((5, 5), 0.4, (55, 2)),
-                       rng.uniform(-20, 30, (5, 2))]).reshape(60, 2),
-        ])
-        ds = Dataset(feats, class_ids=np.zeros(60, dtype=int))
+        points = np.vstack([rng.normal((5, 5), 0.4, (55, 2)),
+                            rng.uniform(-20, 30, (5, 2))])
+        noise = rng.normal((2.0, 1.0, 3.0), 0.1, (60, 3))
+        names = ["d0", "r0", "d1", "r1", "d2"]
+        feats = np.column_stack([noise[:, 0], points[:, 0], noise[:, 1],
+                                 points[:, 1], noise[:, 2]])
+        ds = Dataset(feats, names, class_ids=np.zeros(60, dtype=int))
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
-        labeled, reports = label_supervised(ds, cfg, [2, 3], [0, 1])
+        labeled, reports = label_supervised(ds, cfg, retained, discarded)
         assert len(reports) == 1
 
-        from anomtax.data import (aggregate_features, compute_sample_weights,
-                                  minmax_normalize)
+        # oracle: both lists in header order, the mean over the discarded
+        # columns in that order, then the shift
+        keep = [j for j, name in enumerate(names) if name in retained]
+        drop = [j for j, name in enumerate(names) if name in discarded]
         norm, _ = minmax_normalize(ds)
-        weights = compute_sample_weights(norm, [0, 1])
-        agg = aggregate_features(norm, [2, 3], weights)
+        weights = sum(norm.features[:, j] for j in drop) / len(drop)
+        agg = Dataset(norm.features[:, keep] + weights[:, None],
+                      [names[j] for j in keep])
         direct, direct_report = label_dataset(agg, cfg)
         np.testing.assert_array_equal(labeled.labels, direct.labels)
-        assert report_counts(reports[0]) == report_counts(direct_report)
+        np.testing.assert_array_equal(
+            labeled.features, minmax_normalize(direct)[0].features)
+        assert labeled.feature_names == ["r0", "r1"]
+        assert report_counts(reports[0][1]) == report_counts(direct_report)
+
+    def test_retained_keep_header_order(self, iris_like):
+        cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+        listed, _ = label_supervised(iris_like, cfg, *IRIS_SPLIT)
+        reversed_, _ = label_supervised(iris_like, cfg,
+                                        ["petal_wid", "petal_len"],
+                                        ["sepal_wid", "sepal_len"])
+        assert reversed_.feature_names == ["petal_len", "petal_wid"]
+        np.testing.assert_array_equal(reversed_.features, listed.features)
+        np.testing.assert_array_equal(reversed_.labels, listed.labels)
+
+    @pytest.mark.parametrize("retained, discarded, message", [
+        (["petal_len", "petal_wdt"], ["sepal_len", "sepal"],
+         "not in the CSV header: petal_wdt, sepal"),
+        (["petal_len", "petal_len"], ["sepal_len"],
+         "twice in one list: petal_len"),
+        (["petal_len", "petal_wid"], ["petal_wid", "sepal_len"],
+         "both retained and discarded: petal_wid"),
+        ([], ["sepal_len"], "needs [data] retained and discarded"),
+        (["petal_len"], [], "needs [data] retained and discarded"),
+    ], ids=["unknown", "twice", "both", "no-retained", "no-discarded"])
+    def test_feature_names_checked(self, iris_like, retained, discarded,
+                                   message):
+        cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+        with pytest.raises(ValueError) as err:
+            label_supervised(iris_like, cfg, retained, discarded)
+        assert message in str(err.value)
 
     def test_tiny_class_degenerates_to_nd(self):
         rng = np.random.default_rng(12)
         feats = np.vstack([rng.random((30, 3)), rng.random((3, 3)) + 2])
         ds = Dataset(feats, class_ids=[0] * 30 + [1] * 3)
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
-        labeled, reports = label_supervised(ds, cfg, [0, 1], [2])
-        assert reports[1].points == 3 and reports[1].nd == 3
-        assert reports[1].clusters == 0
+        labeled, reports = label_supervised(ds, cfg, ["f0", "f1"], ["f2"])
+        class_id, report = reports[1]
+        assert class_id == 1 and report.points == 3 and report.nd == 3
+        assert report.clusters == 0
         tiny = labeled.labels[np.asarray(ds.class_ids) == 1]
         assert set(tiny) == {int(AnomalyLabel.ND)}
 
@@ -678,4 +719,4 @@ class TestLabelSupervised:
         ds = Dataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
             label_supervised(ds, LabelingConfig(num_clusters=1, seed=0),
-                             [0], [1])
+                             ["f0"], ["f1"])
