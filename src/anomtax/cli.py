@@ -133,7 +133,9 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     with _stage("write"):
         out = _outdir(cfg)
         if params is not None:
-            params.save(out / "norm_params.txt")
+            with open(out / "norm_params.txt", "w", encoding="utf-8") as fh:
+                for name, lo, hi in zip(ds.feature_names, *params):
+                    fh.write(f"{name} = {float(lo)!r},{float(hi)!r}\n")
         save_csv(labeled, out / "labeled.csv")
         _write_reports(reports, out, cfg)
     _say(cfg, f"wrote {out / 'labeled.csv'}")

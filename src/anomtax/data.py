@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "AnomalyLabel",
     "Dataset",
-    "NormalizationParams",
     "SplitRatios",
     "BlobSpec",
     "SyntheticSpec",
@@ -271,48 +270,28 @@ def save_csv(ds: Dataset, path) -> None:
 # normalization
 # ---------------------------------------------------------------------------
 
-class NormalizationParams:
-    """Per-feature min/max captured from training data for reuse."""
-
-    __slots__ = ("feature_names", "mins", "maxs")
-
-    def __init__(self, feature_names: tuple, mins: np.ndarray,
-                 maxs: np.ndarray):
-        if np.any(maxs < mins):
-            raise ValueError("max < min in normalization params")
-        self.feature_names = feature_names
-        self.mins = mins
-        self.maxs = maxs
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        """Map each column through (x - min) / (max - min).
-
-        Constant columns (max == min) map to 0.0 so downstream math stays
-        finite.
-        """
-        features = np.asarray(features, dtype=np.float64)
-        span = self.maxs - self.mins
-        out = np.zeros_like(features)
-        nz = span > 0
-        out[:, nz] = (features[:, nz] - self.mins[nz]) / span[nz]
-        return out
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for name, lo, hi in zip(self.feature_names, self.mins, self.maxs):
-                fh.write(f"{name} = {float(lo)!r},{float(hi)!r}\n")
-
-
 def minmax_normalize(ds: Dataset):
-    """Rescale every feature into [0, 1]; returns (dataset, params)."""
+    """Rescale every feature into [0, 1] by (x - min) / (max - min).
+
+    A constant column (max == min) maps to 0.0, so downstream math stays
+    finite.  A column whose width max - min overflows float64 is rejected
+    with a ValueError that names it.  Returns ``(dataset, (mins, maxs))``.
+    """
     if ds.n < 1:
         raise ValueError("cannot normalize an empty dataset")
-    params = NormalizationParams(
-        tuple(ds.feature_names),
-        ds.features.min(axis=0),
-        ds.features.max(axis=0),
-    )
-    return ds.with_features(params.apply(ds.features)), params
+    features = ds.features
+    mins, maxs = features.min(axis=0), features.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = maxs - mins
+    for name, lo, hi, width in zip(ds.feature_names, mins.tolist(),
+                                   maxs.tolist(), span.tolist()):
+        if math.isinf(width):
+            raise ValueError(f"feature {name!r} ranges from {lo!r} to "
+                             f"{hi!r}, a width that overflows float64")
+    out = np.zeros_like(features)
+    nz = span > 0
+    out[:, nz] = (features[:, nz] - mins[nz]) / span[nz]
+    return ds.with_features(out), (mins, maxs)
 
 
 # ---------------------------------------------------------------------------

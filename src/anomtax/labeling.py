@@ -1,6 +1,11 @@
-"""The taxonomy engine: point-anomaly detection, radius math for the
+"""The taxonomy engine: point-anomaly detection, the radius rule for the
 huddling point anomalies (CPA), k-means clustering of the remainder, and
-the density-spread test that separates CNA clusters from plain normal data.
+the density-spread rule that separates CNA clusters from plain normal data.
+
+The steps pass plain arrays: ``build_radius_table`` gives each point
+anomaly's mean distance to the others and ``detect_cpa`` keeps those below
+their mean; ``cluster_density_stats`` gives each cluster's density spread
+and ``detect_cna`` keeps those at or above their mean.
 
 Labeling pipelines for both unsupervised datasets and supervised datasets
 (per-class sub-datasets with feature weighting/aggregation) live here too.
@@ -18,7 +23,6 @@ from .data import AnomalyLabel, Dataset, minmax_normalize
 
 __all__ = [
     "ClusterModel",
-    "RadiusTable",
     "LabelingConfig",
     "LabelingReport",
     "detect_point_anomalies",
@@ -56,26 +60,13 @@ class EmptyClusterError(ValueError):
     """k-means could not give every cluster a member."""
 
 
-class RadiusTable(NamedTuple):
-    """Per-point mean distance to the other point anomalies, plus the
-    global mean of those means."""
-
-    mean_dists: np.ndarray
-    global_radius: float
-
-
 class ClusterModel(NamedTuple):
-    """k-means result, optionally annotated with per-cluster density spread."""
+    """k-means result: the centroids, each point's cluster, and the
+    objective after each assignment."""
 
     centroids: np.ndarray
     assignment: np.ndarray
     objective_history: tuple
-    density_std: np.ndarray | None = None
-    threshold: float | None = None
-
-    @property
-    def num_clusters(self) -> int:
-        return self.centroids.shape[0]
 
 
 class LabelingConfig:
@@ -101,21 +92,22 @@ class LabelingConfig:
         self.seed = seed
 
 
-class LabelingReport:
+class LabelingReport(NamedTuple):
     """Counts mirroring the labeled-dataset summary table."""
 
-    __slots__ = ("points", "clusters", "nd", "cna", "cpa", "pa")
+    points: int
+    clusters: int
+    nd: int
+    cna: int
+    cpa: int
+    pa: int
 
-    def __init__(self, points: int, clusters: int, nd: int, cna: int,
-                 cpa: int, pa: int):
-        if nd + cna + cpa + pa != points:
-            raise ValueError("label counts do not partition the dataset")
-        self.points = points
-        self.clusters = clusters
-        self.nd = nd
-        self.cna = cna
-        self.cpa = cpa
-        self.pa = pa
+
+def _report(labels: np.ndarray, clusters: int) -> LabelingReport:
+    """The report of ``labels``; AnomalyLabel values are ND, CNA, CPA, PA
+    = 0..3, the order of the count fields."""
+    return LabelingReport(labels.size, clusters,
+                          *np.bincount(labels, minlength=4).tolist())
 
 
 def detect_point_anomalies(points, cfg: LabelingConfig) -> np.ndarray:
@@ -237,39 +229,33 @@ def _sq_distances(rows, cols, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def _distance_rows(pts):
-    """Yield ``(lo, hi, block)`` with ``block`` = rows lo:hi of the
-    Euclidean distance matrix of ``pts``, at most ``BLOCK_ELEMENTS``
-    values at a time.  The block is a reused buffer: a caller may
-    overwrite it but must not keep it past the next step."""
-    n = pts.shape[0]
-    step = max(1, min(n, BLOCK_ELEMENTS // max(n, 1)))
-    cols = np.ascontiguousarray(pts.T)
-    buf, tmp = np.empty((2, step, n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        block = _sq_distances(pts[lo:hi], cols, buf[:hi - lo], tmp[:hi - lo])
-        yield lo, hi, np.sqrt(block, out=block)
+def build_radius_table(pa_points) -> np.ndarray:
+    """Each point anomaly's radius: its mean distance to the other point
+    anomalies (needs at least two).
 
-
-def build_radius_table(pa_points) -> RadiusTable:
-    """Mean pairwise distances among point anomalies (needs at least two)."""
+    The distance rows are taken ``BLOCK_ELEMENTS`` values at a time, in
+    two reused buffers.
+    """
     pts = _as_points(pa_points)
     k = pts.shape[0]
     if k < 2:
         raise ValueError(
             f"radius table needs at least 2 point anomalies, got {k}"
         )
+    step = max(1, min(k, BLOCK_ELEMENTS // k))
+    cols = np.ascontiguousarray(pts.T)
+    buf, tmp = np.empty((2, step, k))
     sums = np.empty(k)
-    for lo, hi, block in _distance_rows(pts):
-        sums[lo:hi] = block.sum(axis=1)
-    mean_dists = sums / (k - 1)
-    return RadiusTable(mean_dists, float(mean_dists.mean()))
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        block = _sq_distances(pts[lo:hi], cols, buf[:hi - lo], tmp[:hi - lo])
+        sums[lo:hi] = np.sqrt(block, out=block).sum(axis=1)
+    return sums / (k - 1)
 
 
-def detect_cpa(table: RadiusTable) -> np.ndarray:
-    """Point anomalies whose own radius is strictly below the global mean."""
-    return np.flatnonzero(table.mean_dists < table.global_radius)
+def detect_cpa(radii: np.ndarray) -> np.ndarray:
+    """Point anomalies whose radius is strictly below the mean radius."""
+    return np.flatnonzero(radii < radii.mean())
 
 
 def kmeans(points, k: int, seed: int) -> ClusterModel:
@@ -350,17 +336,17 @@ def _repair_empty(cols, centroids, assign, d2, buf):
 
 
 def cluster_density_stats(model: ClusterModel, points,
-                          knn_k: int) -> ClusterModel:
-    """Annotate a cluster model with each cluster's density spread.
+                          knn_k: int) -> np.ndarray:
+    """Each cluster's density spread: the standard deviation of its
+    members' densities.
 
     A member's density is the reciprocal of its mean distance to its
     ``knn_k`` nearest co-cluster members (all of them when the cluster is
     smaller), capped at 1e12 for near-coincident points.  A singleton
-    cluster gets spread 0.  The threshold is the mean of the per-cluster
-    spreads.
+    cluster gets spread 0.
     """
     points = _as_points(points)
-    k = model.num_clusters
+    k = model.centroids.shape[0]
     stds = np.zeros(k)
     for c in range(k):
         members = np.flatnonzero(model.assignment == c)
@@ -370,20 +356,19 @@ def cluster_density_stats(model: ClusterModel, points,
         mean_dist = _knn_scores(points[members], kk)
         dens = np.where(mean_dist < DENSITY_EPS, DENSITY_CAP, 1.0 / np.maximum(mean_dist, DENSITY_EPS))
         stds[c] = dens.std()
-    return model._replace(density_std=stds, threshold=float(stds.mean()))
+    return stds
 
 
-def detect_cna(model: ClusterModel) -> np.ndarray:
-    """Cluster indices whose density spread meets or exceeds the threshold.
+def detect_cna(spreads: np.ndarray) -> np.ndarray:
+    """Cluster indices whose density spread meets or exceeds the
+    threshold, the mean spread.
 
     The comparison is ``>=``, as in the paper, so equal spreads make every
     cluster CNA: a single cluster is always CNA (its spread is the mean
     threshold), and so is a set of identical points (all spreads are 0).
     On the 195-point reference mixture, k=1 labels 184 points CNA.
     """
-    if model.density_std is None or model.threshold is None:
-        raise ValueError("cluster model lacks density stats")
-    return np.flatnonzero(model.density_std >= model.threshold)
+    return np.flatnonzero(spreads >= spreads.mean())
 
 
 def label_dataset(ds: Dataset, cfg: LabelingConfig):
@@ -400,8 +385,7 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
     pa_idx = detect_point_anomalies(points, cfg)
     cpa_idx = np.array([], dtype=np.int64)
     if pa_idx.size >= 2:
-        table = build_radius_table(points[pa_idx])
-        cpa_idx = pa_idx[detect_cpa(table)]
+        cpa_idx = pa_idx[detect_cpa(build_radius_table(points[pa_idx]))]
     labels[pa_idx] = int(AnomalyLabel.PA)
     labels[cpa_idx] = int(AnomalyLabel.CPA)
 
@@ -421,25 +405,17 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
                 # centroid; one cluster always fills
                 clusters_used -= 1
                 log.info("%s; retrying with k=%d", err, clusters_used)
-        model = cluster_density_stats(model, rest_points, cfg.knn_k)
-        cna_clusters = detect_cna(model)
+        spreads = cluster_density_stats(model, rest_points, cfg.knn_k)
+        cna_clusters = detect_cna(spreads)
         if cna_clusters.size == clusters_used:
             log.info("all %d clusters are CNA: every density spread meets "
-                     "the threshold %.6g", clusters_used, model.threshold)
+                     "the threshold %.6g", clusters_used, spreads.mean())
         is_cna = np.zeros(clusters_used, dtype=bool)
         is_cna[cna_clusters] = True
         cna_members = rest[is_cna[model.assignment]]
         labels[cna_members] = int(AnomalyLabel.CNA)
 
-    report = LabelingReport(
-        points=n,
-        clusters=clusters_used,
-        nd=int((labels == AnomalyLabel.ND).sum()),
-        cna=int((labels == AnomalyLabel.CNA).sum()),
-        cpa=int((labels == AnomalyLabel.CPA).sum()),
-        pa=int((labels == AnomalyLabel.PA).sum()),
-    )
-    return ds.with_labels(labels), report
+    return ds.with_labels(labels), _report(labels, clusters_used)
 
 
 def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
@@ -494,10 +470,8 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
         rows = np.flatnonzero(ds.class_ids == class_id)
         sub = agg.subset(rows)
         if rows.size <= cfg.knn_k:
-            labeled = sub.with_labels(
-                np.full(rows.size, int(AnomalyLabel.ND), dtype=np.int8))
-            report = LabelingReport(points=rows.size, clusters=0,
-                                    nd=rows.size, cna=0, cpa=0, pa=0)
+            labels = np.full(rows.size, int(AnomalyLabel.ND), dtype=np.int8)
+            labeled, report = sub.with_labels(labels), _report(labels, 0)
             log.info("class %d too small to label (%d samples), all ND",
                      class_id, rows.size)
         else:

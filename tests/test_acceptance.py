@@ -71,7 +71,7 @@ def test_criterion_01_radius_cpa_oracle():
         k = int(rng.integers(2, 13))
         d = int(rng.integers(1, 6))
         pts = rng.normal(0, 4, (k, d))
-        table = build_radius_table(pts)
+        radii = build_radius_table(pts)
         # independent double loop
         mdist = []
         for i in range(k):
@@ -81,11 +81,10 @@ def test_criterion_01_radius_cpa_oracle():
                     acc += math.sqrt(float(((pts[i] - pts[j]) ** 2).sum()))
             mdist.append(acc / (k - 1))
         rad = sum(mdist) / k
-        ok &= all(abs(a - b) <= 1e-12
-                  for a, b in zip(table.mean_dists, mdist))
-        ok &= abs(table.global_radius - rad) <= 1e-12
+        ok &= all(abs(a - b) <= 1e-12 for a, b in zip(radii, mdist))
+        ok &= abs(radii.mean() - rad) <= 1e-12
         want_cpa = [i for i in range(k) if mdist[i] < rad]
-        ok &= list(detect_cpa(table)) == want_cpa
+        ok &= list(detect_cpa(radii)) == want_cpa
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _criterion(1, "radius table and CPA match brute force on 100 random "
@@ -140,11 +139,10 @@ def test_criterion_02_partition_law():
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_collinear_cpa():
-    table = build_radius_table([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    ok = list(detect_cpa(table)) == [1]
-    ok &= bool(np.all(np.abs(table.mean_dists
-                             - np.array([1.5, 1.0, 1.5])) <= 1e-12))
-    ok &= abs(table.global_radius - 4.0 / 3.0) <= 1e-12
+    radii = build_radius_table([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    ok = list(detect_cpa(radii)) == [1]
+    ok &= bool(np.all(np.abs(radii - np.array([1.5, 1.0, 1.5])) <= 1e-12))
+    ok &= abs(radii.mean() - 4.0 / 3.0) <= 1e-12
     _criterion(3, "collinear point anomalies huddle at the middle point", ok)
 
 

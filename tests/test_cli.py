@@ -11,7 +11,7 @@ import pytest
 
 import anomtax
 from anomtax.cli import main
-from anomtax.data import load_csv
+from anomtax.data import Dataset, load_csv, save_csv
 
 TINY_CONFIG = """
 [synthetic]
@@ -134,6 +134,8 @@ class TestLabel:
             .splitlines()))
         assert len(rows) == 4  # header + three classes
         assert [r[1] for r in rows[1:]] == ["50", "50", "50"]
+        # each class is re-normalized on its own: no one range to record
+        assert not (tmp_path / "sup" / "norm_params.txt").exists()
 
     def test_sparse_class_ids_label_like_dense(self, tmp_path):
         # labeling visits the ids that occur, not every integer below the
@@ -225,6 +227,52 @@ class TestLabel:
         assert "error in stage 'load'" in err
         assert f"{dup}: header names column 'a' twice" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("header, cls, data, stage", [
+        ("x,y", "", "", "normalize"),
+        ("x,y,class", ",0", "[data]\nretained = y\ndiscarded = x\n", "label"),
+    ], ids=["unsupervised", "supervised"])
+    def test_overflowing_range_rejected(self, tmp_path, header, cls, data,
+                                        stage):
+        # every cell is finite, but max - min of 'x' overflows float64;
+        # a subprocess shows the warnings the run would print
+        rows = ["1.5e308,0", "-1.5e308,1"] + [f"{i},{i + 2}"
+                                              for i in range(6)]
+        big = tmp_path / "big.csv"
+        big.write_text(header + "\n" + "".join(r + cls + "\n" for r in rows),
+                       encoding="utf-8")
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(data, encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+        out = tmp_path / "o"
+        done = subprocess.run(
+            [sys.executable, "-m", "anomtax.cli", "--seed", "0", "--config",
+             str(cfg), "--out", str(out), "label", str(big)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert f"error in stage '{stage}': feature 'x' ranges from " \
+               "-1.5e+308 to 1.5e+308" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert not out.exists()
+
+    def test_norm_params_hold_input_ranges(self, tmp_path, tiny_config):
+        # one line per feature in header order, min and max bit for bit
+        rng = np.random.default_rng(4)
+        feats = rng.normal(0, 1, (40, 3)) * [1e-3, 7.0, 1e5]
+        src = tmp_path / "in.csv"
+        save_csv(Dataset(feats, ["zeta", "alpha", "mid"]), src)
+        out = tmp_path / "lab"
+        assert main(["--seed", "0", "--config", tiny_config, "--quiet",
+                     "--out", str(out), "label", str(src)]) == 0
+        lines = (out / "norm_params.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert [line.split(" = ")[0] for line in lines] == \
+            ["zeta", "alpha", "mid"]
+        for line, col in zip(lines, feats.T):
+            lo, hi = line.split(" = ")[1].split(",")
+            assert float(lo).hex() == float(col.min()).hex()
+            assert float(hi).hex() == float(col.max()).hex()
 
     def test_parse_error_names_stage(self, tmp_path, tiny_config, capsys):
         bad = tmp_path / "bad.csv"

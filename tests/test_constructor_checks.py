@@ -6,17 +6,13 @@ import re
 import numpy as np
 import pytest
 
-from anomtax.data import NormalizationParams, SplitRatios
+from anomtax.data import SplitRatios
 from anomtax.evaluation import ConfusionMatrix
 from anomtax.ga import GaConfig
-from anomtax.labeling import LabelingConfig, LabelingReport
+from anomtax.labeling import LabelingConfig
 from anomtax.mlp import Topology, TrainingConfig
 
 CASES = {
-    "NormalizationParams": (
-        lambda: NormalizationParams(("a", "b"), np.array([0.0, 1.0]),
-                                    np.array([1.0, 0.5])),
-        "max < min in normalization params"),
     "SplitRatios-negative": (
         lambda: SplitRatios(train=1.2, validation=-0.1, test=-0.1),
         "split ratios must be nonnegative"),
@@ -48,10 +44,6 @@ CASES = {
     "LabelingConfig-multiplier": (
         lambda: LabelingConfig(num_clusters=2, pa_score_multiplier=0.0),
         "pa_score_multiplier must be > 0"),
-    "LabelingReport": (
-        lambda: LabelingReport(points=10, clusters=2, nd=5, cna=2, cpa=1,
-                               pa=1),
-        "label counts do not partition the dataset"),
     "Topology": (
         lambda: Topology(2, 0, 4),
         "all layer sizes must be >= 1"),

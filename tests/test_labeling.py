@@ -57,8 +57,9 @@ def dense_knn_scores(pts, k):
 
 
 def dense_density_std(model, pts, knn_k):
-    stds = np.zeros(model.num_clusters)
-    for c in range(model.num_clusters):
+    k = model.centroids.shape[0]
+    stds = np.zeros(k)
+    for c in range(k):
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:
             continue
@@ -107,19 +108,17 @@ class TestPointAnomalies:
 
 class TestRadiusTable:
     def test_collinear_golden(self):
-        table = build_radius_table([[0, 0], [1, 0], [2, 0]])
-        np.testing.assert_allclose(table.mean_dists, [1.5, 1.0, 1.5],
-                                   atol=1e-15)
-        assert table.global_radius == pytest.approx(4 / 3, abs=1e-15)
+        radii = build_radius_table([[0, 0], [1, 0], [2, 0]])
+        np.testing.assert_allclose(radii, [1.5, 1.0, 1.5], atol=1e-15)
+        assert radii.mean() == pytest.approx(4 / 3, abs=1e-15)
 
     def test_symmetric_pair(self):
-        table = build_radius_table([[0, 0], [2, 0]])
-        np.testing.assert_array_equal(table.mean_dists, [2.0, 2.0])
-        assert table.global_radius == 2.0
+        radii = build_radius_table([[0, 0], [2, 0]])
+        np.testing.assert_array_equal(radii, [2.0, 2.0])
 
     def test_coincident_points(self):
-        table = build_radius_table([[1, 1]] * 4)
-        assert np.all(table.mean_dists == 0) and table.global_radius == 0
+        radii = build_radius_table([[1, 1]] * 4)
+        np.testing.assert_array_equal(radii, [0.0] * 4)
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
@@ -131,28 +130,23 @@ class TestRadiusTable:
             k = int(rng.integers(2, 13))
             d = int(rng.integers(1, 6))
             pts = rng.normal(0, 5, (k, d))
-            table = build_radius_table(pts)
+            radii = build_radius_table(pts)
             mdist, rad = brute_radius_table(pts.tolist())
-            np.testing.assert_allclose(table.mean_dists, mdist, atol=1e-12)
-            assert table.global_radius == pytest.approx(rad, abs=1e-12)
-            # global radius really is the mean of the per-point radii
-            assert table.global_radius == \
-                pytest.approx(table.mean_dists.mean(), abs=1e-12)
+            np.testing.assert_allclose(radii, mdist, atol=1e-12)
+            assert radii.mean() == pytest.approx(rad, abs=1e-12)
 
 
 class TestDetectCpa:
     def test_middle_point_huddles(self):
-        table = build_radius_table([[0, 0], [1, 0], [2, 0]])
-        assert list(detect_cpa(table)) == [1]
+        radii = build_radius_table([[0, 0], [1, 0], [2, 0]])
+        assert list(detect_cpa(radii)) == [1]
 
     def test_all_equal_no_strict_winner(self):
-        table = build_radius_table([[0, 0], [2, 0]])
-        assert detect_cpa(table).size == 0
+        radii = build_radius_table([[0, 0], [2, 0]])
+        assert detect_cpa(radii).size == 0
 
     def test_outlier_among_outliers(self):
-        from anomtax.labeling import RadiusTable
-        table = RadiusTable(np.array([1.0, 100.0]), 50.5)
-        assert list(detect_cpa(table)) == [0]
+        assert list(detect_cpa(np.array([1.0, 100.0]))) == [0]
 
 
 def broadcast_nearest_centroids(pts, centroids):
@@ -328,50 +322,45 @@ class TestDensityStats:
         angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
         pts = np.column_stack([np.cos(angles), np.sin(angles)])
         model = kmeans(pts, 1, seed=0)
-        model = cluster_density_stats(model, pts, knn_k=2)
-        assert model.density_std[0] == pytest.approx(0.0, abs=1e-9)
+        spreads = cluster_density_stats(model, pts, knn_k=2)
+        assert spreads[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_threshold_is_mean_of_stds(self):
         rng = np.random.default_rng(7)
         pts = np.vstack([rng.normal(0, 0.3, (15, 2)),
                          rng.normal(8, 1.5, (15, 2))])
         model = kmeans(pts, 2, seed=0)
-        model = cluster_density_stats(model, pts, knn_k=3)
-        assert model.threshold == pytest.approx(model.density_std.mean(),
-                                                abs=1e-12)
+        spreads = cluster_density_stats(model, pts, knn_k=3)
+        assert spreads.shape == (2,) and spreads[0] != spreads[1]
+        threshold = sum(spreads.tolist()) / 2
+        assert list(detect_cna(spreads)) == \
+            [c for c in range(2) if spreads[c] >= threshold]
 
     def test_singleton_cluster_zero(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0], [10.1, 10.0],
                         [10.0, 10.1]])
         model = kmeans(pts, 2, seed=2)
-        model = cluster_density_stats(model, pts, knn_k=5)
+        spreads = cluster_density_stats(model, pts, knn_k=5)
         sizes = np.bincount(model.assignment)
         singleton = int(np.argmin(sizes))
         assert sizes[singleton] == 1
-        assert model.density_std[singleton] == 0.0
+        assert spreads[singleton] == 0.0
 
 
 class TestDetectCna:
     def test_threshold_comparison(self):
-        rng = np.random.default_rng(8)
-        pts = rng.random((10, 2))
-        model = kmeans(pts, 2, seed=0)
-        model = model._replace(density_std=np.array([0.1, 0.3]),
-                               threshold=0.2)
-        assert list(detect_cna(model)) == [1]
+        # the threshold is the mean spread, 0.2
+        assert list(detect_cna(np.array([0.1, 0.3]))) == [1]
 
     def test_equality_included(self):
-        model = kmeans(np.random.default_rng(9).random((8, 2)), 2, seed=0)
-        model = model._replace(density_std=np.array([0.5, 0.5]),
-                               threshold=0.5)
-        assert list(detect_cna(model)) == [0, 1]
+        assert list(detect_cna(np.array([0.5, 0.5]))) == [0, 1]
 
     def test_single_cluster_always_cna(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(0, 1, (20, 2))
         model = kmeans(pts, 1, seed=0)
-        model = cluster_density_stats(model, pts, knn_k=4)
-        assert list(detect_cna(model)) == [0]
+        spreads = cluster_density_stats(model, pts, knn_k=4)
+        assert list(detect_cna(spreads)) == [0]
 
 
     def test_one_cluster_on_reference_data_is_cna(self, caplog):
@@ -408,13 +397,6 @@ class TestBlockedDistances:
         pts[7] = pts[3]  # a coincident pair: zero distance and ties
         return pts
 
-    def test_block_bounds(self, small_blocks):
-        bounds = [(lo, hi) for lo, hi, _ in
-                  labeling._distance_rows(self._points(2))]
-        assert bounds == [(lo, min(lo + 4, self.N))
-                          for lo in range(0, self.N, 4)]
-        assert bounds[-1] == (36, 37)
-
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 12])
     def test_matches_dense_formulas(self, small_blocks, d):
         # numpy sums an axis of 8 or more elements pairwise, so from d=8
@@ -428,13 +410,13 @@ class TestBlockedDistances:
 
         same(labeling._knn_scores(pts, 5), dense_knn_scores(pts, 5))
 
-        table = build_radius_table(pts)
+        radii = build_radius_table(pts)
         dense_means = dense_distances(pts).sum(axis=1) / (self.N - 1)
-        same(table.mean_dists, dense_means)
-        same(table.global_radius, dense_means.mean())
+        same(radii, dense_means)
+        same(radii.mean(), dense_means.mean())
 
         model = kmeans(pts, 3, seed=0)
-        got = cluster_density_stats(model, pts, knn_k=5).density_std
+        got = cluster_density_stats(model, pts, knn_k=5)
         same(got, dense_density_std(model, pts, 5))
 
     def test_label_memory_linear_in_n(self):
@@ -547,12 +529,37 @@ class TestLabelDataset:
             pa = detect_point_anomalies(ds.features, cfg)
             rest = np.setdiff1d(np.arange(ds.n), pa)
             model = kmeans(ds.features[rest], cfg.num_clusters, cfg.seed)
-            model = cluster_density_stats(model, ds.features[rest], cfg.knn_k)
-            cna = detect_cna(model)
+            spreads = cluster_density_stats(model, ds.features[rest],
+                                            cfg.knn_k)
+            cna = detect_cna(spreads)
             assert 0 < cna.size < cfg.num_clusters
             want = rest[np.isin(model.assignment, cna)]
             np.testing.assert_array_equal(
                 np.flatnonzero(labeled.labels == AnomalyLabel.CNA), want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cpa_labels_are_the_huddling_point_anomalies(self, seed):
+        # the reference mixture; the double loop of acceptance criterion 1
+        # is the oracle for which point anomalies huddle
+        ds, _ = minmax_normalize(
+            generate_synthetic(load_config(seed=seed).synthetic, seed))
+        labeled, report = label_dataset(ds, LabelingConfig(num_clusters=5,
+                                                           seed=seed))
+        assert report.cpa > 0 and report.pa > 0
+        anomalies = np.flatnonzero(labeled.labels >= AnomalyLabel.CPA)
+        pts = ds.features[anomalies]
+        k = len(pts)
+        mdist = []
+        for i in range(k):
+            acc = 0.0
+            for j in range(k):
+                if i != j:
+                    acc += math.sqrt(float(((pts[i] - pts[j]) ** 2).sum()))
+            mdist.append(acc / (k - 1))
+        rad = sum(mdist) / k
+        want = [int(anomalies[i]) for i in range(k) if mdist[i] < rad]
+        assert np.flatnonzero(labeled.labels == AnomalyLabel.CPA).tolist() \
+            == want
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 80),
