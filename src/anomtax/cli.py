@@ -8,6 +8,7 @@ stage it happened in and exits nonzero.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from contextlib import contextmanager
@@ -133,9 +134,12 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     with _stage("write"):
         out = _outdir(cfg)
         if params is not None:
-            with open(out / "norm_params.txt", "w", encoding="utf-8") as fh:
+            with open(out / "norm_params.csv", "w", newline="",
+                      encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["feature", "min", "max"])
                 for name, lo, hi in zip(ds.feature_names, *params):
-                    fh.write(f"{name} = {float(lo)!r},{float(hi)!r}\n")
+                    writer.writerow([name, repr(float(lo)), repr(float(hi))])
         save_csv(labeled, out / "labeled.csv")
         _write_reports(reports, out, cfg)
     _say(cfg, f"wrote {out / 'labeled.csv'}")
@@ -150,27 +154,26 @@ def _split_and_prepare(cfg: RunConfig, ds: Dataset) -> ga.PreparedSplits:
             raise ValueError("empty test split")
         if train.n == 0:
             raise ValueError("empty training split")
-        return ga.prepare_splits(train, val, test, LABEL_TOKENS)
+        return ga.prepare_splits(train, val, test, len(LABEL_TOKENS))
 
 
-def _write_model_eval(tag: str, scores, matrix, y, out: Path) -> None:
-    """Write a model's confusion matrix (text and CSV), its metrics and
+def _write_model_eval(tag: str, scores, counts, y, out: Path) -> None:
+    """Write a model's confusion counts (text and CSV), its metrics and
     its ROC set, all named by ``tag``."""
     (out / f"{tag}_confusion.txt").write_text(
-        evaluation.format_confusion(matrix), encoding="utf-8")
-    evaluation.write_confusion_csv(matrix, out / f"{tag}_confusion.csv")
-    evaluation.write_metrics_csv(matrix, out / f"{tag}_metrics.csv")
+        evaluation.format_confusion(counts, LABEL_TOKENS), encoding="utf-8")
+    evaluation.write_confusion_csv(counts, LABEL_TOKENS,
+                                   out / f"{tag}_confusion.csv")
+    evaluation.write_metrics_csv(counts, LABEL_TOKENS,
+                                 out / f"{tag}_metrics.csv")
     for c, name in enumerate(LABEL_TOKENS):
         positives = np.asarray(y) == c
         if positives.all() or not positives.any():
             continue  # ROC undefined with one class absent
         curve = evaluation.roc_curve(scores[:, c], positives)
         evaluation.write_roc_csv(curve, out / f"roc_{tag}_{name}.csv")
-        svg = unit_line_chart(
-            (f"{tag} {name} (AUC {curve.auc:.3f})",
-             [(p[0], p[1]) for p in curve.points]),
-            f"ROC {tag} class {name}", "False positive rate",
-            "True positive rate")
+        svg = unit_line_chart(f"{tag} {name} (AUC {curve.auc:.3f})",
+                              curve.points, f"ROC {tag} class {name}")
         (out / f"roc_{tag}_{name}.svg").write_text(svg, encoding="utf-8")
 
 
@@ -215,11 +218,10 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
             f"one output per taxonomy label ({', '.join(LABEL_TOKENS)})",
         )
     with _stage("eval"):
-        scores, matrix = ga.score(model, ds.features, ds.labels,
-                                  LABEL_TOKENS)
-        error = evaluation.test_error(matrix)
+        scores, counts = ga.score(model, ds.features, ds.labels)
+        error = evaluation.test_error(counts)
     with _stage("write"):
-        _write_model_eval("eval", scores, matrix, ds.labels, _outdir(cfg))
+        _write_model_eval("eval", scores, counts, ds.labels, _outdir(cfg))
     _say(cfg, f"test error {evaluation.fmt_pct(error)}")
     return 0
 

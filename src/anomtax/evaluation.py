@@ -1,10 +1,13 @@
-"""Confusion matrices, per-class precision/recall, test error, one-vs-rest
-TPR/FPR, and ROC curves with trapezoidal AUC.
+"""Confusion counts, per-class rates, test error, and ROC curves with
+trapezoidal AUC.
 
-Matrix orientation: rows are the predicted (output) class, columns the
-target class, so printed matrices read like familiar test-confusion
-printouts.  Metrics with a 0/0 denominator carry NaN as an explicit
-"undefined" marker and print as ``NaN%`` - never silently 0.
+A network's test outcome is one ``(k, k)`` int count array,
+``counts[p, t]`` = number of samples of target class t predicted as p:
+rows are the predicted (output) class, columns the target class, so
+printed matrices read like familiar test-confusion printouts.  The
+writers take the class names beside the counts.  Rates with a 0/0
+denominator carry NaN as an explicit "undefined" marker and print as
+``NaN%`` - never silently 0.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "ConfusionMatrix",
     "RocCurve",
     "confusion",
-    "precision_recall",
+    "class_rates",
     "test_error",
-    "tpr_fpr",
     "roc_curve",
     "fmt_pct",
     "format_confusion",
@@ -31,35 +32,8 @@ __all__ = [
 ]
 
 
-class ConfusionMatrix:
-    """counts[p][t] = number of samples of target class t predicted as p."""
-
-    __slots__ = ("counts", "class_names")
-
-    def __init__(self, counts: np.ndarray, class_names: tuple):
-        if (counts.ndim != 2 or counts.shape[0] != counts.shape[1]
-                or counts.shape[0] < 1):
-            raise ValueError(f"confusion matrix must be square, "
-                             f"got {counts.shape}")
-        if counts.min(initial=0) < 0:
-            raise ValueError("confusion counts must be nonnegative")
-        if len(class_names) != counts.shape[0]:
-            raise ValueError("one class name per row required")
-        self.counts = counts
-        self.class_names = class_names
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(targets, predictions, num_classes: int,
-              class_names=None) -> ConfusionMatrix:
-    """Count (target, predicted) pairs into a matrix."""
+def confusion(targets, predictions, num_classes: int) -> np.ndarray:
+    """Count (target, predicted) pairs into ``counts[p, t]``."""
     t = np.asarray(targets, dtype=np.int64)
     p = np.asarray(predictions, dtype=np.int64)
     if t.shape != p.shape or t.ndim != 1:
@@ -72,48 +46,34 @@ def confusion(targets, predictions, num_classes: int,
         raise ValueError(f"class values outside [0, {num_classes})")
     counts = np.bincount(p * num_classes + t,
                          minlength=num_classes * num_classes)
-    counts = counts.reshape(num_classes, num_classes)
-    if class_names is None:
-        class_names = tuple(str(i + 1) for i in range(num_classes))
-    return ConfusionMatrix(counts, tuple(class_names))
+    return counts.reshape(num_classes, num_classes)
 
 
-def precision_recall(matrix: ConfusionMatrix):
-    """Per-class (precision, recall); 0/0 yields NaN."""
-    counts = matrix.counts.astype(np.float64)
-    diag = np.diag(counts)
-    row = counts.sum(axis=1)   # everything predicted as c
-    col = counts.sum(axis=0)   # everything actually c
+def class_rates(counts):
+    """Per-class (precision, recall, fpr) arrays, each class against the
+    rest; recall is the class's TPR.
+
+    TP is the diagonal cell, FP the rest of predicted-row c, FN the rest
+    of target-column c, TN everything else; FPR = 1 - TN/(TN+FP).  A 0/0
+    ratio (class never predicted, never a target, or no negatives) is NaN.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    tp = np.diag(counts)
+    predicted = counts.sum(axis=1)
+    actual = counts.sum(axis=0)
+    negatives = counts.sum() - actual      # TN + FP
+    tn = negatives - (predicted - tp)
     with np.errstate(invalid="ignore"):
-        precision = np.where(row > 0, diag / np.where(row > 0, row, 1), np.nan)
-        recall = np.where(col > 0, diag / np.where(col > 0, col, 1), np.nan)
-    return precision, recall
+        return tp / predicted, tp / actual, 1.0 - tn / negatives
 
 
-def test_error(matrix: ConfusionMatrix) -> float:
+def test_error(counts) -> float:
     """Fraction misclassified: 1 - trace/total."""
-    total = matrix.total
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("empty confusion matrix")
-    trace = int(np.trace(matrix.counts))
+    trace = int(np.trace(counts))
     return (total - trace) / total
-
-
-def tpr_fpr(matrix: ConfusionMatrix, c: int):
-    """One-vs-rest (TPR, FPR) for class c.
-
-    TP is the diagonal cell, FN the rest of target-column c, FP the rest of
-    predicted-row c, TN everything else; FPR = 1 - TN/(TN+FP).  Undefined
-    ratios (no positives, or no negatives) come back as NaN.
-    """
-    counts = matrix.counts
-    tp = int(counts[c, c])
-    fn = int(counts[:, c].sum()) - tp
-    fp = int(counts[c, :].sum()) - tp
-    tn = matrix.total - tp - fn - fp
-    tpr = tp / (tp + fn) if tp + fn > 0 else math.nan
-    fpr = 1.0 - tn / (tn + fp) if tn + fp > 0 else math.nan
-    return tpr, fpr
 
 
 class RocCurve(NamedTuple):
@@ -166,33 +126,24 @@ def roc_curve(scores, positives) -> RocCurve:
 # formatting and export
 # ---------------------------------------------------------------------------
 
-def fmt_pct(value: float, decimals: int = 1) -> str:
+def fmt_pct(value: float) -> str:
     if math.isnan(value):
         return "NaN%"
-    return f"{100.0 * value:.{decimals}f}%"
+    return f"{100.0 * value:.1f}%"
 
 
-def format_confusion(matrix: ConfusionMatrix) -> str:
+def format_confusion(counts, names) -> str:
     """Plain-text layout: count and percent-of-total per cell, a precision
     column, a recall row, and the test error in the corner."""
-    counts = matrix.counts
-    total = matrix.total
-    precision, recall = precision_recall(matrix)
-    err = test_error(matrix) if total else math.nan
-
-    def cell(p, t):
-        frac = counts[p, t] / total if total else math.nan
-        return f"{counts[p, t]} ({fmt_pct(frac)})"
-
-    names = matrix.class_names
+    total = int(counts.sum())
+    precision, recall, _ = class_rates(counts)
     header = ["predicted \\ target"] + list(names) + ["precision"]
     rows = [header]
-    for p in range(matrix.num_classes):
-        rows.append([names[p]]
-                    + [cell(p, t) for t in range(matrix.num_classes)]
+    for p, name in enumerate(names):
+        rows.append([name] + [f"{n} ({fmt_pct(n / total)})" for n in counts[p]]
                     + [fmt_pct(precision[p])])
     rows.append(["recall"] + [fmt_pct(r) for r in recall]
-                + [f"test error {fmt_pct(err)}"])
+                + [f"test error {fmt_pct(test_error(counts))}"])
 
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = ["  ".join(cellv.ljust(widths[i])
@@ -201,24 +152,20 @@ def format_confusion(matrix: ConfusionMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_confusion_csv(matrix: ConfusionMatrix, path) -> None:
+def write_confusion_csv(counts, names, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["predicted\\target"] + list(matrix.class_names))
-        for p in range(matrix.num_classes):
-            writer.writerow([matrix.class_names[p]]
-                            + [int(v) for v in matrix.counts[p]])
+        writer.writerow(["predicted\\target"] + list(names))
+        for name, row in zip(names, counts):
+            writer.writerow([name] + [int(v) for v in row])
 
 
-def write_metrics_csv(matrix: ConfusionMatrix, path) -> None:
-    precision, recall = precision_recall(matrix)
+def write_metrics_csv(counts, names, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "precision", "recall", "fpr"])
-        for c in range(matrix.num_classes):
-            _, fpr = tpr_fpr(matrix, c)
-            writer.writerow([matrix.class_names[c], repr(float(precision[c])),
-                             repr(float(recall[c])), repr(fpr)])
+        for name, *rates in zip(names, *class_rates(counts)):
+            writer.writerow([name] + [repr(float(v)) for v in rates])
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:

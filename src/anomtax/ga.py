@@ -52,8 +52,10 @@ log = logging.getLogger(__name__)
 
 class Individual:
     """A genome, and once evaluated its fitness, the model trained from it
-    and that model's test scores and confusion matrix (all three None when
-    the training diverged)."""
+    and that model's test scores and confusion counts (all three None when
+    the training diverged).  ``matrix`` is the ``(k, k)`` int array
+    :func:`~anomtax.evaluation.confusion` returns, indexed
+    ``[predicted, target]``."""
 
     __slots__ = ("genome", "fitness", "model", "scores", "matrix")
 
@@ -111,12 +113,11 @@ class PreparedSplits(NamedTuple):
     t_val: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    class_names: tuple
 
 
 def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
-                   class_names: tuple) -> PreparedSplits:
-    """One-hot the training/validation anomaly labels over the named
+                   num_classes: int) -> PreparedSplits:
+    """One-hot the training/validation anomaly labels over ``num_classes``
     classes, keep test labels as ids."""
     def ids(ds):
         if ds.labels is None:
@@ -124,10 +125,9 @@ def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
         return np.asarray(ds.labels, dtype=np.int64)
 
     return PreparedSplits(
-        x_train=train.features, t_train=one_hot(ids(train), len(class_names)),
-        x_val=val.features, t_val=one_hot(ids(val), len(class_names)),
+        x_train=train.features, t_train=one_hot(ids(train), num_classes),
+        x_val=val.features, t_val=one_hot(ids(val), num_classes),
         x_test=test.features, y_test=ids(test),
-        class_names=class_names,
     )
 
 
@@ -180,19 +180,20 @@ def mutate(genome: np.ndarray, cfg: GaConfig, rng) -> np.ndarray:
     return apply_mutation(genome, j, magnitude, direction_draw)
 
 
-def score(model: TrainedModel, x, y, class_names) -> tuple:
+def score(model: TrainedModel, x, y) -> tuple:
     """A model's output scores on ``x`` from one forward pass, and the
-    named confusion matrix of their argmax against the class ids ``y``."""
+    confusion counts of their argmax against the class ids ``y``, over the
+    model's ``output_size`` classes."""
     scores = forward_batch(model.weights, model.topology, x)
-    return scores, confusion(y, scores.argmax(axis=1), len(class_names),
-                             class_names)
+    return scores, confusion(y, scores.argmax(axis=1),
+                             model.topology.output_size)
 
 
 def evaluate_fitness(individual: Individual, topology: Topology,
                      splits: PreparedSplits, tcfg: TrainingConfig) -> float:
     """Train from the genome and :func:`score` the test split; the trained
-    model, its scores and confusion matrix, and the fitness (the matrix's
-    test error) are cached on the individual.  A diverged training counts
+    model, its scores and confusion counts, and the fitness (their test
+    error) are cached on the individual.  A diverged training counts
     as the worst fitness, 1.0, and leaves the other three None."""
     if individual.fitness is not None:
         return individual.fitness
@@ -205,7 +206,7 @@ def evaluate_fitness(individual: Individual, topology: Topology,
         individual.fitness = 1.0
         return individual.fitness
     individual.scores, individual.matrix = score(
-        individual.model, splits.x_test, splits.y_test, splits.class_names)
+        individual.model, splits.x_test, splits.y_test)
     individual.fitness = test_error(individual.matrix)
     return individual.fitness
 

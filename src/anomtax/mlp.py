@@ -240,6 +240,12 @@ def _check_batch(topology: Topology, x, t) -> None:
 
 
 def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
+    """Network outputs for the rows of ``x``, one row per sample.
+
+    Weights are finite, but a large one can overflow a pre-activation to
+    +-inf; ``tanh`` then saturates it to +-1, so overflow is not reported.
+    An invalid operation (inf - inf) still warns.
+    """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != topology.input_size:
         raise ValueError(
@@ -247,7 +253,8 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
         )
     w = unpack_weights(np.ascontiguousarray(weights), topology)
     y = np.empty((x.shape[0], topology.output_size))
-    _forward(w, x, np.empty((x.shape[0], topology.hidden_size)), y)
+    with np.errstate(over="ignore"):
+        _forward(w, x, np.empty((x.shape[0], topology.hidden_size)), y)
     return y
 
 

@@ -11,6 +11,8 @@ _SIZE = 480
 _MARGIN = 50
 _PLOT = _SIZE - 2 * _MARGIN
 _COLOR = "#1f77b4"
+_XLABEL = "False positive rate"
+_YLABEL = "True positive rate"
 
 
 def _px(x: float, y: float):
@@ -18,9 +20,9 @@ def _px(x: float, y: float):
     return (_MARGIN + x * _PLOT, _SIZE - _MARGIN - y * _PLOT)
 
 
-def unit_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
-    """SVG text for one ``(label, points)`` series over [0, 1] x [0, 1],
-    with the dashed diagonal chance line.
+def unit_line_chart(label: str, points, title: str) -> str:
+    """SVG text for one ROC line named ``label`` over [0, 1] x [0, 1],
+    with FPR and TPR axes and the dashed diagonal chance line.
 
     ``points`` is an iterable of (x, y) pairs.
     """
@@ -53,13 +55,13 @@ def unit_line_chart(series, title: str, xlabel: str, ylabel: str) -> str:
                      f'font-size="11">{v:.2f}</text>')
     parts.append(f'<text x="{_SIZE / 2:.1f}" y="{_SIZE - 8}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="13">{xlabel}</text>')
+                 f'font-size="13">{_XLABEL}</text>')
     parts.append(f'<text x="14" y="{_SIZE / 2:.1f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 14 {_SIZE / 2:.1f})">{ylabel}</text>')
+                 f'transform="rotate(-90 14 {_SIZE / 2:.1f})">'
+                 f'{_YLABEL}</text>')
     parts.append(f'<line x1="{x0:.1f}" y1="{y0:.1f}" x2="{x1:.1f}" '
                  f'y2="{y1:.1f}" stroke="#999999" stroke-dasharray="6,4"/>')
-    label, points = series
     coords = " ".join(f"{_px(x, y)[0]:.2f},{_px(x, y)[1]:.2f}"
                       for x, y in points)
     parts.append(f'<polyline points="{coords}" fill="none" '

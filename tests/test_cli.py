@@ -135,7 +135,7 @@ class TestLabel:
         assert len(rows) == 4  # header + three classes
         assert [r[1] for r in rows[1:]] == ["50", "50", "50"]
         # each class is re-normalized on its own: no one range to record
-        assert not (tmp_path / "sup" / "norm_params.txt").exists()
+        assert not (tmp_path / "sup" / "norm_params.csv").exists()
 
     def test_sparse_class_ids_label_like_dense(self, tmp_path):
         # labeling visits the ids that occur, not every integer below the
@@ -257,20 +257,22 @@ class TestLabel:
         assert not out.exists()
 
     def test_norm_params_hold_input_ranges(self, tmp_path, tiny_config):
-        # one line per feature in header order, min and max bit for bit
+        # one row per feature in header order, min and max bit for bit,
+        # and names that hold ' = ' or ',' read back whole
         rng = np.random.default_rng(4)
         feats = rng.normal(0, 1, (40, 3)) * [1e-3, 7.0, 1e5]
+        names = ["a = b", "al,pha", "mid"]
         src = tmp_path / "in.csv"
-        save_csv(Dataset(feats, ["zeta", "alpha", "mid"]), src)
+        save_csv(Dataset(feats, names), src)
         out = tmp_path / "lab"
         assert main(["--seed", "0", "--config", tiny_config, "--quiet",
                      "--out", str(out), "label", str(src)]) == 0
-        lines = (out / "norm_params.txt").read_text(
-            encoding="utf-8").splitlines()
-        assert [line.split(" = ")[0] for line in lines] == \
-            ["zeta", "alpha", "mid"]
-        for line, col in zip(lines, feats.T):
-            lo, hi = line.split(" = ")[1].split(",")
+        with open(out / "norm_params.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["feature", "min", "max"]
+        assert [r[0] for r in rows[1:]] == names
+        for (_, lo, hi), col in zip(rows[1:], feats.T):
             assert float(lo).hex() == float(col.min()).hex()
             assert float(hi).hex() == float(col.max()).hex()
 
@@ -509,6 +511,30 @@ class TestEvalAndRoc:
         assert f"model.txt: line 7: weight must be a finite number, " \
                f"got '{weight}'" in err
         assert not out.exists()
+
+    def test_huge_weights_saturate_without_warnings(self, tmp_path,
+                                                    labeled_csv):
+        # finite +-1e308 weights overflow the pre-activations, which tanh
+        # saturates: every hidden unit is +1 and only output CPA is +1
+        w1_b1 = [1e308] * (2 * 10 + 10)
+        w2 = [[1e308 if c == 2 else -1e308] * 10 for c in range(4)]
+        weights = w1_b1 + sum(w2, []) + [0.0] * 4
+        model = tmp_path / "huge.txt"
+        model.write_text("2 10 4\n" + "".join(f"{w!r}\n" for w in weights),
+                         encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+        out = tmp_path / "ev"
+        done = subprocess.run(
+            [sys.executable, "-m", "anomtax.cli", "--seed", "0", "--quiet",
+             "--out", str(out), "eval", str(model), str(labeled_csv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        rows = list(csv.reader(
+            (out / "eval_confusion.csv").read_text().splitlines()))
+        counts = np.array([[int(v) for v in r[1:]] for r in rows[1:]])
+        assert counts.sum() == counts[2].sum() == load_csv(labeled_csv).n
 
     def test_roc_files(self, tmp_path, tiny_config, labeled_csv):
         cmp_out = tmp_path / "cmp"

@@ -3,11 +3,9 @@ the same ValueError message, whatever the class is built from."""
 
 import re
 
-import numpy as np
 import pytest
 
 from anomtax.data import SplitRatios
-from anomtax.evaluation import ConfusionMatrix
 from anomtax.ga import GaConfig
 from anomtax.labeling import LabelingConfig
 from anomtax.mlp import Topology, TrainingConfig
@@ -19,16 +17,6 @@ CASES = {
     "SplitRatios-sum": (
         lambda: SplitRatios(0.5, 0.25, 0.5),
         "split ratios sum to 1.25, expected 1"),
-    "ConfusionMatrix-square": (
-        lambda: ConfusionMatrix(np.zeros((2, 3), dtype=np.int64),
-                                ("a", "b")),
-        "confusion matrix must be square, got (2, 3)"),
-    "ConfusionMatrix-negative": (
-        lambda: ConfusionMatrix(np.array([[1, -1], [0, 2]]), ("a", "b")),
-        "confusion counts must be nonnegative"),
-    "ConfusionMatrix-names": (
-        lambda: ConfusionMatrix(np.eye(2, dtype=np.int64), ("a",)),
-        "one class name per row required"),
     "GaConfig-sizes": (
         lambda: GaConfig(cycles=3, population_size=0),
         "cycles and population_size must be >= 1"),

@@ -6,15 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anomtax.data import LABEL_TOKENS
 from anomtax.evaluation import test_error as error_rate
 from anomtax.evaluation import (
-    ConfusionMatrix,
+    class_rates,
     confusion,
     fmt_pct,
     format_confusion,
-    precision_recall,
     roc_curve,
-    tpr_fpr,
     write_confusion_csv,
     write_metrics_csv,
     write_roc_csv,
@@ -24,7 +23,7 @@ from anomtax.svgchart import unit_line_chart
 
 def matrix_from_counts(counts):
     """Expand a counts grid into (targets, predictions) sample lists and
-    rebuild the matrix through the public counter."""
+    rebuild the count array through the public counter."""
     counts = np.asarray(counts)
     targets, preds = [], []
     for p in range(counts.shape[0]):
@@ -81,19 +80,19 @@ FIG_GA = [[12, 1, 0, 0],
 class TestConfusion:
     def test_diagonal_for_perfect_predictions(self):
         m = confusion([0, 1, 2, 1], [0, 1, 2, 1], 3)
-        np.testing.assert_array_equal(m.counts,
-                                      [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(m, [[1, 0, 0], [0, 2, 0], [0, 0, 1]])
 
     def test_direct_count_orientation(self):
         # two samples of target 0 both predicted as 1
         m = confusion([0, 0], [1, 1], 2)
-        assert m.counts[1, 0] == 2
-        assert m.counts.sum() == 2
+        assert m[1, 0] == 2
+        assert m.sum() == 2
 
     def test_reference_nn_matrix_row(self):
         m = matrix_from_counts(FIG_NN)
-        assert list(m.counts[0]) == [12, 2, 0, 0]
-        assert m.total == 30
+        assert list(m[0]) == [12, 2, 0, 0]
+        assert m.sum() == 30
+        assert m.shape == (4, 4) and m.dtype.kind == "i"
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -110,30 +109,39 @@ class TestConfusion:
         m1 = confusion(t, p, 4)
         perm = rng.permutation(60)
         m2 = confusion(t[perm], p[perm], 4)
-        np.testing.assert_array_equal(m1.counts, m2.counts)
+        np.testing.assert_array_equal(m1, m2)
+
+
+def both_inputs(counts):
+    """A counts grid as given and as rebuilt from samples: class_rates
+    takes any count array."""
+    return [np.asarray(counts), matrix_from_counts(counts)]
 
 
 class TestPrecisionRecall:
     def test_reference_class1_values(self):
-        precision, recall = precision_recall(matrix_from_counts(FIG_NN))
-        assert abs(100 * precision[0] - 85.7) <= 0.05
-        assert abs(100 * recall[0] - 100.0) <= 0.05
+        for m in both_inputs(FIG_NN):
+            precision, recall, _ = class_rates(m)
+            assert abs(100 * precision[0] - 85.7) <= 0.05
+            assert abs(100 * recall[0] - 100.0) <= 0.05
 
     def test_diagonal_matrix_perfect(self):
-        precision, recall = precision_recall(
-            matrix_from_counts(np.diag([3, 4, 5])))
-        np.testing.assert_array_equal(precision, [1, 1, 1])
-        np.testing.assert_array_equal(recall, [1, 1, 1])
+        for m in both_inputs(np.diag([3, 4, 5])):
+            precision, recall, fpr = class_rates(m)
+            np.testing.assert_array_equal(precision, [1, 1, 1])
+            np.testing.assert_array_equal(recall, [1, 1, 1])
+            np.testing.assert_array_equal(fpr, [0, 0, 0])
 
     def test_absent_class_undefined(self):
-        m = matrix_from_counts([[2, 0, 0], [0, 3, 0], [0, 0, 0]])
-        precision, recall = precision_recall(m)
-        assert math.isnan(precision[2]) and math.isnan(recall[2])
+        for m in both_inputs([[2, 0, 0], [0, 3, 0], [0, 0, 0]]):
+            precision, recall, _ = class_rates(m)
+            assert math.isnan(precision[2]) and math.isnan(recall[2])
 
     def test_never_predicted_but_targeted(self):
-        precision, recall = precision_recall(matrix_from_counts(FIG_NN))
-        assert math.isnan(precision[1])  # class 2 row is empty
-        assert recall[1] == 0.0          # but its column is not
+        for m in both_inputs(FIG_NN):
+            precision, recall, _ = class_rates(m)
+            assert math.isnan(precision[1])  # class 2 row is empty
+            assert recall[1] == 0.0          # but its column is not
 
 
 class TestTestError:
@@ -155,15 +163,14 @@ class TestTestError:
             if counts.sum() == 0:
                 continue
             m = matrix_from_counts(counts)
-            total = m.total
-            trace = int(np.trace(m.counts))
+            total = int(m.sum())
+            trace = int(np.trace(m))
             assert Fraction(total - trace, total) + \
                 Fraction(trace, total) == 1
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
-            error_rate(ConfusionMatrix(np.zeros((2, 2), dtype=int),
-                                       ("a", "b")))
+            error_rate(np.zeros((2, 2), dtype=int))
 
     def test_matches_former_fitness_formula(self):
         # GA fitness is test_error(confusion(...)); the GA's former
@@ -179,42 +186,46 @@ class TestTestError:
 
 
 class TestTprFpr:
+    """A class's TPR is its recall; FPR is the third rate."""
+
     def test_reference_ga_class1_tpr(self):
-        tpr, _ = tpr_fpr(matrix_from_counts(FIG_GA), 0)
-        assert tpr == 1.0
+        for m in both_inputs(FIG_GA):
+            _, tpr, _ = class_rates(m)
+            assert tpr[0] == 1.0
 
     def test_zero_fn_gives_tpr_one(self):
-        m = matrix_from_counts([[12, 3], [0, 7]])
-        tpr, _ = tpr_fpr(m, 0)
-        assert tpr == 1.0
+        for m in both_inputs([[12, 3], [0, 7]]):
+            _, tpr, _ = class_rates(m)
+            assert tpr[0] == 1.0
 
     def test_two_class_matches_brute_force(self):
         # golden values pinned by the per-sample oracle: TP=8 FN=1 -> 8/9,
         # FP=2 against 11 negatives -> 2/11
         counts = [[8, 2], [1, 9]]
-        tpr, fpr = tpr_fpr(matrix_from_counts(counts), 0)
         otpr, ofpr = brute_tpr_fpr(counts, 0)
-        assert tpr == otpr == pytest.approx(8 / 9, abs=1e-15)
-        assert fpr == ofpr == pytest.approx(2 / 11, abs=1e-15)
+        for m in both_inputs(counts):
+            _, tpr, fpr = class_rates(m)
+            assert tpr[0] == otpr == pytest.approx(8 / 9, abs=1e-15)
+            assert fpr[0] == ofpr == pytest.approx(2 / 11, abs=1e-15)
 
     def test_random_matrices_match_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             counts = rng.integers(0, 6, (4, 4))
-            m = matrix_from_counts(counts)
-            if m.total == 0:
+            if counts.sum() == 0:
                 continue
-            for c in range(4):
-                got = tpr_fpr(m, c)
-                want = brute_tpr_fpr(counts, c)
-                for g, w in zip(got, want):
-                    assert (math.isnan(g) and math.isnan(w)) or g == w
+            for m in both_inputs(counts):
+                _, tpr, fpr = class_rates(m)
+                for c in range(4):
+                    want = brute_tpr_fpr(counts, c)
+                    for g, w in zip((tpr[c], fpr[c]), want):
+                        assert (math.isnan(g) and math.isnan(w)) or g == w
 
     def test_sum_identities(self):
         counts = np.array(FIG_NN)
         m = matrix_from_counts(counts)
         per_class_pos = [int(counts[:, c].sum()) for c in range(4)]
-        assert sum(per_class_pos) == m.total
+        assert sum(per_class_pos) == m.sum()
         tps = [int(counts[c, c]) for c in range(4)]
         assert sum(tps) == int(np.trace(counts))
 
@@ -320,7 +331,7 @@ class TestFormatting:
         assert fmt_pct(math.nan) == "NaN%"
 
     def test_format_confusion_layout(self):
-        text = format_confusion(matrix_from_counts(FIG_NN))
+        text = format_confusion(matrix_from_counts(FIG_NN), LABEL_TOKENS)
         assert "12 (40.0%)" in text
         assert "NaN%" in text
         assert "test error 26.7%" in text
@@ -328,16 +339,22 @@ class TestFormatting:
     def test_confusion_csv(self, tmp_path):
         m = matrix_from_counts(FIG_GA)
         path = tmp_path / "m.csv"
-        write_confusion_csv(m, path)
+        write_confusion_csv(m, LABEL_TOKENS, path)
         rows = list(csv.reader(path.read_text().splitlines()))
-        assert rows[1][1:] == ["12", "1", "0", "0"]
+        assert rows[0] == ["predicted\\target", *LABEL_TOKENS]
+        assert rows[1] == ["ND", "12", "1", "0", "0"]
 
     def test_metrics_csv_parseable(self, tmp_path):
         m = matrix_from_counts(FIG_NN)
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(m, path)
+        write_metrics_csv(m, LABEL_TOKENS, path)
         rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == ["class", "precision", "recall", "fpr"]
+        assert [r[0] for r in rows[1:]] == list(LABEL_TOKENS)
+        # plain float reprs (no np.float64(...)) that read back as the
+        # rates exactly, NaN where they are NaN
+        got = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        np.testing.assert_array_equal(got, np.column_stack(class_rates(m)))
         assert float(rows[1][1]) == pytest.approx(12 / 14)
         assert rows[2][1] == "nan"
 
@@ -354,11 +371,12 @@ class TestFormatting:
 class TestSvgChart:
     def test_valid_static_svg(self):
         curve = roc_curve([0.9, 0.4, 0.6, 0.1], [True, True, False, False])
-        svg = unit_line_chart(("demo", [(p[0], p[1])
-                                        for p in curve.points]),
-                              "ROC", "FPR", "TPR")
+        svg = unit_line_chart("demo", curve.points, "ROC")
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         tags = {el.tag.split('}')[-1] for el in root.iter()}
         assert "polyline" in tags
         assert "script" not in tags
+        texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert "False positive rate" in texts
+        assert "True positive rate" in texts
