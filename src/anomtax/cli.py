@@ -183,7 +183,7 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     with _stage("compare"):
-        nn = ga.conventional(prepared, topology, cfg.training, cfg.ga)
+        nn = ga.conventional(prepared, topology, cfg.training, cfg.ga.seed)
         ga_run = ga.run_ga(cfg.ga, topology, prepared, cfg.training)
     with _stage("write"):
         out = _outdir(cfg)

@@ -10,9 +10,8 @@ file or from ``--seed``); any other section or key is rejected:
                 blob1..blobN = cx,cy,sx,sy,count  (taken in order of N)
     [labeling]  clusters, knn_k, score_multiplier
     [mlp]       hidden      (inputs: one per feature; outputs: 4 labels)
-    [train]     max_epochs, patience, goal
-    [ga]        cycles, population, alpha, mutation_rate, selection_rate,
-                goal
+    [train]     max_epochs, patience
+    [ga]        cycles, population, alpha, mutation_rate, selection_rate
     [split]     train, validation, test
 """
 
@@ -74,7 +73,6 @@ hidden = 10
 [train]
 max_epochs = 200
 patience = 6
-goal = 0.0
 
 [ga]
 cycles = 20
@@ -82,7 +80,6 @@ population = 15
 alpha = 0.3
 mutation_rate = 0.1
 selection_rate = 0.7
-goal = 0.0
 
 [split]
 train = 0.70
@@ -232,7 +229,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
     training = TrainingConfig(
         max_epochs=_number(tr, "max_epochs", int, low=1),
         patience=_number(tr, "patience", int, low=1),
-        goal=_number(tr, "goal"),
     )
     ga = parser["ga"]
     ga_cfg = GaConfig(
@@ -241,7 +237,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         crossover_alpha=_number(ga, "alpha", low=0, high=1),
         mutation_rate=_number(ga, "mutation_rate", low=0, high=1),
         selection_rate=_number(ga, "selection_rate", low=0, high=1),
-        goal=_number(ga, "goal"),
         seed=derive_seed(seed, STREAM_GA),
     )
     split = parser["split"]

@@ -69,12 +69,11 @@ class Individual:
 
 class GaConfig:
     __slots__ = ("cycles", "population_size", "crossover_alpha",
-                 "mutation_rate", "selection_rate", "goal", "seed")
+                 "mutation_rate", "selection_rate", "seed")
 
     def __init__(self, cycles: int = 20, population_size: int = 15,
                  crossover_alpha: float = 0.3, mutation_rate: float = 0.1,
-                 selection_rate: float = 0.7, goal: float = 0.0,
-                 seed: int = 0):
+                 selection_rate: float = 0.7, seed: int = 0):
         if cycles < 1 or population_size < 1:
             raise ValueError("cycles and population_size must be >= 1")
         for name, v in (("crossover_alpha", crossover_alpha),
@@ -87,7 +86,6 @@ class GaConfig:
         self.crossover_alpha = crossover_alpha
         self.mutation_rate = mutation_rate
         self.selection_rate = selection_rate
-        self.goal = goal
         self.seed = seed
 
 
@@ -100,8 +98,7 @@ class CycleStats(NamedTuple):
 class GaRun(NamedTuple):
     cycles: list
     best: Individual
-    stop_reason: str  # "cycles" or "goal"
-    evaluations: int = 0
+    evaluations: int
 
 
 class PreparedSplits(NamedTuple):
@@ -241,20 +238,22 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
            tcfg: TrainingConfig) -> GaRun:
     """Evolve initial weights for up to ``cycles`` generations.
 
-    Per cycle: evaluate everyone, stop if the goal error is reached, select
+    Per cycle: evaluate everyone, stop if the best test error is 0, select
     a parent pool, pair adjacent pool members (an odd pool pairs its last
     member with the first), crossover at a random cut, mutate, and carry
     the best individual over unmodified.  The carried-over individual
     keeps its fitness, trained model and scores, so each cycle after the
     first trains ``population_size - 1`` new individuals, and the best
-    model and scores are the ones its evaluation made.  Raises
-    ``TrainingDivergedError`` when that training diverged.
+    model and scores are the ones its evaluation made.  A best error of 0
+    ends the run: that individual is carried over at index 0 and ties go
+    to the lowest index, so no later cycle could replace it.  Raises
+    ``TrainingDivergedError`` when the best individual's training
+    diverged.
     """
     rng = np.random.default_rng(cfg.seed)
     population = init_population(cfg, topology, rng)
     evaluations = 0
     stats: list[CycleStats] = []
-    stop = "cycles"
 
     def evaluate_all(pop):
         nonlocal evaluations
@@ -272,10 +271,7 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
                                 float(np.mean(fits))))
         log.info("cycle %d: best %.4f mean %.4f", cycle, best.fitness,
                  stats[-1].mean_fitness)
-        if best.fitness <= cfg.goal:
-            stop = "goal"
-            break
-        if cycle == cfg.cycles:
+        if best.fitness == 0.0 or cycle == cfg.cycles:
             break
         pool = select(population, cfg, rng)
         infants = []
@@ -291,21 +287,20 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     if best.model is None:
         raise TrainingDivergedError(
             "training diverged for the best GA genome")
-    return GaRun(stats, best, stop, evaluations)
+    return GaRun(stats, best, evaluations)
 
 
 def conventional(splits: PreparedSplits, topology: Topology,
-                 tcfg: TrainingConfig, ga_cfg: GaConfig) -> Individual:
+                 tcfg: TrainingConfig, seed: int) -> Individual:
     """The conventionally initialized network, trained and scored by
     :func:`evaluate_fitness` like every GA individual.
 
-    Its uniform [0, 1] initial weights come from a substream of the GA
-    seed, so it is independent of the GA run but reproducible from the
-    same seed.  Raises ``TrainingDivergedError`` when its training
+    Its uniform [0, 1] initial weights come from a substream of ``seed``,
+    the GA seed, so it is independent of the GA run but reproducible from
+    the same seed.  Raises ``TrainingDivergedError`` when its training
     diverged.
     """
-    nn = Individual(init_weights(topology,
-                                 np.random.default_rng([ga_cfg.seed, 1])))
+    nn = Individual(init_weights(topology, np.random.default_rng([seed, 1])))
     evaluate_fitness(nn, topology, splits, tcfg)
     if nn.model is None:
         raise TrainingDivergedError(

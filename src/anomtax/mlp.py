@@ -71,17 +71,15 @@ class Topology:
 
 
 class TrainingConfig:
-    __slots__ = ("max_epochs", "patience", "goal")
+    __slots__ = ("max_epochs", "patience")
 
-    def __init__(self, max_epochs: int = 200, patience: int = 6,
-                 goal: float = 0.0):
+    def __init__(self, max_epochs: int = 200, patience: int = 6):
         if max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if patience < 1:
             raise ValueError("patience must be >= 1")
         self.max_epochs = max_epochs
         self.patience = patience
-        self.goal = goal
 
 
 class TrainedModel(NamedTuple):
@@ -98,18 +96,9 @@ class TrainedModel(NamedTuple):
         return len(self.train_mse)
 
 
-def init_weights(topology: Topology, source) -> np.ndarray:
-    """Initial genome: uniform draws in [0, 1] from a Generator, or an
-    injected vector returned verbatim."""
-    if isinstance(source, np.random.Generator):
-        return source.random(topology.genome_length)
-    vec = np.array(source, dtype=np.float64)
-    if vec.shape != (topology.genome_length,):
-        raise ValueError(
-            f"injected weights have length {vec.size}, topology needs "
-            f"{topology.genome_length}"
-        )
-    return vec
+def init_weights(topology: Topology, rng) -> np.ndarray:
+    """Initial genome: uniform draws in [0, 1] from the Generator ``rng``."""
+    return rng.random(topology.genome_length)
 
 
 def unpack_weights(weights: np.ndarray, topology: Topology):
@@ -244,7 +233,11 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
 
     Weights are finite, but a large one can overflow a pre-activation to
     +-inf; ``tanh`` then saturates it to +-1, so overflow is not reported.
-    An invalid operation (inf - inf) still warns.
+    Weights whose products overflow float64 both ways have no defined
+    output: a sum of +inf and -inf is NaN, and which rows it reaches
+    depends on how numpy groups the products (a one-row batch takes its
+    matrix-vector path).  So a NaN output raises ``ValueError`` naming
+    how many rows have one, instead of warning or being ranked.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != topology.input_size:
@@ -253,8 +246,12 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
         )
     w = unpack_weights(np.ascontiguousarray(weights), topology)
     y = np.empty((x.shape[0], topology.output_size))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _forward(w, x, np.empty((x.shape[0], topology.hidden_size)), y)
+    bad = np.count_nonzero(np.isnan(y).any(axis=1))
+    if bad:
+        raise ValueError(f"network output is NaN for {bad} of {x.shape[0]} "
+                         "rows: the weights overflow float64")
     return y
 
 
@@ -280,10 +277,11 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     gradients, the step is accepted only if it lowers the training error,
     and the direction restarts every genome_length accepted steps.
 
-    Stops on: training MSE at or below ``goal``; ``patience`` consecutive
-    validation-error increases over the best seen (the best-validation
-    weights are restored); step size and gradient both below 1e-10; or
+    Stops on: ``patience`` consecutive validation-error increases over the
+    best seen (the best-validation weights are restored); a zero gradient,
+    or step size and gradient both below 1e-10 (``scg_converged``); or
     ``max_epochs``.  An empty validation set disables early stopping.
+    ``weights0`` is copied, never written to.
 
     The validation rows are stacked under the training rows, so the call
     that scores a candidate step also gives its validation error; an
@@ -305,7 +303,12 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     else:
         batch = _Batch(topology, x_train, t_train, x_train.shape[0])
 
-    w = init_weights(topology, weights0)
+    w = np.array(weights0, dtype=np.float64)
+    if w.shape != (topology.genome_length,):
+        raise ValueError(
+            f"injected weights have length {w.size}, topology needs "
+            f"{topology.genome_length}"
+        )
     n_params = w.size
     trial, grad, grad_sigma, grad_cand = (_Genome(topology) for _ in range(4))
     trial.flat[:] = w
@@ -398,9 +401,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             elif fv > best_val:
                 fails += 1
 
-        if f <= cfg.goal:
-            stop = "goal"
-            break
         if has_val and fails >= cfg.patience:
             stop = "patience"
             w = best_w

@@ -216,7 +216,7 @@ def ga_comparison_runs(labeled_synthetic):
         prepared = prepare_splits(train, val, test, len(LABEL_TOKENS))
         start = time.perf_counter()
         ga_cfg = GaConfig(seed=seed)
-        nn = conventional(prepared, topo, tcfg, ga_cfg)
+        nn = conventional(prepared, topo, tcfg, ga_cfg.seed)
         ga_run = run_ga(ga_cfg, topo, prepared, tcfg)
         runs.append((seed, nn, ga_run, time.perf_counter() - start))
     return report, runs

@@ -536,6 +536,37 @@ class TestEvalAndRoc:
         counts = np.array([[int(v) for v in r[1:]] for r in rows[1:]])
         assert counts.sum() == counts[2].sum() == load_csv(labeled_csv).n
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_nan_output_stops_in_eval(self, tmp_path, rows):
+        # hidden units five +1 and five -1 under output row 1 of +1e308
+        # weights: the products overflow both ways, and numpy's one-row
+        # matrix-vector path sums them to NaN where a two-row batch does not
+        w1_b1 = [0.5] * 20 + [1e308] * 5 + [-1e308] * 5
+        w2 = [1e308 if c == 1 else 0.0 for c in range(4) for _ in range(10)]
+        model = tmp_path / "nan.txt"
+        model.write_text("2 10 4\n" + "".join(
+            f"{w!r}\n" for w in w1_b1 + w2 + [0.0] * 4), encoding="utf-8")
+        csv_path = tmp_path / "e.csv"
+        csv_path.write_text("x,y,label\n" + "0.5,0.5,ND\n" * rows,
+                            encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+        out = tmp_path / "ev"
+        done = subprocess.run(
+            [sys.executable, "-m", "anomtax.cli", "--seed", "0", "--quiet",
+             "--out", str(out), "eval", str(model), str(csv_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        if rows == 2:
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == ""
+            return
+        assert done.returncode == 1
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.splitlines() == [
+            "error in stage 'eval': network output is NaN for 1 of 1 rows: "
+            "the weights overflow float64"]
+        assert not out.exists()
+
     def test_roc_files(self, tmp_path, tiny_config, labeled_csv):
         cmp_out = tmp_path / "cmp"
         main(["--seed", "5", "--config", tiny_config, "--quiet",
@@ -598,6 +629,8 @@ class TestNetworkShape:
         ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
         ("[train]\nsigma0 = 5e-5\n", "[train] sigma0"),
         ("[train]\nlambda0 = 5e-7\n", "[train] lambda0"),
+        ("[train]\ngoal = 0\n", "[train] goal"),
+        ("[ga]\ngoal = 0\n", "[ga] goal"),
         ("[run]\nseed = abc\n", "[run] seed"),
         ("[labeling]\nclusters = abc\n",
          "[labeling] clusters must be an integer, got 'abc'"),
@@ -627,7 +660,7 @@ class TestNetworkShape:
          "[synthetic] blob1 must be >= 1, got 0"),
     ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
             "threshold-value", "fitness-metric", "sigma0", "lambda0",
-            "file-seed",
+            "train-goal", "ga-goal", "file-seed",
             "clusters-abc", "multiplier-nan", "split-ratio", "blob-count",
             "bounds-inf", "negative-file-seed", "population-0", "alpha-2",
             "clusters-0", "multiplier-0", "split-negative", "split-sum",

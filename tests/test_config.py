@@ -13,7 +13,6 @@ def test_defaults_match_reference_setup():
     assert cfg.ga.crossover_alpha == 0.3
     assert cfg.ga.mutation_rate == 0.1
     assert cfg.ga.selection_rate == 0.7
-    assert cfg.ga.goal == 0.0
     assert (cfg.ratios.train, cfg.ratios.validation, cfg.ratios.test) == \
         (0.70, 0.15, 0.15)
     assert cfg.labeling.num_clusters == 5
@@ -118,8 +117,11 @@ def test_output_size_must_match_taxonomy(tmp_path):
     ("[ga]\nfitness_metric = overall\n", "[ga] fitness_metric"),
     ("[train]\nsigma0 = 5e-5\n", "[train] sigma0"),
     ("[train]\nlambda0 = 5e-7\n", "[train] lambda0"),
+    ("[train]\ngoal = 0\n", "[train] goal"),
+    ("[ga]\ngoal = 0\n", "[ga] goal"),
 ], ids=["mlp-input", "labeling", "run", "synthetic", "threshold-mode",
-        "threshold-value", "fitness-metric", "sigma0", "lambda0"])
+        "threshold-value", "fitness-metric", "sigma0", "lambda0",
+        "train-goal", "ga-goal"])
 def test_unread_key_rejected(tmp_path, text, named):
     path = tmp_path / "cfg.ini"
     path.write_text(text, encoding="utf-8")
@@ -132,7 +134,7 @@ def test_unread_key_rejected(tmp_path, text, named):
     ("[labeling]\nknnk = 9\n", "[labeling] knnk is not a config key; "
      "[labeling] accepts clusters, knn_k, score_multiplier"),
     ("[train]\nsigma0 = 5e-5\n", "[train] sigma0 is not a config key; "
-     "[train] accepts max_epochs, patience, goal"),
+     "[train] accepts max_epochs, patience"),
 ], ids=["knnk", "sigma0"])
 def test_unread_key_message_lists_accepted_keys(tmp_path, text, message):
     path = tmp_path / "cfg.ini"

@@ -24,6 +24,7 @@ from anomtax.mlp import (
     TrainingConfig,
     TrainingDivergedError,
     forward_batch,
+    one_hot,
 )
 
 
@@ -39,6 +40,28 @@ def tiny_splits(seed=0):
     ds = Dataset(x, labels=[0] * 30 + [1] * 30)
     train, val, test = stratified_split(ds, SplitRatios(), seed)
     return prepare_splits(train, val, test, 2)
+
+
+def unsolvable_splits(seed=0):
+    """:func:`tiny_splits` with its first test point held twice, under two
+    different labels, so that no model scores a test error of 0 and the
+    GA runs all its cycles."""
+    splits = tiny_splits(seed)
+    return splits._replace(
+        x_test=np.vstack([splits.x_test, splits.x_test[:1]]),
+        y_test=np.append(splits.y_test, 1 - splits.y_test[0]))
+
+
+def one_class_splits():
+    """Training and test rows of one class only: a model trained on them
+    predicts that class, so it scores a test error of 0."""
+    rng = np.random.default_rng(2)
+    x = rng.normal((0.5, 0.5), 0.1, (24, 2))
+    splits = PreparedSplits(
+        x_train=x, t_train=one_hot(np.zeros(24, dtype=int), 2),
+        x_val=np.zeros((0, 2)), t_val=np.zeros((0, 2)),
+        x_test=x[:8], y_test=np.zeros(8, dtype=int))
+    return splits, rng
 
 
 class TestInitPopulation:
@@ -200,53 +223,48 @@ class TestEvaluateFitness:
         assert ind.fitness == f1
 
     def test_single_class_test_set(self):
-        # a model trained on one class only predicts that class, so a
-        # one-class test set scores a perfect 0.0
-        rng = np.random.default_rng(2)
-        x = rng.normal((0.5, 0.5), 0.1, (24, 2))
-        from anomtax.mlp import one_hot
-        one_class = PreparedSplits(
-            x_train=x, t_train=one_hot(np.zeros(24, dtype=int), 2),
-            x_val=np.zeros((0, 2)), t_val=np.zeros((0, 2)),
-            x_test=x[:8], y_test=np.zeros(8, dtype=int))
+        one_class, rng = one_class_splits()
         genome = rng.random(TOPO.genome_length)
         fitness = evaluate_fitness(Individual(genome), TOPO, one_class, TCFG)
         assert fitness == 0.0
 
 
 class TestRunGa:
-    def test_goal_one_stops_first_cycle(self):
-        splits = tiny_splits()
-        cfg = GaConfig(cycles=5, population_size=3, goal=1.0, seed=0)
+    def test_zero_error_stops_first_cycle(self):
+        splits, _ = one_class_splits()
+        cfg = GaConfig(cycles=5, population_size=3, seed=0)
         run = run_ga(cfg, TOPO, splits, TCFG)
-        assert run.stop_reason == "goal"
         assert len(run.cycles) == 1
+        assert run.cycles[0].best_fitness == run.best.fitness == 0.0
+        assert run.evaluations == cfg.population_size
 
     def test_elitism_best_non_increasing(self):
-        splits = tiny_splits()
-        cfg = GaConfig(cycles=6, population_size=5, goal=-1.0, seed=1)
+        splits = unsolvable_splits()
+        cfg = GaConfig(cycles=6, population_size=5, seed=1)
         run = run_ga(cfg, TOPO, splits, TCFG)
+        assert len(run.cycles) == cfg.cycles
         best = [c.best_fitness for c in run.cycles]
         assert all(b2 <= b1 for b1, b2 in zip(best, best[1:]))
-        assert run.stop_reason == "cycles"
 
     def test_evaluation_budget(self):
-        splits = tiny_splits()
-        cfg = GaConfig(cycles=4, population_size=5, goal=-1.0, seed=2)
+        splits = unsolvable_splits()
+        cfg = GaConfig(cycles=4, population_size=5, seed=2)
         run = run_ga(cfg, TOPO, splits, TCFG)
+        assert len(run.cycles) == cfg.cycles
         assert run.evaluations <= 4 * 5
 
     def test_deterministic(self):
-        splits = tiny_splits()
-        cfg = GaConfig(cycles=3, population_size=4, goal=-1.0, seed=3)
+        splits = unsolvable_splits()
+        cfg = GaConfig(cycles=3, population_size=4, seed=3)
         a = run_ga(cfg, TOPO, splits, TCFG)
         b = run_ga(cfg, TOPO, splits, TCFG)
+        assert len(a.cycles) == cfg.cycles
         assert a.cycles == b.cycles
         np.testing.assert_array_equal(a.best.genome, b.best.genome)
 
     def test_best_model_is_the_one_its_evaluation_trained(self,
                                                           monkeypatch):
-        splits = tiny_splits()
+        splits = unsolvable_splits()
         trainings = []
         real_train = ga.train_scg
 
@@ -255,8 +273,9 @@ class TestRunGa:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(ga, "train_scg", counting)
-        run = run_ga(GaConfig(cycles=3, population_size=4, goal=-1.0,
-                              seed=6), TOPO, splits, TCFG)
+        cfg = GaConfig(cycles=3, population_size=4, seed=6)
+        run = run_ga(cfg, TOPO, splits, TCFG)
+        assert len(run.cycles) == cfg.cycles
         assert len(trainings) == run.evaluations
         again = real_train(run.best.genome, TOPO, splits.x_train,
                            splits.t_train, splits.x_val, splits.t_val, TCFG)
@@ -290,12 +309,13 @@ def assert_scored_by_its_fitness(ind, splits):
 
 class TestScore:
     def test_conventional_and_best_keep_their_scoring(self):
-        splits = tiny_splits()
-        cfg = GaConfig(cycles=3, population_size=4, goal=-1.0, seed=5)
-        assert_scored_by_its_fitness(conventional(splits, TOPO, TCFG, cfg),
-                                     splits)
-        assert_scored_by_its_fitness(run_ga(cfg, TOPO, splits, TCFG).best,
-                                     splits)
+        splits = unsolvable_splits()
+        cfg = GaConfig(cycles=3, population_size=4, seed=5)
+        assert_scored_by_its_fitness(
+            conventional(splits, TOPO, TCFG, cfg.seed), splits)
+        run = run_ga(cfg, TOPO, splits, TCFG)
+        assert len(run.cycles) == cfg.cycles
+        assert_scored_by_its_fitness(run.best, splits)
 
     def test_diverged_evaluation_keeps_nothing(self, monkeypatch):
         def diverge(*args, **kwargs):
@@ -311,11 +331,12 @@ class TestScore:
 
 class TestCompare:
     def test_report_consistency_and_determinism(self):
-        splits = tiny_splits()
-        cfg = GaConfig(cycles=3, population_size=4, goal=-1.0, seed=5)
+        splits = unsolvable_splits()
+        cfg = GaConfig(cycles=3, population_size=4, seed=5)
         (nn_a, ga_a), (nn_b, ga_b) = [
-            (conventional(splits, TOPO, TCFG, cfg),
+            (conventional(splits, TOPO, TCFG, cfg.seed),
              run_ga(cfg, TOPO, splits, TCFG)) for _ in range(2)]
+        assert len(ga_a.cycles) == cfg.cycles
         assert nn_a.fitness == nn_b.fitness
         assert ga_a.best.fitness == ga_b.best.fitness
         np.testing.assert_array_equal(nn_a.model.weights, nn_b.model.weights)
@@ -331,5 +352,4 @@ class TestCompare:
         monkeypatch.setattr(ga, "train_scg", diverge)
         with pytest.raises(TrainingDivergedError,
                            match="conventional network"):
-            conventional(tiny_splits(), TOPO, TCFG,
-                         GaConfig(cycles=2, population_size=3, seed=0))
+            conventional(tiny_splits(), TOPO, TCFG, 0)

@@ -45,11 +45,6 @@ class TestTopology:
 
 
 class TestInitWeights:
-    def test_injection_identity(self):
-        topo = Topology(1, 2, 1)
-        v = np.linspace(0, 1, topo.genome_length)
-        np.testing.assert_array_equal(init_weights(topo, v), v)
-
     def test_random_range_and_length(self):
         topo = Topology()
         w = init_weights(topo, np.random.default_rng(0))
@@ -61,10 +56,6 @@ class TestInitWeights:
         a = init_weights(topo, np.random.default_rng(5))
         b = init_weights(topo, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            init_weights(Topology(), np.zeros(10))
 
 
 class TestForward:
@@ -168,15 +159,6 @@ class TestTrainScg:
                           topo, x, one_hot(y, 2))
         assert np.all(np.diff(model.train_mse) <= 1e-15)
 
-    def test_infinite_goal_stops_after_one_epoch(self):
-        x, y = two_blob_problem(2)
-        topo = Topology(2, 4, 2)
-        model = train_scg(init_weights(topo, np.random.default_rng(3)),
-                          topo, x, one_hot(y, 2),
-                          cfg=TrainingConfig(goal=math.inf))
-        assert model.stop_reason == "goal"
-        assert model.epochs == 1
-
     def test_patience_restores_best_validation_weights(self):
         x, y = two_blob_problem(3)
         topo = Topology(2, 6, 2)
@@ -204,6 +186,23 @@ class TestTrainScg:
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.train_mse == b.train_mse
 
+    def test_weights0_copied_not_written(self):
+        x, y = two_blob_problem(2)
+        topo = Topology(2, 4, 2)
+        w0 = init_weights(topo, np.random.default_rng(3))
+        kept = w0.copy()
+        model = train_scg(w0, topo, x, one_hot(y, 2),
+                          cfg=TrainingConfig(max_epochs=5))
+        np.testing.assert_array_equal(w0, kept)
+        assert not np.array_equal(model.weights, w0)
+
+    def test_wrong_length_weights_rejected(self):
+        topo = Topology()
+        with pytest.raises(ValueError, match="^injected weights have length "
+                                             "10, topology needs 74$"):
+            train_scg(np.zeros(10), topo, np.zeros((3, 2)),
+                      np.zeros((3, 4)))
+
     def test_empty_training_set_rejected(self):
         topo = Topology(2, 3, 2)
         with pytest.raises(ValueError):
@@ -217,7 +216,7 @@ class TestTrainScg:
                           topo, x, one_hot(y, 2),
                           cfg=TrainingConfig(max_epochs=17))
         assert model.epochs <= 17
-        assert model.stop_reason in {"goal", "patience", "max_epochs",
+        assert model.stop_reason in {"patience", "max_epochs",
                                      "scg_converged"}
 
 
@@ -335,7 +334,7 @@ def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
         x_val = np.ascontiguousarray(x_val, dtype=np.float64)
         t_val = np.ascontiguousarray(t_val, dtype=np.float64)
 
-    w = init_weights(topology, weights0).copy()
+    w = np.array(weights0, dtype=np.float64)
     n_params = w.size
 
     def loss_grad(vec):
@@ -423,9 +422,6 @@ def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
             elif fv > best_val:
                 fails += 1
 
-        if f <= cfg.goal:
-            stop = "goal"
-            break
         if has_val and fails >= cfg.patience:
             stop = "patience"
             w = best_w
@@ -455,8 +451,7 @@ ORACLE_TOPOLOGIES = (Topology(2, 10, 4), Topology(3, 5, 2))
 def scg_oracle_runs():
     """Old and new training on a grid: both topologies, 1/7/117 training
     rows, 0/1/39 validation rows (one row takes numpy's matrix-vector
-    path), first to max_epochs or patience, then again with the goal set
-    to the old run's mid-way training MSE."""
+    path), each to max_epochs or patience."""
     runs = []
     for topo in ORACLE_TOPOLOGIES:
         for n_train in (1, 7, 117):
@@ -465,18 +460,14 @@ def scg_oracle_runs():
                 w0, x, t, x_val, t_val = _random_problem(topo, n_train,
                                                          n_val, seed)
                 cfg = TrainingConfig(max_epochs=60)
-                for _ in range(2):
-                    counts = {"reject": 0, "restart": 0}
-                    old = _old_train_scg(w0, topo, x, t, x_val, t_val, cfg,
-                                         counts)
-                    new = train_scg(w0, topo, x, t, x_val, t_val, cfg)
-                    name = (f"{topo.input_size}-{topo.hidden_size}-"
-                            f"{topo.output_size} n_train={n_train} "
-                            f"n_val={n_val} goal={cfg.goal}")
-                    runs.append((name, old, new, counts))
-                    cfg = TrainingConfig(
-                        max_epochs=60,
-                        goal=old.train_mse[len(old.train_mse) // 2])
+                counts = {"reject": 0, "restart": 0}
+                old = _old_train_scg(w0, topo, x, t, x_val, t_val, cfg,
+                                     counts)
+                new = train_scg(w0, topo, x, t, x_val, t_val, cfg)
+                name = (f"{topo.input_size}-{topo.hidden_size}-"
+                        f"{topo.output_size} n_train={n_train} "
+                        f"n_val={n_val}")
+                runs.append((name, old, new, counts))
     return runs
 
 
@@ -490,7 +481,7 @@ class TestBitIdentityOracle:
 
     def test_grid_covers_every_stop_and_step_kind(self, scg_oracle_runs):
         stops = {old.stop_reason for _, old, _, _ in scg_oracle_runs}
-        assert {"goal", "max_epochs", "patience"} <= stops
+        assert {"max_epochs", "patience"} <= stops
         assert any(c["reject"] and c["restart"]
                    for _, _, _, c in scg_oracle_runs)
 
