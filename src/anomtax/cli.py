@@ -10,9 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+# Every matrix product here is far below OpenBLAS's threading threshold,
+# so its helper threads never run; starting them cost each process
+# up to ~65 ms of numpy import on a 2-vCPU VM.  Set before numpy is first
+# imported; a caller's own OPENBLAS_NUM_THREADS wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import anomtax
+from anomtax import labeling
 from anomtax.cli import main
+from anomtax.config import load_config
 from anomtax.data import Dataset, load_csv, save_csv
 
 TINY_CONFIG = """
@@ -283,6 +286,48 @@ class TestLabel:
                      "--out", str(tmp_path / "o"), "label", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "error in stage 'load'" in err and "oops" in err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+
+
+def golden_digest(root: Path) -> str:
+    """SHA-256 over each file's relative path and SHA-256, sorted by path."""
+    h = hashlib.sha256()
+    for rel, digest in sorted(tree_digest(root).items()):
+        h.update(f"{rel}\0{digest}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN["label"]))
+def test_label_tree_matches_golden(tmp_path, run):
+    # labeling calls no BLAS routine, so these bits hold on any host; a
+    # deliberate change to the label tree updates golden.json with it
+    if run == "iris_like":
+        from conftest import make_iris_like
+        data = tmp_path / "iris.csv"
+        save_csv(make_iris_like(), data)
+        cfg = tmp_path / "sup.ini"
+        cfg.write_text("[labeling]\nclusters = 3\n\n[data]\n"
+                       "retained = petal_len, petal_wid\n"
+                       "discarded = sepal_len, sepal_wid\n",
+                       encoding="utf-8")
+        base = ["--seed", "0", "--config", str(cfg), "--quiet"]
+    else:
+        data = tmp_path / "synth.csv"
+        base = ["--seed", run.removeprefix("seed"), "--quiet"]
+        assert main(base + ["synth", str(data)]) == 0
+    out = tmp_path / "label"
+    assert main(base + ["--out", str(out), "label", str(data)]) == 0
+    assert golden_digest(out) == GOLDEN["label"][run]
+    if run in GOLDEN["knn_scores"]:
+        # the tree holds labels only, and a score moved by one ulp seldom
+        # moves a label across its cutoff
+        points = load_csv(out / "labeled.csv").features
+        scores = labeling._knn_scores(points, load_config(seed=0)
+                                      .labeling.knn_k)
+        assert (hashlib.sha256(scores.tobytes()).hexdigest()
+                == GOLDEN["knn_scores"][run])
 
 
 class TestOutDir:
@@ -692,17 +737,26 @@ def test_removed_command_is_invalid_choice(tmp_path, tiny_config,
 LAZY_MODULES = ("numpy.ma", "concurrent.futures", "dataclasses")
 
 
-def _loaded_after(code: str, cwd) -> list:
-    """Which of LAZY_MODULES a fresh interpreter holds after ``code``."""
+def _fresh(code: str, cwd, blas_threads=None) -> str:
+    """Standard output of ``code`` in a fresh interpreter, started with
+    OPENBLAS_NUM_THREADS unset or set to ``blas_threads``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
-    probe = (code + "\nimport sys\n"
-             f"print(' '.join(m for m in {LAZY_MODULES!r} "
-             "if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+    # importing anomtax.cli set it in this process too
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()
+    return done.stdout
+
+
+def _loaded_after(code: str, cwd) -> list:
+    """Which of LAZY_MODULES a fresh interpreter holds after ``code``."""
+    return _fresh(code + "\nimport sys\n"
+                  f"print(' '.join(m for m in {LAZY_MODULES!r} "
+                  "if m in sys.modules))", cwd).split()
 
 
 def test_label_and_compare_skip_lazy_imports(tmp_path, tiny_config,
@@ -723,3 +777,24 @@ def test_label_and_compare_skip_lazy_imports(tmp_path, tiny_config,
             f"for argv in {runs!r}:\n"
             "    assert main(argv) == 0, argv")
     assert _loaded_after(code, tmp_path) == []
+
+
+def test_cli_runs_blas_on_the_calling_thread(tmp_path, tiny_config):
+    # OpenBLAS's helper threads never run on this package's tiny products,
+    # and starting them cost each process up to ~65 ms of numpy import
+    synth = tmp_path / "synth.csv"
+    base = ["--seed", "5", "--config", tiny_config, "--quiet"]
+    assert main(base + ["synth", str(synth)]) == 0
+    argv = base + ["--out", str(tmp_path / "lab"), "label", str(synth)]
+    code = ("from anomtax.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "import os\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "task = '/proc/self/task'\n"
+            "print(len(os.listdir(task)) if os.path.isdir(task) else '-')")
+    blas_threads, os_threads = _fresh(code, tmp_path).split()
+    assert blas_threads == "1"
+    if os_threads != "-":
+        assert os_threads == "1"
+    # a caller's own setting wins
+    assert _fresh(code, tmp_path, blas_threads="2").split()[0] == "2"
