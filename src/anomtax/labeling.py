@@ -142,6 +142,8 @@ def _knn_scores(pts, k: int) -> np.ndarray:
     Extra candidates never change which k smallest values are found, so
     each row gets the same k distances as a scan of all points, and they
     are summed in ascending order.
+    Every block of the sweep is measured in the same two scratch buffers,
+    which grow only when a block needs more room.
     """
     n = pts.shape[0]
     if not np.isfinite(pts).all():
@@ -155,10 +157,13 @@ def _knn_scores(pts, k: int) -> np.ndarray:
     first = np.empty(n, dtype=np.int64)
     last = np.empty(n, dtype=np.int64)
     redo = []
+    buf = np.empty((2, 0))
     for lo in range(0, n, SWEEP_ROWS):
         hi = min(n, lo + SWEEP_ROWS)
         w_lo, w_hi = max(0, lo - reach), min(n, hi + reach)
-        nearest[lo:hi] = _k_smallest(cols, np.arange(lo, hi), w_lo, w_hi, k)
+        buf = _room(buf, (hi - lo) * (w_hi - w_lo))
+        nearest[lo:hi] = _k_smallest(cols, np.arange(lo, hi), w_lo, w_hi, k,
+                                     buf)
         bound = nearest[lo:hi, k - 1] * (1.0 + STRIP_REL_MARGIN) \
             + STRIP_ABS_MARGIN
         first[lo:hi] = np.searchsorted(coord, coord[lo:hi] - bound, "left")
@@ -166,20 +171,30 @@ def _knn_scores(pts, k: int) -> np.ndarray:
         redo.append(lo + np.flatnonzero((first[lo:hi] < w_lo)
                                         | (last[lo:hi] > w_hi)))
     for rows, s_lo, s_hi in _strip_groups(np.concatenate(redo), first, last):
-        nearest[rows] = _k_smallest(cols, rows, s_lo, s_hi, k)
+        buf = _room(buf, rows.size * (s_hi - s_lo))
+        nearest[rows] = _k_smallest(cols, rows, s_lo, s_hi, k, buf)
     scores = np.empty(n)
     scores[order] = np.sort(nearest, axis=1).sum(axis=1) / k
     return scores
 
 
-def _k_smallest(cols, rows, lo: int, hi: int, k: int) -> np.ndarray:
+def _room(buf, size: int) -> np.ndarray:
+    """``buf``, shape (2, s), if s >= ``size``, else a new (2, size)
+    buffer."""
+    return buf if buf.shape[1] >= size else np.empty((2, size))
+
+
+def _k_smallest(cols, rows, lo: int, hi: int, k: int, buf) -> np.ndarray:
     """The k smallest distances from each of the points ``rows`` to the
     points lo:hi other than itself, in partition order; ``cols`` holds the
-    points as columns.  Every ``rows`` entry must lie in lo:hi.
+    points as columns.  Every ``rows`` entry must lie in lo:hi.  ``buf``,
+    shape (2, s) with s >= rows.size * (hi - lo), is scratch space.
 
     The selection runs on squared distances; ``sqrt`` is monotone, so the
     root of the k kept values gives the same bits as selecting roots."""
-    block = _sq_distances(cols[:, rows].T, cols[:, lo:hi])
+    size = rows.size * (hi - lo)
+    block, tmp = (b[:size].reshape(rows.size, hi - lo) for b in buf)
+    _sq_distances(cols[:, rows].T, cols[:, lo:hi], block, tmp)
     block[np.arange(rows.size), rows - lo] = np.inf
     block.partition(k - 1, axis=1)
     return np.sqrt(block[:, :k])

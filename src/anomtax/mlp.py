@@ -9,9 +9,9 @@ biases.
 
 The network is evaluated through genome views: :func:`unpack_weights`
 gives (w1, b1, w2, b2) views of a flat vector, and a gradient is written
-through the same views of a flat gradient buffer with ``out=`` arguments,
+through the same views of a flat gradient buffer with ``out`` arguments,
 so it is never packed.  :func:`train_scg` checks its inputs once, then
-allocates the weights, the trial point, three gradient slots and every
+allocates the weights, the trial point, two gradient slots and every
 intermediate array once per call; its epoch loop allocates no arrays.
 :func:`forward_batch` and :func:`mse_and_gradient` are the validated
 entry points over the same code.
@@ -121,25 +121,39 @@ def unpack_weights(weights: np.ndarray, topology: Topology):
 
 
 class _Genome:
-    """A flat genome-length buffer and its (w1, b1, w2, b2) views."""
+    """A flat genome-length buffer, its (w1, b1, w2, b2) views, and the
+    (w1.T, b1, w2.T, b2) views the forward pass multiplies by."""
 
-    __slots__ = ("flat", "views")
+    __slots__ = ("flat", "views", "fwd")
 
-    def __init__(self, topology: Topology):
-        self.flat = np.zeros(topology.genome_length)
-        self.views = unpack_weights(self.flat, topology)
+    def __init__(self, topology: Topology, flat=None):
+        if flat is None:
+            flat = np.zeros(topology.genome_length)
+        self.flat = flat
+        self.views = w1, b1, w2, b2 = unpack_weights(self.flat, topology)
+        self.fwd = (w1.T, b1, w2.T, b2)
 
 
-def _forward(w, x, hidden, y) -> None:
-    """Outputs for the rows of ``x`` at weight views ``w``, written into
-    ``hidden`` and ``y``."""
-    w1, b1, w2, b2 = w
-    np.matmul(x, w1.T, out=hidden)
-    np.add(hidden, b1, out=hidden)
-    np.tanh(hidden, out=hidden)
-    np.matmul(hidden, w2.T, out=y)
-    np.add(y, b2, out=y)
-    np.tanh(y, out=y)
+def _forward(w, parts, hidden, y) -> None:
+    """Outputs at the views ``w`` = (w1.T, b1, w2.T, b2), written into
+    ``hidden`` and ``y``.
+
+    ``parts`` splits the rows into ``(x, hidden, y)`` slices, and each
+    slice gets its own matrix products: the bits of a row of a product can
+    depend on the rows multiplied with it (they do under OpenBLAS's
+    Haswell dgemm, and a one-row matrix takes numpy's matrix-vector path).
+    The elementwise steps run over all rows at once, which gives every
+    element the bits of a pass over its own part.
+    """
+    w1t, b1, w2t, b2 = w
+    for x, h, _ in parts:
+        np.matmul(x, w1t, h)
+    np.add(hidden, b1, hidden)
+    np.tanh(hidden, hidden)
+    for _, h, out in parts:
+        np.matmul(h, w2t, out)
+    np.add(y, b2, y)
+    np.tanh(y, y)
 
 
 class _Batch:
@@ -147,26 +161,23 @@ class _Batch:
     allocated once.
 
     Rows ``[0, n_fit)`` are fitted: the loss and gradient cover them
-    alone.  Any rows after them (a validation set) are only scored.  One
-    forward pass over all rows gives every row the bits of a pass over its
-    own part, except that numpy multiplies a one-row matrix by a
-    matrix-vector product, so a one-row part gets its own pass.
+    alone.  Any rows after them (a validation set) are only scored.  A
+    scoring pass multiplies each part on its own (see :func:`_forward`), so
+    every row gets the bits of a pass over its own part.
     """
 
     def __init__(self, topology: Topology, x, t, n_fit: int):
         n = x.shape[0]
         n_hid, n_out = topology.hidden_size, topology.output_size
-        hidden = np.empty((n, n_hid))
+        self.hidden = np.empty((n, n_hid))
         self.y = np.empty((n, n_out))
         self.t, self.fit_t = t, t[:n_fit]
         self.err = np.empty((n, n_out))
         self.sq = np.empty((n, n_out))
-        self.fit = (x[:n_fit], hidden[:n_fit], self.y[:n_fit])
-        if n_fit > 1 and n - n_fit > 1:
-            self.parts = ((x, hidden, self.y),)
-        else:
-            self.parts = (self.fit,
-                          (x[n_fit:], hidden[n_fit:], self.y[n_fit:]))
+        self.fit = (x[:n_fit], self.hidden[:n_fit], self.y[:n_fit])
+        self.fit_parts = (self.fit,)
+        self.parts = (self.fit,
+                      (x[n_fit:], self.hidden[n_fit:], self.y[n_fit:]))
         self.fit_err, self.fit_sq = self.err[:n_fit], self.sq[:n_fit]
         self.val_sq = self.sq[n_fit:]
         self.fit_size = n_fit * n_out
@@ -176,23 +187,23 @@ class _Batch:
         self.d2 = np.empty((n_fit, n_out))
         self.dh = np.empty((n_fit, n_hid))
         self.d1 = np.empty((n_fit, n_hid))
+        self.d2t, self.d1t = self.d2.T, self.d1.T
 
-    def loss_grad(self, w, g, loss: bool = True, score: bool = False):
-        """Write the gradient of the fitted rows' MSE at weight views ``w``
-        into gradient views ``g`` and return ``(fit_mse, val_mse)``: the
-        fitted rows' MSE (None without ``loss``) and the scored rows' MSE
-        (None without ``score``)."""
-        x, hidden, y = self.fit
+    def forward(self, w: _Genome, loss: bool = True, score: bool = False):
+        """Run the fitted rows, and with ``score`` the scored rows too, at
+        genome ``w``; return ``(fit_mse, val_mse)``: the fitted rows' MSE
+        (None without ``loss``) and the scored rows' MSE (None without
+        ``score``)."""
         if score:
-            for part in self.parts:
-                _forward(w, *part)
-            np.subtract(self.y, self.t, out=self.err)
-            np.multiply(self.err, self.err, out=self.sq)
+            _forward(w.fwd, self.parts, self.hidden, self.y)
+            np.subtract(self.y, self.t, self.err)
+            np.multiply(self.err, self.err, self.sq)
         else:
-            _forward(w, x, hidden, y)
-            np.subtract(y, self.fit_t, out=self.fit_err)
+            _, hidden, y = self.fit
+            _forward(w.fwd, self.fit_parts, hidden, y)
+            np.subtract(y, self.fit_t, self.fit_err)
             if loss:
-                np.multiply(self.fit_err, self.fit_err, out=self.fit_sq)
+                np.multiply(self.fit_err, self.fit_err, self.fit_sq)
         fit_mse = val_mse = None
         if loss:
             fit_mse = float(np.add.reduce(self.fit_sq, axis=None)) \
@@ -200,23 +211,27 @@ class _Batch:
         if score:
             val_mse = float(np.add.reduce(self.val_sq, axis=None)) \
                 / self.val_size
-
-        w2 = w[2]
-        gw1, gb1, gw2, gb2 = g
-        dy, d2, dh, d1 = self.dy, self.d2, self.dh, self.d1
-        np.multiply(y, y, out=dy)
-        np.subtract(1.0, dy, out=dy)
-        np.multiply(self.fit_err, self.scale, out=d2)
-        np.multiply(d2, dy, out=d2)
-        np.matmul(d2.T, hidden, out=gw2)
-        np.add.reduce(d2, axis=0, out=gb2)
-        np.matmul(d2, w2, out=d1)
-        np.multiply(hidden, hidden, out=dh)
-        np.subtract(1.0, dh, out=dh)
-        np.multiply(d1, dh, out=d1)
-        np.matmul(d1.T, x, out=gw1)
-        np.add.reduce(d1, axis=0, out=gb1)
         return fit_mse, val_mse
+
+    def backward(self, w: _Genome, g: _Genome) -> None:
+        """Write into genome ``g`` the gradient of the fitted rows' MSE at
+        genome ``w``, from what the last :meth:`forward` call, made at
+        ``w``, left in the buffers."""
+        x, hidden, y = self.fit
+        gw1, gb1, gw2, gb2 = g.views
+        dy, d2, dh, d1 = self.dy, self.d2, self.dh, self.d1
+        np.multiply(y, y, dy)
+        np.subtract(1.0, dy, dy)
+        np.multiply(self.fit_err, self.scale, d2)
+        np.multiply(d2, dy, d2)
+        np.matmul(self.d2t, hidden, gw2)
+        np.add.reduce(d2, 0, None, gb2)
+        np.matmul(d2, w.views[2], d1)
+        np.multiply(hidden, hidden, dh)
+        np.subtract(1.0, dh, dh)
+        np.multiply(d1, dh, d1)
+        np.matmul(self.d1t, x, gw1)
+        np.add.reduce(d1, 0, None, gb1)
 
 
 def _check_batch(topology: Topology, x, t) -> None:
@@ -244,10 +259,11 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
         raise ValueError(
             f"batch has shape {x.shape}, expected (n, {topology.input_size})"
         )
-    w = unpack_weights(np.ascontiguousarray(weights), topology)
+    w = _Genome(topology, np.ascontiguousarray(weights))
+    hidden = np.empty((x.shape[0], topology.hidden_size))
     y = np.empty((x.shape[0], topology.output_size))
     with np.errstate(over="ignore", invalid="ignore"):
-        _forward(w, x, np.empty((x.shape[0], topology.hidden_size)), y)
+        _forward(w.fwd, ((x, hidden, y),), hidden, y)
     bad = np.count_nonzero(np.isnan(y).any(axis=1))
     if bad:
         raise ValueError(f"network output is NaN for {bad} of {x.shape[0]} "
@@ -261,9 +277,11 @@ def mse_and_gradient(weights: np.ndarray, topology: Topology, x, t):
     x = np.ascontiguousarray(x, dtype=np.float64)
     t = np.ascontiguousarray(t, dtype=np.float64)
     _check_batch(topology, x, t)
+    w = _Genome(topology, np.ascontiguousarray(weights))
     grad = _Genome(topology)
-    loss, _ = _Batch(topology, x, t, x.shape[0]).loss_grad(
-        unpack_weights(np.ascontiguousarray(weights), topology), grad.views)
+    batch = _Batch(topology, x, t, x.shape[0])
+    loss, _ = batch.forward(w)
+    batch.backward(w, grad)
     return loss, grad.flat
 
 
@@ -283,10 +301,12 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     ``max_epochs``.  An empty validation set disables early stopping.
     ``weights0`` is copied, never written to.
 
-    The validation rows are stacked under the training rows, so the call
+    The validation rows are stacked under the training rows, so the pass
     that scores a candidate step also gives its validation error; an
     accepted step moves the weights to exactly that point and a rejected
-    one leaves them, and their validation error, as they were.
+    one leaves them, and their validation error, as they were.  Only an
+    accepted step needs the gradient, so it is taken from that pass's
+    buffers after the step is accepted.
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     t_train = np.ascontiguousarray(t_train, dtype=np.float64)
@@ -310,11 +330,12 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             f"{topology.genome_length}"
         )
     n_params = w.size
-    trial, grad, grad_sigma, grad_cand = (_Genome(topology) for _ in range(4))
+    trial, grad, grad_sigma = (_Genome(topology) for _ in range(3))
     trial.flat[:] = w
     r, r_new, p, diff, best_w = (np.empty(n_params) for _ in range(5))
 
-    f, fv = batch.loss_grad(trial.views, grad.views, score=has_val)
+    f, fv = batch.forward(trial, score=has_val)
+    batch.backward(trial, grad)
     if not math.isfinite(f):
         raise TrainingDivergedError("non-finite training loss at epoch 0")
     np.negative(grad.flat, out=r)
@@ -349,7 +370,8 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             sigma = SCG_SIGMA0 / math.sqrt(p_norm2)
             np.multiply(p, sigma, out=trial.flat)
             np.add(w, trial.flat, out=trial.flat)
-            batch.loss_grad(trial.views, grad_sigma.views, loss=False)
+            batch.forward(trial, loss=False)
+            batch.backward(trial, grad_sigma)
             np.subtract(grad_sigma.flat, grad.flat, out=diff)
             delta = float(p @ diff) / sigma
         delta += (lam - lam_bar) * p_norm2
@@ -360,8 +382,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
         alpha = mu / delta
         np.multiply(p, alpha, out=trial.flat)
         np.add(w, trial.flat, out=trial.flat)
-        f_cand, fv_cand = batch.loss_grad(trial.views, grad_cand.views,
-                                          score=has_val)
+        f_cand, fv_cand = batch.forward(trial, score=has_val)
         if not math.isfinite(f_cand):
             raise TrainingDivergedError(
                 f"non-finite training loss at epoch {epoch}")
@@ -370,8 +391,8 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
             w[:] = trial.flat
             f = f_cand
             fv = fv_cand
-            np.negative(grad_cand.flat, out=r_new)
-            grad, grad_cand = grad_cand, grad
+            batch.backward(trial, grad)
+            np.negative(grad.flat, out=r_new)
             lam_bar = 0.0
             success = True
             accepted_steps += 1

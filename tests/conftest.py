@@ -1,9 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import anomtax
 from anomtax.config import load_config
 from anomtax.data import Dataset, generate_synthetic, minmax_normalize
 from anomtax.labeling import LabelingConfig, label_dataset
+
+
+def fresh_stdout(code: str, cwd, blas_threads=None) -> str:
+    """Standard output of ``code`` in a fresh interpreter, started with
+    OPENBLAS_NUM_THREADS unset or set to ``blas_threads``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+    # importing anomtax.cli set it in this process too
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

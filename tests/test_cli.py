@@ -15,6 +15,7 @@ from anomtax import labeling
 from anomtax.cli import main
 from anomtax.config import load_config
 from anomtax.data import Dataset, load_csv, save_csv
+from conftest import fresh_stdout
 
 TINY_CONFIG = """
 [synthetic]
@@ -737,26 +738,11 @@ def test_removed_command_is_invalid_choice(tmp_path, tiny_config,
 LAZY_MODULES = ("numpy.ma", "concurrent.futures", "dataclasses")
 
 
-def _fresh(code: str, cwd, blas_threads=None) -> str:
-    """Standard output of ``code`` in a fresh interpreter, started with
-    OPENBLAS_NUM_THREADS unset or set to ``blas_threads``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
-    # importing anomtax.cli set it in this process too
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
-    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def _loaded_after(code: str, cwd) -> list:
     """Which of LAZY_MODULES a fresh interpreter holds after ``code``."""
-    return _fresh(code + "\nimport sys\n"
-                  f"print(' '.join(m for m in {LAZY_MODULES!r} "
-                  "if m in sys.modules))", cwd).split()
+    return fresh_stdout(code + "\nimport sys\n"
+                        f"print(' '.join(m for m in {LAZY_MODULES!r} "
+                        "if m in sys.modules))", cwd).split()
 
 
 def test_label_and_compare_skip_lazy_imports(tmp_path, tiny_config,
@@ -792,9 +778,29 @@ def test_cli_runs_blas_on_the_calling_thread(tmp_path, tiny_config):
             "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
             "task = '/proc/self/task'\n"
             "print(len(os.listdir(task)) if os.path.isdir(task) else '-')")
-    blas_threads, os_threads = _fresh(code, tmp_path).split()
+    blas_threads, os_threads = fresh_stdout(code, tmp_path).split()
     assert blas_threads == "1"
     if os_threads != "-":
         assert os_threads == "1"
     # a caller's own setting wins
-    assert _fresh(code, tmp_path, blas_threads="2").split()[0] == "2"
+    assert fresh_stdout(code, tmp_path, blas_threads="2").split()[0] == "2"
+
+
+def test_own_command_line_freezes_import_time_objects(tmp_path,
+                                                      tiny_config):
+    # a process that runs its own command line ends after it, and frozen
+    # objects spare its exit a teardown of ~15-25 ms; a caller that passes
+    # argv goes on running, so nothing is frozen for it
+    argv = ["--seed", "5", "--config", tiny_config, "--quiet", "synth",
+            str(tmp_path / "synth.csv")]
+    own = ("import gc, sys\n"
+           "from anomtax.cli import main\n"
+           f"sys.argv = ['anomtax', *{argv!r}]\n"
+           "assert main() == 0\n"
+           "print(gc.get_freeze_count())")
+    assert int(fresh_stdout(own, tmp_path)) > 0
+    passed = ("import gc\n"
+              "from anomtax.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print(gc.get_freeze_count())")
+    assert int(fresh_stdout(passed, tmp_path)) == 0
