@@ -99,21 +99,27 @@ def cmd_synth(cfg: RunConfig, out_csv) -> int:
     return 0
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a run file: ``header``, then ``rows`` of Python values (csv
+    writes a float as its repr, so it reads back bit for bit)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_reports(reports, out: Path, cfg: RunConfig):
     """Write the ``(class id, report)`` pairs as CSV and text; the class id
     of a dataset without classes is ""."""
     header = ["#Point", "#Cluster", "#ND", "#CNA", "#CPA", "#PA"]
-    rows = ["class," + ",".join(header)]
+    _write_csv(out / "labeling_report.csv", ["class", *header],
+               [[class_id, *report] for class_id, report in reports])
     lines = []
-    for class_id, r in reports:
-        values = [r.points, r.clusters, r.nd, r.cna, r.cpa, r.pa]
-        rows.append(f"{class_id}," + ",".join(map(str, values)))
+    for class_id, report in reports:
         lines.append(f"sub-dataset (class {class_id})" if class_id != ""
                      else "dataset")
         lines += [f"  {name:<9} {value}"
-                  for name, value in zip(header, values)]
-    (out / "labeling_report.csv").write_text("\n".join(rows) + "\n",
-                                             encoding="utf-8")
+                  for name, value in zip(header, report)]
     text = "\n".join(lines) + "\n"
     (out / "labeling_report.txt").write_text(text, encoding="utf-8")
     _say(cfg, text.rstrip())
@@ -142,12 +148,8 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
     with _stage("write"):
         out = _outdir(cfg)
         if params is not None:
-            with open(out / "norm_params.csv", "w", newline="",
-                      encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["feature", "min", "max"])
-                for name, lo, hi in zip(ds.feature_names, *params):
-                    writer.writerow([name, repr(float(lo)), repr(float(hi))])
+            _write_csv(out / "norm_params.csv", ["feature", "min", "max"],
+                       zip(ds.feature_names, *(p.tolist() for p in params)))
         save_csv(labeled, out / "labeled.csv")
         _write_reports(reports, out, cfg)
     _say(cfg, f"wrote {out / 'labeled.csv'}")
@@ -170,16 +172,21 @@ def _write_model_eval(tag: str, scores, counts, y, out: Path) -> None:
     its ROC set, all named by ``tag``."""
     (out / f"{tag}_confusion.txt").write_text(
         evaluation.format_confusion(counts, LABEL_TOKENS), encoding="utf-8")
-    evaluation.write_confusion_csv(counts, LABEL_TOKENS,
-                                   out / f"{tag}_confusion.csv")
-    evaluation.write_metrics_csv(counts, LABEL_TOKENS,
-                                 out / f"{tag}_metrics.csv")
+    _write_csv(out / f"{tag}_confusion.csv",
+               ["predicted\\target", *LABEL_TOKENS],
+               [[name, *row] for name, row in zip(LABEL_TOKENS,
+                                                  counts.tolist())])
+    rates = np.column_stack(evaluation.class_rates(counts)).tolist()
+    _write_csv(out / f"{tag}_metrics.csv",
+               ["class", "precision", "recall", "fpr"],
+               [[name, *r] for name, r in zip(LABEL_TOKENS, rates)])
     for c, name in enumerate(LABEL_TOKENS):
         positives = np.asarray(y) == c
         if positives.all() or not positives.any():
             continue  # ROC undefined with one class absent
         curve = evaluation.roc_curve(scores[:, c], positives)
-        evaluation.write_roc_csv(curve, out / f"roc_{tag}_{name}.csv")
+        _write_csv(out / f"roc_{tag}_{name}.csv", ["threshold", "fpr", "tpr"],
+                   np.column_stack([curve.thresholds, curve.points]).tolist())
         svg = unit_line_chart(f"{tag} {name} (AUC {curve.auc:.3f})",
                               curve.points, f"ROC {tag} class {name}")
         (out / f"roc_{tag}_{name}.svg").write_text(svg, encoding="utf-8")
@@ -200,11 +207,8 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
         for tag, ind in (("nn", nn), ("ga", ga_run.best)):
             _write_model_eval(tag, ind.scores, ind.matrix, prepared.y_test,
                               out)
-        with open(out / "ga_cycles.csv", "w", encoding="utf-8") as fh:
-            fh.write("cycle,best_fitness,mean_fitness\n")
-            for st in ga_run.cycles:
-                fh.write(f"{st.cycle},{st.best_fitness!r},"
-                         f"{st.mean_fitness!r}\n")
+        _write_csv(out / "ga_cycles.csv", ga.CycleStats._fields,
+                   ga_run.cycles)
         summary = (f"NN test error {evaluation.fmt_pct(nn.fitness)}, "
                    f"GA test error {evaluation.fmt_pct(ga_run.best.fitness)}")
         (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")

@@ -4,15 +4,13 @@ trapezoidal AUC.
 A network's test outcome is one ``(k, k)`` int count array,
 ``counts[p, t]`` = number of samples of target class t predicted as p:
 rows are the predicted (output) class, columns the target class, so
-printed matrices read like familiar test-confusion printouts.  The
-writers take the class names beside the counts.  Rates with a 0/0
-denominator carry NaN as an explicit "undefined" marker and print as
-``NaN%`` - never silently 0.
+printed matrices read like familiar test-confusion printouts.  Rates
+with a 0/0 denominator carry NaN as an explicit "undefined" marker and
+print as ``NaN%`` - never silently 0.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import NamedTuple
 
@@ -26,9 +24,6 @@ __all__ = [
     "roc_curve",
     "fmt_pct",
     "format_confusion",
-    "write_confusion_csv",
-    "write_metrics_csv",
-    "write_roc_csv",
 ]
 
 
@@ -123,7 +118,7 @@ def roc_curve(scores, positives) -> RocCurve:
 
 
 # ---------------------------------------------------------------------------
-# formatting and export
+# formatting
 # ---------------------------------------------------------------------------
 
 def fmt_pct(value: float) -> str:
@@ -150,28 +145,3 @@ def format_confusion(counts, names) -> str:
                        for i, cellv in enumerate(row)).rstrip()
              for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def write_confusion_csv(counts, names, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["predicted\\target"] + list(names))
-        for name, row in zip(names, counts):
-            writer.writerow([name] + [int(v) for v in row])
-
-
-def write_metrics_csv(counts, names, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "fpr"])
-        for name, *rates in zip(names, *class_rates(counts)):
-            writer.writerow([name] + [repr(float(v)) for v in rates])
-
-
-def write_roc_csv(curve: RocCurve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for th, (fpr, tpr) in zip(curve.thresholds, curve.points):
-            writer.writerow([repr(float(th)), repr(float(fpr)),
-                             repr(float(tpr))])

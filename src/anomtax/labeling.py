@@ -38,7 +38,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 KMEANS_MAX_ITER = 300
-DENSITY_CAP = 1e12
 DENSITY_EPS = 1e-12
 # Float64 elements in one block of distance rows (16 MB per temporary), so
 # labeling memory grows linearly with the number of points.
@@ -369,7 +368,8 @@ def cluster_density_stats(model: ClusterModel, points,
             continue
         kk = min(knn_k, members.size - 1)
         mean_dist = _knn_scores(points[members], kk)
-        dens = np.where(mean_dist < DENSITY_EPS, DENSITY_CAP, 1.0 / np.maximum(mean_dist, DENSITY_EPS))
+        # 1/DENSITY_EPS is exactly 1e12 in float64, the cap
+        dens = 1.0 / np.maximum(mean_dist, DENSITY_EPS)
         stds[c] = dens.std()
     return stds
 

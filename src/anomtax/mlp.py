@@ -13,8 +13,8 @@ through the same views of a flat gradient buffer with ``out`` arguments,
 so it is never packed.  :func:`train_scg` checks its inputs once, then
 allocates the weights, the trial point, two gradient slots and every
 intermediate array once per call; its epoch loop allocates no arrays.
-:func:`forward_batch` and :func:`mse_and_gradient` are the validated
-entry points over the same code.
+:func:`forward_batch` is the validated entry point over the same forward
+pass.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "init_weights",
     "unpack_weights",
     "forward_batch",
-    "mse_and_gradient",
     "train_scg",
     "one_hot",
     "save_model",
@@ -269,20 +268,6 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
         raise ValueError(f"network output is NaN for {bad} of {x.shape[0]} "
                          "rows: the weights overflow float64")
     return y
-
-
-def mse_and_gradient(weights: np.ndarray, topology: Topology, x, t):
-    """Mean squared error over all outputs and examples, plus its exact
-    gradient with respect to the flat genome (reverse-mode)."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    _check_batch(topology, x, t)
-    w = _Genome(topology, np.ascontiguousarray(weights))
-    grad = _Genome(topology)
-    batch = _Batch(topology, x, t, x.shape[0])
-    loss, _ = batch.forward(w)
-    batch.backward(w, grad)
-    return loss, grad.flat
 
 
 def train_scg(weights0, topology: Topology, x_train, t_train,

@@ -44,12 +44,12 @@ from anomtax.mlp import (
     Topology,
     TrainingConfig,
     init_weights,
-    mse_and_gradient,
     forward_batch,
     one_hot,
     train_scg,
 )
 from test_eval import FIG_GA, FIG_NN, matrix_from_counts
+from test_mlp import mse_and_gradient
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = ""):

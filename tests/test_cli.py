@@ -15,7 +15,7 @@ from anomtax import labeling
 from anomtax.cli import main
 from anomtax.config import load_config
 from anomtax.data import Dataset, load_csv, save_csv
-from conftest import fresh_stdout
+from conftest import fresh_stdout, make_iris_like
 
 TINY_CONFIG = """
 [synthetic]
@@ -300,20 +300,24 @@ def golden_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def iris_like_run(tmp_path: Path):
+    """The supervised iris-like input CSV, and the leading arguments that
+    label it in 3 clusters of its petal features at seed 0."""
+    data = tmp_path / "iris.csv"
+    save_csv(make_iris_like(), data)
+    cfg = tmp_path / "sup.ini"
+    cfg.write_text("[labeling]\nclusters = 3\n\n[data]\n"
+                   "retained = petal_len, petal_wid\n"
+                   "discarded = sepal_len, sepal_wid\n", encoding="utf-8")
+    return data, ["--seed", "0", "--config", str(cfg), "--quiet"]
+
+
 @pytest.mark.parametrize("run", sorted(GOLDEN["label"]))
 def test_label_tree_matches_golden(tmp_path, run):
     # labeling calls no BLAS routine, so these bits hold on any host; a
     # deliberate change to the label tree updates golden.json with it
     if run == "iris_like":
-        from conftest import make_iris_like
-        data = tmp_path / "iris.csv"
-        save_csv(make_iris_like(), data)
-        cfg = tmp_path / "sup.ini"
-        cfg.write_text("[labeling]\nclusters = 3\n\n[data]\n"
-                       "retained = petal_len, petal_wid\n"
-                       "discarded = sepal_len, sepal_wid\n",
-                       encoding="utf-8")
-        base = ["--seed", "0", "--config", str(cfg), "--quiet"]
+        data, base = iris_like_run(tmp_path)
     else:
         data = tmp_path / "synth.csv"
         base = ["--seed", run.removeprefix("seed"), "--quiet"]
@@ -329,6 +333,78 @@ def test_label_tree_matches_golden(tmp_path, run):
                                       .labeling.knn_k)
         assert (hashlib.sha256(scores.tobytes()).hexdigest()
                 == GOLDEN["knn_scores"][run])
+
+
+@pytest.mark.parametrize("kernel", sorted(GOLDEN["compare"]))
+def test_compare_tree_matches_golden_under_named_kernel(tmp_path, kernel):
+    # the reference synth -> label -> compare at seed 0; compare's bits
+    # depend on the OpenBLAS kernel and on numpy's build, so its digest is
+    # pinned per kernel and numpy minor version
+    pinned = GOLDEN["compare"][kernel]
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    if numpy_minor not in pinned:
+        pytest.skip(f"the {kernel} compare digest is pinned for numpy "
+                    f"{', '.join(sorted(pinned))}, this is {np.__version__}")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2",
+               PYTHONPATH=str(Path(anomtax.__file__).parents[1]))
+    code = ("from anomtax.cli import main\n"
+            "for args in (['synth', 'synth.csv'],\n"
+            "             ['--out', 'lab', 'label', 'synth.csv'],\n"
+            "             ['--out', 'cmp', 'compare', 'lab/labeled.csv']):\n"
+            "    assert main(['--seed', '0', '--quiet', *args]) == 0\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    if f"Core: {kernel}" not in done.stderr:
+        pytest.skip(f"OpenBLAS did not pick the {kernel} kernel: "
+                    f"{done.stderr.strip()[:200]}")
+    assert golden_digest(tmp_path / "cmp") == pinned[numpy_minor]
+
+
+def _number(cell: str):
+    """``cell`` read as an int or else a float; None when it is neither."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return None
+
+
+def test_every_run_csv_has_one_format(tmp_path, tiny_config, labeled_csv):
+    # every CSV of the label (unsupervised and supervised), compare and
+    # eval trees, and their inputs: CRLF line endings only, a header row,
+    # rows as wide as it, and each float written as its repr
+    base = ["--seed", "5", "--config", tiny_config, "--quiet"]
+    cmp, ev = tmp_path / "cmp", tmp_path / "eval"
+    assert main(base + ["--out", str(cmp), "compare", str(labeled_csv)]) == 0
+    assert main(base + ["--out", str(ev), "eval",
+                        str(cmp / "ga_best_model.txt"),
+                        str(labeled_csv)]) == 0
+    data, iris = iris_like_run(tmp_path)
+    assert main(iris + ["--out", str(tmp_path / "iris"), "label",
+                        str(data)]) == 0
+    paths = sorted(tmp_path.rglob("*.csv"))
+    names = {path.name for path in paths}
+    assert {"labeled.csv", "norm_params.csv", "labeling_report.csv",
+            "ga_cycles.csv", "nn_confusion.csv", "ga_metrics.csv",
+            "eval_confusion.csv", "eval_metrics.csv"} <= names
+    assert any(name.startswith("roc_eval_") for name in names)
+    for path in paths:
+        raw = path.read_bytes()
+        where = str(path.relative_to(tmp_path))
+        assert raw.endswith(b"\r\n"), where
+        assert raw.count(b"\n") == raw.count(b"\r") == raw.count(b"\r\n"), \
+            where
+        header, *rows = csv.reader(raw.decode("utf-8").split("\r\n")[:-1])
+        assert header and all(_number(c) is None for c in header), where
+        for row in rows:
+            assert len(row) == len(header), where
+            for cell in row:
+                value = _number(cell)
+                if isinstance(value, float):
+                    assert repr(value) == cell, (where, cell)
 
 
 class TestOutDir:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from anomtax import cli
 from anomtax.data import LABEL_TOKENS
 from anomtax.evaluation import test_error as error_rate
 from anomtax.evaluation import (
@@ -14,9 +15,6 @@ from anomtax.evaluation import (
     fmt_pct,
     format_confusion,
     roc_curve,
-    write_confusion_csv,
-    write_metrics_csv,
-    write_roc_csv,
 )
 from anomtax.svgchart import unit_line_chart
 
@@ -325,6 +323,14 @@ class TestRocCurve:
         assert checked > 250
 
 
+def model_eval_rows(tmp_path, name, counts, scores=np.zeros((1, 4)), y=(0,)):
+    """Rows of the file ``name`` that ``cli._write_model_eval`` writes for
+    tag "t"; the default one-sample ``y`` leaves every ROC undefined."""
+    cli._write_model_eval("t", scores, counts, np.asarray(y), tmp_path)
+    with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 class TestFormatting:
     def test_pct(self):
         assert fmt_pct(0.857142857) == "85.7%"
@@ -338,17 +344,13 @@ class TestFormatting:
 
     def test_confusion_csv(self, tmp_path):
         m = matrix_from_counts(FIG_GA)
-        path = tmp_path / "m.csv"
-        write_confusion_csv(m, LABEL_TOKENS, path)
-        rows = list(csv.reader(path.read_text().splitlines()))
+        rows = model_eval_rows(tmp_path, "t_confusion.csv", m)
         assert rows[0] == ["predicted\\target", *LABEL_TOKENS]
         assert rows[1] == ["ND", "12", "1", "0", "0"]
 
     def test_metrics_csv_parseable(self, tmp_path):
         m = matrix_from_counts(FIG_NN)
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(m, LABEL_TOKENS, path)
-        rows = list(csv.reader(path.read_text().splitlines()))
+        rows = model_eval_rows(tmp_path, "t_metrics.csv", m)
         assert rows[0] == ["class", "precision", "recall", "fpr"]
         assert [r[0] for r in rows[1:]] == list(LABEL_TOKENS)
         # plain float reprs (no np.float64(...)) that read back as the
@@ -359,13 +361,18 @@ class TestFormatting:
         assert rows[2][1] == "nan"
 
     def test_roc_csv(self, tmp_path):
-        curve = roc_curve([0.9, 0.4, 0.6, 0.1], [True, True, False, False])
-        path = tmp_path / "roc.csv"
-        write_roc_csv(curve, path)
-        rows = list(csv.reader(path.read_text().splitlines()))
+        y = np.array([0, 0, 1, 1])
+        scores = np.zeros((4, len(LABEL_TOKENS)))
+        scores[:, 0] = [0.9, 0.4, 0.6, 0.1]
+        curve = roc_curve(scores[:, 0], y == 0)
+        rows = model_eval_rows(tmp_path, "roc_t_ND.csv",
+                               matrix_from_counts(FIG_GA), scores, y)
         assert rows[0] == ["threshold", "fpr", "tpr"]
         assert rows[1] == ["inf", "0.0", "0.0"]
         assert len(rows) == len(curve.points) + 1
+        got = np.array([[float(v) for v in r] for r in rows[1:]])
+        np.testing.assert_array_equal(
+            got, np.column_stack([curve.thresholds, curve.points]))
 
 
 class TestSvgChart:

@@ -67,7 +67,7 @@ def dense_density_std(model, pts, knn_k):
         np.fill_diagonal(dists, np.inf)
         kk = min(knn_k, members.size - 1)
         mean_dist = np.sort(dists, axis=1)[:, :kk].sum(axis=1) / kk
-        dens = np.where(mean_dist < labeling.DENSITY_EPS, labeling.DENSITY_CAP,
+        dens = np.where(mean_dist < labeling.DENSITY_EPS, 1e12,
                         1.0 / np.maximum(mean_dist, labeling.DENSITY_EPS))
         stds[c] = dens.std()
     return stds
@@ -345,6 +345,18 @@ class TestDensityStats:
         singleton = int(np.argmin(sizes))
         assert sizes[singleton] == 1
         assert spreads[singleton] == 0.0
+
+    def test_coincident_members_capped(self):
+        # each of the six coincident members has mean distance 0 to its 5
+        # nearest, below DENSITY_EPS, so its density is the 1e12 cap
+        pts = np.array([[1.0, 1.0]] * 6 + [[1.5, 1.0], [1.0, 2.0],
+                                           [3.0, 3.0]])
+        model = kmeans(pts, 1, seed=0)
+        spreads = cluster_density_stats(model, pts, knn_k=5)
+        np.testing.assert_array_equal(spreads,
+                                      dense_density_std(model, pts, 5))
+        assert spreads[0] == pytest.approx(1e12 * math.sqrt(2) / 3,
+                                           rel=1e-9)
 
 
 class TestDetectCna:

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from anomtax import mlp
 from anomtax.mlp import (
     SCG_CONVERGENCE_TOL,
     Topology,
@@ -12,7 +13,6 @@ from anomtax.mlp import (
     forward_batch,
     init_weights,
     load_model,
-    mse_and_gradient,
     one_hot,
     save_model,
     train_scg,
@@ -317,6 +317,21 @@ def _old_mlp_loss_grad(w1, b1, w2, b2, x, t):
 def _old_mlp_forward(w1, b1, w2, b2, x):
     hidden = np.tanh(x @ w1.T + b1)
     return np.tanh(hidden @ w2.T + b2)
+
+
+def mse_and_gradient(weights, topology, x, t):
+    """Mean squared error over all outputs and examples, plus its exact
+    gradient with respect to the flat genome, through the batch that
+    ``train_scg`` runs."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    mlp._check_batch(topology, x, t)
+    w = mlp._Genome(topology, np.ascontiguousarray(weights))
+    grad = mlp._Genome(topology)
+    batch = mlp._Batch(topology, x, t, x.shape[0])
+    loss, _ = batch.forward(w)
+    batch.backward(w, grad)
+    return loss, grad.flat
 
 
 def _old_mse_and_gradient(weights, topology, x, t):

@@ -7,11 +7,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "anomtax"
 
-# The checked entry point over the loss and gradient that training runs
-# inline; the finite-difference gradient oracles (acceptance criterion 4,
-# TestMseAndGradient) and the benchmark's tracer call it by name.
-EXEMPT = ("mlp.mse_and_gradient",)
-
 
 def _scan():
     used, exported = set(), {}
@@ -34,12 +29,6 @@ USED, EXPORTED = _scan()
 
 @pytest.mark.parametrize("module", sorted(EXPORTED))
 def test_every_public_name_is_used_in_src(module):
-    unused = [name for name in EXPORTED[module]
-              if name not in USED and f"{module}.{name}" not in EXEMPT]
+    unused = [name for name in EXPORTED[module] if name not in USED]
     assert unused == []
 
-
-def test_exemptions_are_public():
-    for qualname in EXEMPT:
-        module, name = qualname.split(".")
-        assert name in EXPORTED[module]
