@@ -59,21 +59,18 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _say(cfg: RunConfig, message: str) -> None:
-    if not cfg.quiet:
+def _say(args: argparse.Namespace, message: str) -> None:
+    if not args.quiet:
         print(message)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg.out
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def _load_input(cfg: RunConfig, arg_path) -> Dataset:
-    path = arg_path or cfg.input
-    if not path:
-        raise StageError("load", "no input CSV: pass a path or set "
-                                 "[data] input in the config")
+def _load_input(path) -> Dataset:
     with _stage("load"):
         return load_csv(path)
 
@@ -88,14 +85,14 @@ def _require_labels(ds: Dataset) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg: RunConfig, out_csv) -> int:
+def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     with _stage("synth"):
         ds = generate_synthetic(cfg.synthetic, derive_seed(cfg.seed,
                                                            STREAM_SYNTH))
     with _stage("write"):
-        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
-        save_csv(ds, out_csv)
-    _say(cfg, f"wrote {out_csv}: n={ds.n} d={ds.dim}")
+        Path(args.out_csv).parent.mkdir(parents=True, exist_ok=True)
+        save_csv(ds, args.out_csv)
+    _say(args, f"wrote {args.out_csv}: n={ds.n} d={ds.dim}")
     return 0
 
 
@@ -108,7 +105,7 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_reports(reports, out: Path, cfg: RunConfig):
+def _write_reports(reports, out: Path, args: argparse.Namespace):
     """Write the ``(class id, report)`` pairs as CSV and text; the class id
     of a dataset without classes is ""."""
     header = ["#Point", "#Cluster", "#ND", "#CNA", "#CPA", "#PA"]
@@ -122,12 +119,12 @@ def _write_reports(reports, out: Path, cfg: RunConfig):
                   for name, value in zip(header, report)]
     text = "\n".join(lines) + "\n"
     (out / "labeling_report.txt").write_text(text, encoding="utf-8")
-    _say(cfg, text.rstrip())
+    _say(args, text.rstrip())
 
 
-def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
-    ds = _load_input(cfg, input_path)
-    if ds.labels is not None and not relabel:
+def cmd_label(cfg: RunConfig, args: argparse.Namespace) -> int:
+    ds = _load_input(args.input)
+    if ds.labels is not None and not args.relabel:
         raise StageError("label", "input is already labeled; pass --relabel "
                                   "to overwrite its labels")
     if ds.class_ids is None and (cfg.retained or cfg.discarded):
@@ -146,13 +143,13 @@ def cmd_label(cfg: RunConfig, input_path, relabel: bool) -> int:
             labeled, report = labeling.label_dataset(normalized, cfg.labeling)
         reports = [("", report)]
     with _stage("write"):
-        out = _outdir(cfg)
+        out = _outdir(args)
         if params is not None:
             _write_csv(out / "norm_params.csv", ["feature", "min", "max"],
                        zip(ds.feature_names, *(p.tolist() for p in params)))
         save_csv(labeled, out / "labeled.csv")
-        _write_reports(reports, out, cfg)
-    _say(cfg, f"wrote {out / 'labeled.csv'}")
+        _write_reports(reports, out, args)
+    _say(args, f"wrote {out / 'labeled.csv'}")
     return 0
 
 
@@ -192,8 +189,8 @@ def _write_model_eval(tag: str, scores, counts, y, out: Path) -> None:
         (out / f"roc_{tag}_{name}.svg").write_text(svg, encoding="utf-8")
 
 
-def cmd_compare(cfg: RunConfig, input_path) -> int:
-    ds = _load_input(cfg, input_path)
+def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
+    ds = _load_input(args.input)
     _require_labels(ds)
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
@@ -201,7 +198,7 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
         nn = ga.conventional(prepared, topology, cfg.training, cfg.ga.seed)
         ga_run = ga.run_ga(cfg.ga, topology, prepared, cfg.training)
     with _stage("write"):
-        out = _outdir(cfg)
+        out = _outdir(args)
         mlp.save_model(nn.model, out / "nn_model.txt")
         mlp.save_model(ga_run.best.model, out / "ga_best_model.txt")
         for tag, ind in (("nn", nn), ("ga", ga_run.best)):
@@ -212,15 +209,15 @@ def cmd_compare(cfg: RunConfig, input_path) -> int:
         summary = (f"NN test error {evaluation.fmt_pct(nn.fitness)}, "
                    f"GA test error {evaluation.fmt_pct(ga_run.best.fitness)}")
         (out / "summary.txt").write_text(summary + "\n", encoding="utf-8")
-    _say(cfg, summary)
+    _say(args, summary)
     return 0
 
 
-def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
-    ds = _load_input(cfg, input_path)
+def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
+    ds = _load_input(args.input)
     _require_labels(ds)
     with _stage("load"):
-        model = mlp.load_model(model_path)
+        model = mlp.load_model(args.model)
     topo = model.topology
     if (topo.input_size, topo.output_size) != (ds.dim, len(LABEL_TOKENS)):
         raise StageError(
@@ -233,8 +230,8 @@ def cmd_eval(cfg: RunConfig, model_path, input_path) -> int:
         scores, counts = ga.score(model, ds.features, ds.labels)
         error = evaluation.test_error(counts)
     with _stage("write"):
-        _write_model_eval("eval", scores, counts, ds.labels, _outdir(cfg))
-    _say(cfg, f"test error {evaluation.fmt_pct(error)}")
+        _write_model_eval("eval", scores, counts, ds.labels, _outdir(args))
+    _say(args, f"test error {evaluation.fmt_pct(error)}")
     return 0
 
 
@@ -251,26 +248,31 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to an INI config file")
     parser.add_argument("--seed", type=int, help="run seed (mandatory here "
                                                  "or in the config)")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", default="out",
+                        help="output directory (default: out)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic 2-D dataset")
     p.add_argument("out_csv", help="CSV file to write")
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("label", help="label a dataset with the taxonomy")
-    p.add_argument("input", nargs="?", help="input CSV (default from config)")
+    p.add_argument("input", help="input CSV")
     p.add_argument("--relabel", action="store_true",
                    help="overwrite existing labels")
+    p.set_defaults(run=cmd_label)
 
     p = sub.add_parser("compare",
                        help="conventional vs GA-enhanced MLP comparison")
-    p.add_argument("input", nargs="?")
+    p.add_argument("input", help="labeled input CSV")
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a labeled CSV")
     p.add_argument("model")
     p.add_argument("input")
+    p.set_defaults(run=cmd_eval)
     return parser
 
 
@@ -282,7 +284,11 @@ def main(argv=None) -> int:
     )
     try:
         with _stage("config"):
-            cfg = load_config(args.config, args.seed, args.out, args.quiet)
+            cfg = load_config(args.config, args.seed)
+            # Path("") would silently be the working directory
+            if not args.out.strip():
+                raise ValueError(f"--out must name a directory, "
+                                 f"got {args.out!r}")
         if argv is None:
             # This process runs one command and ends.  Freezing what numpy
             # and anomtax built on import (numpy.random included, which
@@ -292,13 +298,7 @@ def main(argv=None) -> int:
             # a 2-vCPU VM.  A caller that passes argv goes on running, so
             # its objects stay collectable.
             gc.freeze()
-        if args.command == "synth":
-            return cmd_synth(cfg, args.out_csv)
-        if args.command == "label":
-            return cmd_label(cfg, args.input, args.relabel)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.input)
-        return cmd_eval(cfg, args.model, args.input)
+        return args.run(cfg, args)
     except StageError as exc:
         print(f"error in stage '{exc.stage_name}': {exc}", file=sys.stderr)
         return 1

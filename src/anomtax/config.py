@@ -4,8 +4,8 @@ shipped defaults reproduce the reference setup with zero flags.
 Sections and keys (all optional except the seed, which must come from the
 file or from ``--seed``); any other section or key is rejected:
 
-    [run]       seed, out
-    [data]      input, retained, discarded      (feature names, comma list)
+    [run]       seed
+    [data]      retained, discarded      (feature names, comma list)
     [synthetic] bounds = xmin,ymin,xmax,ymax ; scatter = N ;
                 blob1..blobN = cx,cy,sx,sy,count  (taken in order of N)
     [labeling]  clusters, knn_k, score_multiplier
@@ -46,10 +46,8 @@ STREAM_GA = 3
 _DEFAULTS = """
 [run]
 seed =
-out = out
 
 [data]
-input =
 retained =
 discarded =
 
@@ -90,8 +88,6 @@ test = 0.15
 
 class RunConfig(NamedTuple):
     seed: int
-    out: Path
-    input: str | None
     retained: list
     discarded: list
     synthetic: SyntheticSpec
@@ -100,7 +96,6 @@ class RunConfig(NamedTuple):
     training: TrainingConfig
     ga: GaConfig
     ratios: SplitRatios
-    quiet: bool = False
 
 
 def _number(section, key: str, kind=float, raw: str | None = None, *,
@@ -173,9 +168,10 @@ def _reject_unread_keys(user, defaults, path) -> None:
                                  + ", blobN" * (name == "synthetic"))
 
 
-def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
-    """Merge the shipped defaults, an optional config file, and flag
-    overrides into one validated RunConfig.  The seed is mandatory."""
+def load_config(path=None, seed=None) -> RunConfig:
+    """Merge the shipped defaults, an optional config file, and the
+    ``--seed`` override into one validated RunConfig.  The seed is
+    mandatory."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(_DEFAULTS)
     if path is not None:
@@ -208,12 +204,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
                 "pass --seed"
             )
         seed = file_seed
-    # Path("") would silently be the working directory; like the seed, the
-    # file's value is checked even when --out overrides it
-    for name, value in (("[run] out", run.get("out")), ("--out", out)):
-        if value is not None and not value.strip():
-            raise ValueError(f"{name} must name a directory, got {value!r}")
-    out_dir = Path(out if out is not None else run.get("out"))
 
     data = parser["data"]
     lab = parser["labeling"]
@@ -249,8 +239,6 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
 
     return RunConfig(
         seed=seed,
-        out=out_dir,
-        input=data.get("input").strip() or None,
         retained=_names(data.get("retained")),
         discarded=_names(data.get("discarded")),
         synthetic=_synthetic_spec(parser["synthetic"]),
@@ -259,5 +247,4 @@ def load_config(path=None, seed=None, out=None, quiet=False) -> RunConfig:
         training=training,
         ga=ga_cfg,
         ratios=ratios,
-        quiet=quiet,
     )

@@ -367,8 +367,8 @@ class SyntheticSpec(NamedTuple):
     """Blob mixture plus uniform scatter over a bounding box."""
 
     blobs: tuple
-    scatter_count: int = 0
-    bounds: tuple = (0.0, 0.0, 100.0, 100.0)  # xmin, ymin, xmax, ymax
+    scatter_count: int
+    bounds: tuple  # xmin, ymin, xmax, ymax
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:

@@ -5,8 +5,9 @@ of an MLP trained from exactly those initial weights with the same
 configuration as the conventional network being compared against, which
 is trained and scored by the same function.  Blend
 crossover from a random cut point, single-gene additive mutation with
-clamping to [0, 1], truncation selection topped up by rank-scaled sampling,
-and elitism.
+clamping to [0, 1], and elitism.  Every individual is a parent: selection
+only orders the pool, the best in rank order and the rest shuffled with
+rank-scaled weights.
 """
 
 from __future__ import annotations
@@ -209,22 +210,19 @@ def evaluate_fitness(individual: Individual, topology: Topology,
 
 
 def select(population: list, cfg: GaConfig, rng) -> list:
-    """Parent pool: the best floor(rate*size) individuals deterministically,
-    the remaining slots filled from the rest with probability proportional
-    to 1/sqrt(rank) (rank 1 = best of the rest), without replacement."""
-    order = sorted(range(len(population)),
-                   key=lambda i: (population[i].fitness, i))
-    ranked = [population[i] for i in order]
+    """The parent pool, which is the whole population reordered: the best
+    floor(rate*size) in rank order (ties to the lower index), then the
+    rest in one draw without replacement weighted by 1/sqrt(rank) (rank 1
+    = best of the rest)."""
+    ranked = sorted(population, key=lambda ind: ind.fitness)
     n_keep = int(cfg.selection_rate * len(ranked))
-    pool = ranked[:n_keep]
     rest = ranked[n_keep:]
-    need = len(ranked) - n_keep
-    if need and rest:
+    if rest:
         weights = 1.0 / np.sqrt(np.arange(1, len(rest) + 1))
         weights /= weights.sum()
-        chosen = rng.choice(len(rest), size=need, replace=False, p=weights)
-        pool.extend(rest[int(i)] for i in chosen)
-    return pool
+        order = rng.choice(len(rest), len(rest), replace=False, p=weights)
+        rest = [rest[int(i)] for i in order]
+    return ranked[:n_keep] + rest
 
 
 def _pairs(pool):

@@ -58,10 +58,8 @@ def test_blob_list_replaces_defaults(tmp_path):
 
 def test_flag_overrides_win(tmp_path):
     path = tmp_path / "cfg.ini"
-    path.write_text("[run]\nseed = 3\nout = from_file\n", encoding="utf-8")
-    cfg = load_config(str(path), seed=8, out="from_flag")
-    assert cfg.seed == 8
-    assert str(cfg.out) == "from_flag"
+    path.write_text("[run]\nseed = 3\n", encoding="utf-8")
+    assert load_config(str(path), seed=8).seed == 8
 
 
 def test_missing_config_file():
@@ -119,9 +117,12 @@ def test_output_size_must_match_taxonomy(tmp_path):
     ("[train]\nlambda0 = 5e-7\n", "[train] lambda0"),
     ("[train]\ngoal = 0\n", "[train] goal"),
     ("[ga]\ngoal = 0\n", "[ga] goal"),
+    ("[run]\nout = run\n", "[run] out"),
+    ("[run]\nout =\n", "[run] out"),
+    ("[data]\ninput = iris.csv\n", "[data] input"),
 ], ids=["mlp-input", "labeling", "run", "synthetic", "threshold-mode",
         "threshold-value", "fitness-metric", "sigma0", "lambda0",
-        "train-goal", "ga-goal"])
+        "train-goal", "ga-goal", "run-out", "run-out-empty", "data-input"])
 def test_unread_key_rejected(tmp_path, text, named):
     path = tmp_path / "cfg.ini"
     path.write_text(text, encoding="utf-8")

@@ -407,7 +407,8 @@ class TestSynthetic:
         assert ds.n == 195 and ds.dim == 2
 
     def test_zero_spread_blob(self):
-        spec = SyntheticSpec((BlobSpec((3.0, 4.0), (0.0, 0.0), 10),))
+        spec = SyntheticSpec((BlobSpec((3.0, 4.0), (0.0, 0.0), 10),), 0,
+                             (0, 0, 100, 100))
         ds = generate_synthetic(spec, 1)
         assert np.all(ds.features == [3.0, 4.0])
 
@@ -419,10 +420,12 @@ class TestSynthetic:
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic(
-                SyntheticSpec((BlobSpec((0, 0), (1, 1), 0),)), 0)
+                SyntheticSpec((BlobSpec((0, 0), (1, 1), 0),), 0,
+                              (0, 0, 100, 100)), 0)
         with pytest.raises(ValueError):
             generate_synthetic(
-                SyntheticSpec((BlobSpec((0, 0), (1, 1), 3),), -1), 0)
+                SyntheticSpec((BlobSpec((0, 0), (1, 1), 3),), -1,
+                              (0, 0, 100, 100)), 0)
 
 
 class TestDataset:

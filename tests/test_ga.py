@@ -190,11 +190,22 @@ class TestSelect:
         assert fits == sorted(fits)
 
     def test_equal_fitness_gives_permutation(self):
-        pop = [Individual(np.full(4, i / 10), 0.5) for i in range(5)]
-        pool = select(pop, GaConfig(population_size=5, selection_rate=0.4,
-                                    seed=0), np.random.default_rng(1))
-        assert sorted(id(ind) for ind in pool) == \
-            sorted(id(ind) for ind in pop)
+        # the pool is always the whole population: the rate only sets how
+        # many of the best lead it in rank order, equal fitnesses or not
+        rng = np.random.default_rng(1)
+        for size in (1, 2, 5, 15, 31):
+            for rate in (0.0, 0.1, 0.33, 0.5, 0.7, 0.9, 1.0):
+                for fits in (np.full(size, 0.5), rng.random(size)):
+                    pop = [Individual(np.full(4, i / 10), float(f))
+                           for i, f in enumerate(fits)]
+                    pool = select(pop, GaConfig(population_size=size,
+                                                selection_rate=rate, seed=0),
+                                  rng)
+                    assert sorted(map(id, pool)) == sorted(map(id, pop))
+                    # ties go to the lower index
+                    ranked = sorted(range(size), key=lambda i: (fits[i], i))
+                    n_keep = int(rate * size)
+                    assert pool[:n_keep] == [pop[i] for i in ranked[:n_keep]]
 
 
 class TestEvaluateFitness:
