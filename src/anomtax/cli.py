@@ -65,7 +65,7 @@ def _say(args: argparse.Namespace, message: str) -> None:
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
+    out = Path("out" if args.out is None else args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -248,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to an INI config file")
     parser.add_argument("--seed", type=int, help="run seed (mandatory here "
                                                  "or in the config)")
-    parser.add_argument("--out", default="out",
-                        help="output directory (default: out)")
+    parser.add_argument("--out", help="output directory of label, compare "
+                                      "and eval (default: out)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -285,10 +285,14 @@ def main(argv=None) -> int:
     try:
         with _stage("config"):
             cfg = load_config(args.config, args.seed)
-            # Path("") would silently be the working directory
-            if not args.out.strip():
-                raise ValueError(f"--out must name a directory, "
-                                 f"got {args.out!r}")
+            if args.out is not None:
+                if args.run is cmd_synth:
+                    raise ValueError("--out does not apply to synth, "
+                                     "which writes the CSV file it is given")
+                # Path("") would silently be the working directory
+                if not args.out.strip():
+                    raise ValueError(f"--out must name a directory, "
+                                     f"got {args.out!r}")
         if argv is None:
             # This process runs one command and ends.  Freezing what numpy
             # and anomtax built on import (numpy.random included, which

@@ -13,6 +13,11 @@ file or from ``--seed``); any other section or key is rejected:
     [train]     max_epochs, patience
     [ga]        cycles, population, alpha, mutation_rate, selection_rate
     [split]     train, validation, test
+
+:func:`load_config` holds every rule of the file, and each error it
+raises names the key.  The records it builds (``LabelingConfig``,
+``TrainingConfig``, ``GaConfig``, ``SplitRatios`` and the
+``SyntheticSpec``) are plain values that carry no checks of their own.
 """
 
 from __future__ import annotations

@@ -298,21 +298,12 @@ def minmax_normalize(ds: Dataset):
 # stratified splitting
 # ---------------------------------------------------------------------------
 
-class SplitRatios:
-    """Train/validation/test fractions; must sum to 1."""
+class SplitRatios(NamedTuple):
+    """Train/validation/test fractions; they sum to 1."""
 
-    __slots__ = ("train", "validation", "test")
-
-    def __init__(self, train: float = 0.70, validation: float = 0.15,
-                 test: float = 0.15):
-        parts = (train, validation, test)
-        if any(p < 0 for p in parts):
-            raise ValueError("split ratios must be nonnegative")
-        if abs(sum(parts) - 1.0) > 1e-9:
-            raise ValueError(f"split ratios sum to {sum(parts)}, expected 1")
-        self.train = train
-        self.validation = validation
-        self.test = test
+    train: float = 0.70
+    validation: float = 0.15
+    test: float = 0.15
 
 
 def _largest_remainder(count: int, ratios: SplitRatios):
@@ -372,14 +363,9 @@ class SyntheticSpec(NamedTuple):
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
-    """Deterministically generate an unlabeled 2-D dataset."""
-    if not spec.blobs:
-        raise ValueError("synthetic spec needs at least one blob")
-    for blob in spec.blobs:
-        if blob.count < 1:
-            raise ValueError(f"blob count must be positive, got {blob.count}")
-    if spec.scatter_count < 0:
-        raise ValueError("scatter count must be nonnegative")
+    """Deterministically generate an unlabeled 2-D dataset.  The spec is
+    taken as given: its counts are checked where it is read, by
+    :func:`anomtax.config.load_config`."""
     rng = np.random.default_rng(seed)
     parts = []
     for blob in spec.blobs:

@@ -1,9 +1,10 @@
 """Genetic algorithm over MLP initial-weight genomes.
 
-Each individual is a flat weight vector; its fitness is the test-set error
-of an MLP trained from exactly those initial weights with the same
+Each individual is a flat weight vector with its fitness: the test-set
+error of an MLP trained from exactly those initial weights with the same
 configuration as the conventional network being compared against, which
-is trained and scored by the same function.  Blend
+is trained and scored by the same function.  An individual exists only
+evaluated: :func:`evaluate_fitness` makes it from a genome.  Blend
 crossover from a random cut point, single-gene additive mutation with
 clamping to [0, 1], and elitism.  Every individual is a parent: selection
 only orders the pool, the best in rank order and the rest shuffled with
@@ -37,7 +38,6 @@ __all__ = [
     "GaRun",
     "PreparedSplits",
     "prepare_splits",
-    "init_population",
     "crossover",
     "apply_mutation",
     "mutate",
@@ -51,43 +51,27 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-class Individual:
-    """A genome, and once evaluated its fitness, the model trained from it
-    and that model's test scores and confusion counts (all three None when
-    the training diverged).  ``matrix`` is the ``(k, k)`` int array
+class Individual(NamedTuple):
+    """A genome, its fitness, and the model trained from it with that
+    model's test scores and confusion counts (all three None when the
+    training diverged).  ``matrix`` is the ``(k, k)`` int array
     :func:`~anomtax.evaluation.confusion` returns, indexed
     ``[predicted, target]``."""
 
-    __slots__ = ("genome", "fitness", "model", "scores", "matrix")
-
-    def __init__(self, genome: np.ndarray, fitness: float | None = None):
-        self.genome = genome
-        self.fitness = fitness
-        self.model = None
-        self.scores = None
-        self.matrix = None
+    genome: np.ndarray
+    fitness: float
+    model: TrainedModel | None = None
+    scores: np.ndarray | None = None
+    matrix: np.ndarray | None = None
 
 
-class GaConfig:
-    __slots__ = ("cycles", "population_size", "crossover_alpha",
-                 "mutation_rate", "selection_rate", "seed")
-
-    def __init__(self, cycles: int = 20, population_size: int = 15,
-                 crossover_alpha: float = 0.3, mutation_rate: float = 0.1,
-                 selection_rate: float = 0.7, seed: int = 0):
-        if cycles < 1 or population_size < 1:
-            raise ValueError("cycles and population_size must be >= 1")
-        for name, v in (("crossover_alpha", crossover_alpha),
-                        ("mutation_rate", mutation_rate),
-                        ("selection_rate", selection_rate)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        self.cycles = cycles
-        self.population_size = population_size
-        self.crossover_alpha = crossover_alpha
-        self.mutation_rate = mutation_rate
-        self.selection_rate = selection_rate
-        self.seed = seed
+class GaConfig(NamedTuple):
+    cycles: int = 20
+    population_size: int = 15
+    crossover_alpha: float = 0.3
+    mutation_rate: float = 0.1
+    selection_rate: float = 0.7
+    seed: int = 0
 
 
 class CycleStats(NamedTuple):
@@ -127,13 +111,6 @@ def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
         x_val=val.features, t_val=one_hot(ids(val), num_classes),
         x_test=test.features, y_test=ids(test),
     )
-
-
-def init_population(cfg: GaConfig, topology: Topology, rng) -> list:
-    """Uniform [0, 1] genomes; conceptually a matrix with one row per
-    individual and one column per weight/bias."""
-    return [Individual(init_weights(topology, rng))
-            for _ in range(cfg.population_size)]
 
 
 def crossover(parent1, parent2, k: int, alpha: float):
@@ -187,26 +164,21 @@ def score(model: TrainedModel, x, y) -> tuple:
                              model.topology.output_size)
 
 
-def evaluate_fitness(individual: Individual, topology: Topology,
-                     splits: PreparedSplits, tcfg: TrainingConfig) -> float:
-    """Train from the genome and :func:`score` the test split; the trained
-    model, its scores and confusion counts, and the fitness (their test
-    error) are cached on the individual.  A diverged training counts
-    as the worst fitness, 1.0, and leaves the other three None."""
-    if individual.fitness is not None:
-        return individual.fitness
+def evaluate_fitness(genome: np.ndarray, topology: Topology,
+                     splits: PreparedSplits,
+                     tcfg: TrainingConfig) -> Individual:
+    """The individual of ``genome``: train from it and :func:`score` the
+    test split; the fitness is their test error.  A diverged training
+    counts as the worst fitness, 1.0, and leaves the model, scores and
+    confusion counts None."""
     try:
-        individual.model = train_scg(individual.genome, topology,
-                                     splits.x_train, splits.t_train,
-                                     splits.x_val, splits.t_val, tcfg)
+        model = train_scg(genome, topology, splits.x_train, splits.t_train,
+                          splits.x_val, splits.t_val, tcfg)
     except TrainingDivergedError as exc:
         log.warning("training diverged during fitness evaluation: %s", exc)
-        individual.fitness = 1.0
-        return individual.fitness
-    individual.scores, individual.matrix = score(
-        individual.model, splits.x_test, splits.y_test)
-    individual.fitness = test_error(individual.matrix)
-    return individual.fitness
+        return Individual(genome, 1.0)
+    scores, matrix = score(model, splits.x_test, splits.y_test)
+    return Individual(genome, test_error(matrix), model, scores, matrix)
 
 
 def select(population: list, cfg: GaConfig, rng) -> list:
@@ -236,32 +208,28 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
            tcfg: TrainingConfig) -> GaRun:
     """Evolve initial weights for up to ``cycles`` generations.
 
-    Per cycle: evaluate everyone, stop if the best test error is 0, select
-    a parent pool, pair adjacent pool members (an odd pool pairs its last
-    member with the first), crossover at a random cut, mutate, and carry
-    the best individual over unmodified.  The carried-over individual
-    keeps its fitness, trained model and scores, so each cycle after the
-    first trains ``population_size - 1`` new individuals, and the best
-    model and scores are the ones its evaluation made.  A best error of 0
-    ends the run: that individual is carried over at index 0 and ties go
-    to the lowest index, so no later cycle could replace it.  Raises
-    ``TrainingDivergedError`` when the best individual's training
-    diverged.
+    The first generation is ``population_size`` uniform [0, 1] genomes,
+    drawn first and then evaluated.  Per cycle: stop if the best test error
+    is 0, select a parent pool, pair adjacent pool members (an odd pool
+    pairs its last member with the first), crossover at a random cut,
+    mutate, and carry the best individual over unmodified.  An individual
+    exists only evaluated, so only the infants kept for the next
+    generation are trained: ``population_size - 1`` per cycle after the
+    first, and the best model and scores are the ones its evaluation
+    made.  A best error of 0 ends the run: that individual is carried
+    over at index 0 and ties go to the lowest index, so no later cycle
+    could replace it.  Raises ``TrainingDivergedError`` when the best
+    individual's training diverged.
     """
     rng = np.random.default_rng(cfg.seed)
-    population = init_population(cfg, topology, rng)
-    evaluations = 0
+    genomes = [init_weights(topology, rng)
+               for _ in range(cfg.population_size)]
+    population = [evaluate_fitness(genome, topology, splits, tcfg)
+                  for genome in genomes]
+    evaluations = len(population)
     stats: list[CycleStats] = []
 
-    def evaluate_all(pop):
-        nonlocal evaluations
-        todo = [ind for ind in pop if ind.fitness is None]
-        for ind in todo:
-            evaluate_fitness(ind, topology, splits, tcfg)
-        evaluations += len(todo)
-
     for cycle in range(1, cfg.cycles + 1):
-        evaluate_all(population)
         fits = [ind.fitness for ind in population]
         best_idx = min(range(len(fits)), key=lambda i: (fits[i], i))
         best = population[best_idx]
@@ -278,9 +246,12 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
             k = int(rng.integers(2, n))
             child_a, child_b = crossover(parent_a.genome, parent_b.genome,
                                          k, cfg.crossover_alpha)
-            infants.append(Individual(mutate(child_a, cfg, rng)))
-            infants.append(Individual(mutate(child_b, cfg, rng)))
-        population = [best] + infants[:cfg.population_size - 1]
+            infants.append(mutate(child_a, cfg, rng))
+            infants.append(mutate(child_b, cfg, rng))
+        kept = infants[:cfg.population_size - 1]
+        population = [best] + [evaluate_fitness(genome, topology, splits,
+                                                tcfg) for genome in kept]
+        evaluations += len(kept)
 
     if best.model is None:
         raise TrainingDivergedError(
@@ -298,8 +269,8 @@ def conventional(splits: PreparedSplits, topology: Topology,
     the same seed.  Raises ``TrainingDivergedError`` when its training
     diverged.
     """
-    nn = Individual(init_weights(topology, np.random.default_rng([seed, 1])))
-    evaluate_fitness(nn, topology, splits, tcfg)
+    genome = init_weights(topology, np.random.default_rng([seed, 1]))
+    nn = evaluate_fitness(genome, topology, splits, tcfg)
     if nn.model is None:
         raise TrainingDivergedError(
             "training diverged for the conventional network")

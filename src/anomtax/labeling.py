@@ -68,27 +68,17 @@ class ClusterModel(NamedTuple):
     objective_history: tuple
 
 
-class LabelingConfig:
+class LabelingConfig(NamedTuple):
     """Knobs for the labeling pipeline.
 
     ``pa_score_multiplier`` is the c in the mean + c*std cutoff on kNN
     distance scores.
     """
 
-    __slots__ = ("num_clusters", "knn_k", "pa_score_multiplier", "seed")
-
-    def __init__(self, num_clusters: int, knn_k: int = 5,
-                 pa_score_multiplier: float = 2.0, seed: int = 0):
-        if num_clusters < 1:
-            raise ValueError("num_clusters must be >= 1")
-        if knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-        if pa_score_multiplier <= 0:
-            raise ValueError("pa_score_multiplier must be > 0")
-        self.num_clusters = num_clusters
-        self.knn_k = knn_k
-        self.pa_score_multiplier = pa_score_multiplier
-        self.seed = seed
+    num_clusters: int
+    knn_k: int = 5
+    pa_score_multiplier: float = 2.0
+    seed: int = 0
 
 
 class LabelingReport(NamedTuple):

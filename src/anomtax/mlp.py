@@ -50,18 +50,12 @@ class TrainingDivergedError(RuntimeError):
     """Raised when the training loss stops being finite."""
 
 
-class Topology:
+class Topology(NamedTuple):
     """Layer sizes; the defaults are 2 inputs, 10 hidden, 4 outputs."""
 
-    __slots__ = ("input_size", "hidden_size", "output_size")
-
-    def __init__(self, input_size: int = 2, hidden_size: int = 10,
-                 output_size: int = 4):
-        if min(input_size, hidden_size, output_size) < 1:
-            raise ValueError("all layer sizes must be >= 1")
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.output_size = output_size
+    input_size: int = 2
+    hidden_size: int = 10
+    output_size: int = 4
 
     @property
     def genome_length(self) -> int:
@@ -69,16 +63,9 @@ class Topology:
                 + (self.hidden_size + 1) * self.output_size)
 
 
-class TrainingConfig:
-    __slots__ = ("max_epochs", "patience")
-
-    def __init__(self, max_epochs: int = 200, patience: int = 6):
-        if max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.max_epochs = max_epochs
-        self.patience = patience
+class TrainingConfig(NamedTuple):
+    max_epochs: int = 200
+    patience: int = 6
 
 
 class TrainedModel(NamedTuple):
@@ -295,8 +282,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     """
     x_train = np.ascontiguousarray(x_train, dtype=np.float64)
     t_train = np.ascontiguousarray(t_train, dtype=np.float64)
-    if x_train.shape[0] == 0:
-        raise ValueError("empty training set")
     _check_batch(topology, x_train, t_train)
     has_val = x_val is not None and len(x_val) > 0
     if has_val:
@@ -448,12 +433,13 @@ def load_model(path) -> TrainedModel:
     with open(path, encoding="utf-8") as fh:
         sizes = fh.readline().split()
         try:
-            topology = Topology(*map(int, sizes)) if len(sizes) == 3 else None
+            layers = [int(size) for size in sizes]
         except ValueError:
-            topology = None
-        if topology is None:
+            layers = []
+        if len(layers) != 3 or min(layers) < 1:
             raise ValueError(f"{path}: line 1: expected three positive "
                              f"layer sizes, got {' '.join(sizes)!r}")
+        topology = Topology(*layers)
         weights = []
         for lineno, line in enumerate(fh, start=2):
             text = line.strip()

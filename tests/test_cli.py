@@ -85,6 +85,19 @@ class TestSynth:
                      str(tmp_path / "x.csv")]) == 1
         assert "error in stage 'config'" in capsys.readouterr().err
 
+    def test_out_rejected(self, tmp_path, monkeypatch, tiny_config, capsys):
+        # synth writes the CSV it is given; --out names the directory of
+        # the other commands, so synth stops instead of ignoring it
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["--seed", "0", "--config", tiny_config, "--out", "foo",
+                     "synth", "x.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error in stage 'config': --out does not apply to synth, which "
+            "writes the CSV file it is given\n")
+        assert list(work.iterdir()) == []
+
     def test_single_point(self, tmp_path):
         cfg = tmp_path / "one.ini"
         cfg.write_text("[synthetic]\nscatter = 0\nblob1 = 1, 2, 0, 0, 1\n",
@@ -779,6 +792,17 @@ class TestNetworkShape:
          "[synthetic] blob1 must be >= 1, got 0"),
         ("[run]\nout =\n", "[run] out is not a config key"),
         ("[data]\ninput = labeled.csv\n", "[data] input is not a config key"),
+        ("[labeling]\nknn_k = 0\n", "[labeling] knn_k must be >= 1, got 0"),
+        ("[train]\nmax_epochs = 0\n",
+         "[train] max_epochs must be >= 1, got 0"),
+        ("[train]\npatience = 0\n", "[train] patience must be >= 1, got 0"),
+        ("[ga]\ncycles = 0\n", "[ga] cycles must be >= 1, got 0"),
+        ("[ga]\nmutation_rate = 1.5\n",
+         "[ga] mutation_rate must lie in [0, 1], got 1.5"),
+        ("[ga]\nselection_rate = -0.1\n",
+         "[ga] selection_rate must lie in [0, 1], got -0.1"),
+        ("[split]\nvalidation = -0.1\n",
+         "[split] validation must be >= 0, got -0.1"),
     ], ids=["input", "output", "hidden", "knnk", "tarin", "threshold-mode",
             "threshold-value", "fitness-metric", "sigma0", "lambda0",
             "train-goal", "ga-goal", "file-seed",
@@ -786,7 +810,9 @@ class TestNetworkShape:
             "bounds-inf", "negative-file-seed", "population-0", "alpha-2",
             "clusters-0", "multiplier-0", "split-negative", "split-sum",
             "scatter-negative", "blob-count-0", "run-out-empty",
-            "data-input"])
+            "data-input", "knn-k-0", "max-epochs-0", "patience-0",
+            "cycles-0", "mutation-rate-1.5", "selection-rate-negative",
+            "validation-negative"])
     def test_bad_config_stops_in_config(self, tmp_path, labeled_csv,
                                         capsys, text, named):
         cfg = tmp_path / "bad.ini"

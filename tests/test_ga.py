@@ -13,7 +13,6 @@ from anomtax.ga import (
     conventional,
     crossover,
     evaluate_fitness,
-    init_population,
     mutate,
     prepare_splits,
     run_ga,
@@ -62,28 +61,6 @@ def one_class_splits():
         x_val=np.zeros((0, 2)), t_val=np.zeros((0, 2)),
         x_test=x[:8], y_test=np.zeros(8, dtype=int))
     return splits, rng
-
-
-class TestInitPopulation:
-    def test_size_and_genome_length(self):
-        cfg = GaConfig(population_size=15, seed=0)
-        pop = init_population(cfg, Topology(), np.random.default_rng(0))
-        assert len(pop) == 15
-        assert all(ind.genome.shape == (74,) for ind in pop)
-        assert all(0 <= ind.genome.min() and ind.genome.max() <= 1
-                   for ind in pop)
-
-    def test_deterministic(self):
-        cfg = GaConfig(seed=9)
-        a = init_population(cfg, TOPO, np.random.default_rng(9))
-        b = init_population(cfg, TOPO, np.random.default_rng(9))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.genome, y.genome)
-
-    def test_single_individual(self):
-        pop = init_population(GaConfig(population_size=1), TOPO,
-                              np.random.default_rng(0))
-        assert len(pop) == 1
 
 
 class TestCrossover:
@@ -219,25 +196,27 @@ class TestEvaluateFitness:
                           cfg=TCFG)
         pred = forward_batch(model.weights, TOPO, splits.x_test).argmax(axis=1)
         assert (pred != splits.y_test).sum() == 0
-        ind = Individual(np.clip(model.weights, 0, 1))
-        fitness = evaluate_fitness(ind, TOPO, splits, TCFG)
-        assert fitness == 0.0
+        ind = evaluate_fitness(np.clip(model.weights, 0, 1), TOPO, splits,
+                               TCFG)
+        assert ind.fitness == 0.0
 
-    def test_fitness_cached_and_pure(self):
+    def test_fitness_pure(self):
+        # the same genome gives the same individual, and training from it
+        # leaves the genome as it was
         splits = tiny_splits()
         genome = np.random.default_rng(1).random(TOPO.genome_length)
-        f1 = evaluate_fitness(Individual(genome.copy()), TOPO, splits, TCFG)
-        ind = Individual(genome.copy())
-        f2 = evaluate_fitness(ind, TOPO, splits, TCFG)
-        f3 = evaluate_fitness(ind, TOPO, splits, TCFG)
-        assert f1 == f2 == f3
-        assert ind.fitness == f1
+        before = genome.copy()
+        a = evaluate_fitness(genome, TOPO, splits, TCFG)
+        b = evaluate_fitness(genome, TOPO, splits, TCFG)
+        assert a.fitness == b.fitness
+        assert a.model.weights.tobytes() == b.model.weights.tobytes()
+        assert a.genome is genome
+        assert genome.tobytes() == before.tobytes()
 
     def test_single_class_test_set(self):
         one_class, rng = one_class_splits()
         genome = rng.random(TOPO.genome_length)
-        fitness = evaluate_fitness(Individual(genome), TOPO, one_class, TCFG)
-        assert fitness == 0.0
+        assert evaluate_fitness(genome, TOPO, one_class, TCFG).fitness == 0.0
 
 
 class TestRunGa:
@@ -263,6 +242,16 @@ class TestRunGa:
         run = run_ga(cfg, TOPO, splits, TCFG)
         assert len(run.cycles) == cfg.cycles
         assert run.evaluations <= 4 * 5
+
+    def test_single_individual(self):
+        # a population of one breeds with itself and keeps no infant, so
+        # it is trained once and carried through every cycle
+        splits = unsolvable_splits()
+        cfg = GaConfig(cycles=3, population_size=1, seed=4)
+        run = run_ga(cfg, TOPO, splits, TCFG)
+        assert run.evaluations == 1
+        assert len(run.cycles) == cfg.cycles
+        assert len({c.best_fitness for c in run.cycles}) == 1
 
     def test_deterministic(self):
         splits = unsolvable_splits()
@@ -333,8 +322,8 @@ class TestScore:
             raise TrainingDivergedError("non-finite training loss at epoch 0")
 
         monkeypatch.setattr(ga, "train_scg", diverge)
-        ind = Individual(np.full(TOPO.genome_length, 0.5))
-        assert evaluate_fitness(ind, TOPO, tiny_splits(), TCFG) == 1.0
+        ind = evaluate_fitness(np.full(TOPO.genome_length, 0.5), TOPO,
+                               tiny_splits(), TCFG)
         assert ind.fitness == 1.0
         assert ind.model is None and ind.scores is None \
             and ind.matrix is None

@@ -39,10 +39,6 @@ class TestTopology:
     def test_genome_length_custom(self):
         assert Topology(3, 5, 2).genome_length == (4 * 5) + (6 * 2)
 
-    def test_rejects_zero_layer(self):
-        with pytest.raises(ValueError):
-            Topology(0, 5, 2)
-
 
 class TestInitWeights:
     def test_random_range_and_length(self):
