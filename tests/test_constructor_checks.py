@@ -1,50 +1,55 @@
-"""Every record class that validates its fields rejects bad values with
-the same ValueError message, whatever the class is built from."""
+"""Every rule a record's fields obey is checked once, where the record is
+built from the config file: ``load_config``, which also checks the
+topology's hidden size.  The records themselves are plain values, so each
+case here builds its record the way the program does and expects that
+check's key-named ValueError.  A topology read from a model file is
+checked by ``load_model`` (``test_mlp.TestTopology``)."""
 
 import re
 
 import pytest
 
-from anomtax.data import SplitRatios
-from anomtax.ga import GaConfig
-from anomtax.labeling import LabelingConfig
-from anomtax.mlp import Topology, TrainingConfig
+from anomtax.config import load_config
 
 CASES = {
     "SplitRatios-negative": (
-        lambda: SplitRatios(train=1.2, validation=-0.1, test=-0.1),
-        "split ratios must be nonnegative"),
+        "[split]\ntrain = 1.2\nvalidation = -0.1\ntest = -0.1\n",
+        "[split] validation must be >= 0, got -0.1"),
     "SplitRatios-sum": (
-        lambda: SplitRatios(0.5, 0.25, 0.5),
-        "split ratios sum to 1.25, expected 1"),
+        "[split]\ntrain = 0.5\nvalidation = 0.25\ntest = 0.5\n",
+        "[split] train, validation and test must sum to 1, "
+        "got 0.5 + 0.25 + 0.5 = 1.25"),
     "GaConfig-sizes": (
-        lambda: GaConfig(cycles=3, population_size=0),
-        "cycles and population_size must be >= 1"),
+        "[ga]\ncycles = 3\npopulation = 0\n",
+        "[ga] population must be >= 1, got 0"),
     "GaConfig-rate": (
-        lambda: GaConfig(mutation_rate=1.5),
-        "mutation_rate must lie in [0, 1], got 1.5"),
+        "[ga]\nmutation_rate = 1.5\n",
+        "[ga] mutation_rate must lie in [0, 1], got 1.5"),
     "LabelingConfig-clusters": (
-        lambda: LabelingConfig(num_clusters=0),
-        "num_clusters must be >= 1"),
+        "[labeling]\nclusters = 0\n",
+        "[labeling] clusters must be >= 1, got 0"),
     "LabelingConfig-knn": (
-        lambda: LabelingConfig(num_clusters=2, knn_k=0),
-        "knn_k must be >= 1"),
+        "[labeling]\nclusters = 2\nknn_k = 0\n",
+        "[labeling] knn_k must be >= 1, got 0"),
     "LabelingConfig-multiplier": (
-        lambda: LabelingConfig(num_clusters=2, pa_score_multiplier=0.0),
-        "pa_score_multiplier must be > 0"),
+        "[labeling]\nclusters = 2\nscore_multiplier = 0.0\n",
+        "[labeling] score_multiplier must be > 0, got 0.0"),
     "Topology": (
-        lambda: Topology(2, 0, 4),
-        "all layer sizes must be >= 1"),
+        "[mlp]\nhidden = 0\n",
+        "[mlp] hidden must be >= 1, got 0"),
     "TrainingConfig-epochs": (
-        lambda: TrainingConfig(max_epochs=0),
-        "max_epochs must be >= 1"),
+        "[train]\nmax_epochs = 0\n",
+        "[train] max_epochs must be >= 1, got 0"),
     "TrainingConfig-patience": (
-        lambda: TrainingConfig(patience=0),
-        "patience must be >= 1"),
+        "[train]\npatience = 0\n",
+        "[train] patience must be >= 1, got 0"),
 }
 
 
-@pytest.mark.parametrize("build, message", CASES.values(), ids=CASES.keys())
-def test_constructor_check(build, message):
+@pytest.mark.parametrize("text, message", CASES.values(), ids=CASES.keys())
+def test_constructor_check(tmp_path, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build()
+        load_config(path, seed=0)
+

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from anomtax.data import (
     save_csv,
     stratified_split,
 )
+from anomtax.config import load_config
 from anomtax.data import _largest_remainder
 from anomtax.labeling import LabelingConfig, label_dataset, label_supervised
 
@@ -379,6 +382,15 @@ class TestStratifiedSplit:
         want = old_split_picks(labels, ratios, 3)
         np.testing.assert_array_equal(train.features, ds.features[want])
 
+    def test_bad_ratios(self, tmp_path):
+        # SplitRatios is a plain value; ratios are checked where they are
+        # read, by load_config
+        path = tmp_path / "bad.ini"
+        path.write_text("[split]\ntrain = 0.5\nvalidation = 0.1\n"
+                        "test = 0.1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="must sum to 1"):
+            load_config(path, seed=0)
+
     def test_needs_grouping_key(self):
         ds = Dataset([[1.0], [2.0]])
         with pytest.raises(ValueError):
@@ -412,6 +424,17 @@ class TestSynthetic:
         a = generate_synthetic(self._spec(), 9)
         b = generate_synthetic(self._spec(), 9)
         np.testing.assert_array_equal(a.features, b.features)
+
+    def test_nonpositive_count_rejected(self, tmp_path):
+        # a SyntheticSpec is a plain value; its counts are checked where
+        # they are read, by load_config
+        path = tmp_path / "bad.ini"
+        for text, message in (
+                ("blob1 = 0, 0, 1, 1, 0", "[synthetic] blob1 must be >= 1"),
+                ("scatter = -1", "[synthetic] scatter must be >= 0")):
+            path.write_text(f"[synthetic]\n{text}\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_config(path, seed=0)
 
 
 class TestDataset:

@@ -63,6 +63,44 @@ def one_class_splits():
     return splits, rng
 
 
+class TestInitPopulation:
+    """The first generation ``run_ga`` evaluates: ``population_size``
+    uniform [0, 1] genomes drawn from the GA seed."""
+
+    @staticmethod
+    def initial_genomes(monkeypatch, cfg, topology):
+        seen = []
+
+        def record(genome, topology, splits, tcfg):
+            seen.append(genome)
+            return Individual(genome, 0.5, model=object())
+
+        monkeypatch.setattr(ga, "evaluate_fitness", record)
+        run_ga(cfg._replace(cycles=1), topology, None, TCFG)
+        return seen
+
+    def test_size_and_genome_length(self, monkeypatch):
+        cfg = GaConfig(population_size=15, seed=0)
+        pop = self.initial_genomes(monkeypatch, cfg, Topology())
+        assert len(pop) == 15
+        assert all(genome.shape == (74,) for genome in pop)
+        assert all(0 <= genome.min() and genome.max() <= 1
+                   for genome in pop)
+
+    def test_deterministic(self, monkeypatch):
+        cfg = GaConfig(seed=9)
+        a = self.initial_genomes(monkeypatch, cfg, TOPO)
+        b = self.initial_genomes(monkeypatch, cfg, TOPO)
+        assert len(a) == len(b) == cfg.population_size
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+    def test_single_individual(self, monkeypatch):
+        pop = self.initial_genomes(monkeypatch, GaConfig(population_size=1),
+                                   TOPO)
+        assert len(pop) == 1
+
+
 class TestCrossover:
     def test_golden_example(self):
         i1, i2 = crossover([1, 2, 3, 4], [5, 6, 7, 8], k=3, alpha=0.3)

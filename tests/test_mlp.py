@@ -39,6 +39,16 @@ class TestTopology:
     def test_genome_length_custom(self):
         assert Topology(3, 5, 2).genome_length == (4 * 5) + (6 * 2)
 
+    def test_rejects_zero_layer(self, tmp_path):
+        # a Topology holds whatever it is given, so a zero-size layer can
+        # be saved; load_model is where a topology from a file is checked
+        path = tmp_path / "model.txt"
+        save_model(TrainedModel(Topology(0, 5, 2), [0.5] * 12), path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 1: expected three positive layer sizes, "
+                "got '0 5 2'")):
+            load_model(path)
+
 
 class TestInitWeights:
     def test_random_range_and_length(self):
