@@ -53,8 +53,6 @@ class StageError(Exception):
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, str(exc)) from exc
 

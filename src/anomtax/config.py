@@ -20,8 +20,6 @@ raises names the key.  The records it builds (``LabelingConfig``,
 ``SyntheticSpec``) are plain values that carry no checks of their own.
 """
 
-from __future__ import annotations
-
 import configparser
 import math
 import re

@@ -1,13 +1,14 @@
 """Dataset container, CSV ingestion, normalization, stratified splitting,
 and synthetic 2-D data generation.
 
-A :class:`Dataset` is column-oriented (one ``(n, d)`` float array plus
-optional per-sample class ids and anomaly labels) and is treated as
-immutable after construction: every transform returns a new instance and
-the underlying arrays are marked read-only.
+A :class:`Dataset` is a plain record, column-oriented (one ``(n, d)``
+float array plus optional per-sample class ids and anomaly labels), and
+it checks nothing: data is checked once, where it enters, by
+:func:`load_csv`.  The arrays :func:`load_csv` makes are marked
+read-only, so what was read from a file cannot be changed in place; every
+transform returns a new record and leaves its input's arrays as they
+were.
 """
-
-from __future__ import annotations
 
 import csv
 import math
@@ -63,50 +64,19 @@ class LabelTokenError(ValueError):
     """Raised when a label cell holds anything but ND, CNA, CPA or PA."""
 
 
-class Dataset:
-    """Ordered collection of feature vectors with optional labels.
+class Dataset(NamedTuple):
+    """Ordered collection of feature vectors with optional labels: an
+    ``(n, d)`` float64 array, its ``d`` column names, and optional
+    length-``n`` int64 class ids and int8 :class:`AnomalyLabel` values.
 
     Sample ids are implicit: sample ``i`` is row ``i``, so ids are always
     unique and dense in ``[0, n)``.
     """
 
-    def __init__(self, features, feature_names=None, class_ids=None,
-                 labels=None):
-        features = np.array(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {features.shape}")
-        n, d = features.shape
-        if d < 1:
-            raise ValueError("dataset needs at least one feature")
-        if feature_names is None:
-            feature_names = [f"f{j}" for j in range(d)]
-        feature_names = [str(name) for name in feature_names]
-        if len(feature_names) != d:
-            raise ValueError(
-                f"{len(feature_names)} feature names for {d} feature columns"
-            )
-        if class_ids is not None:
-            class_ids = np.array(class_ids, dtype=np.int64)
-            if class_ids.shape != (n,):
-                raise ValueError("class_ids length does not match sample count")
-            if n and class_ids.min() < 0:
-                raise ValueError("class ids must be nonnegative")
-            class_ids.setflags(write=False)
-        if labels is not None:
-            labels = np.array(labels, dtype=np.int8)
-            if labels.shape != (n,):
-                raise ValueError("labels length does not match sample count")
-            # AnomalyLabel values are the contiguous range 0..3
-            if n and (labels.min() < min(AnomalyLabel)
-                      or labels.max() > max(AnomalyLabel)):
-                raise ValueError("labels must be AnomalyLabel values")
-            labels.setflags(write=False)
-        features.setflags(write=False)
-
-        self.features = features
-        self.feature_names = feature_names
-        self.class_ids = class_ids
-        self.labels = labels
+    features: np.ndarray
+    feature_names: list
+    class_ids: np.ndarray | None = None
+    labels: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -125,16 +95,6 @@ class Dataset:
             None if self.class_ids is None else self.class_ids[indices],
             None if self.labels is None else self.labels[indices],
         )
-
-    def with_labels(self, labels) -> "Dataset":
-        return Dataset(self.features, self.feature_names, self.class_ids,
-                       labels)
-
-    def with_features(self, features, feature_names=None) -> "Dataset":
-        return Dataset(features,
-                       feature_names if feature_names is not None
-                       else self.feature_names,
-                       self.class_ids, self.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +184,16 @@ def load_csv(path) -> Dataset:
     features = np.empty((len(rows), len(feat_cols)))
     for j, i in enumerate(feat_cols):
         features[:, j] = parsed[header[i]]
-    return Dataset(features, [header[i] for i in feat_cols],
-                   parsed.get("class"), parsed.get("label"))
+    class_ids = labels = None
+    if "class" in parsed:
+        class_ids = np.array(parsed["class"], dtype=np.int64)
+    if "label" in parsed:
+        labels = np.array(parsed["label"], dtype=np.int8)
+    for array in (features, class_ids, labels):
+        if array is not None:
+            array.setflags(write=False)
+    return Dataset(features, [header[i] for i in feat_cols], class_ids,
+                   labels)
 
 
 def _raise_first_fault(path, header, rows, rules) -> NoReturn:
@@ -291,7 +259,7 @@ def minmax_normalize(ds: Dataset):
     out = np.zeros_like(features)
     nz = span > 0
     out[:, nz] = (features[:, nz] - mins[nz]) / span[nz]
-    return ds.with_features(out), (mins, maxs)
+    return ds._replace(features=out), (mins, maxs)
 
 
 # ---------------------------------------------------------------------------

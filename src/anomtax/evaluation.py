@@ -9,8 +9,6 @@ with a 0/0 denominator carry NaN as an explicit "undefined" marker and
 print as ``NaN%`` - never silently 0.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -92,8 +90,6 @@ def roc_curve(scores, positives) -> RocCurve:
     """
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives, dtype=bool)
-    if scores.shape != positives.shape or scores.ndim != 1:
-        raise ValueError("scores and membership flags must match")
     n_pos = int(positives.sum())
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:

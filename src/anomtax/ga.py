@@ -11,8 +11,6 @@ only orders the pool, the best in rank order and the rest shuffled with
 rank-scaled weights.
 """
 
-from __future__ import annotations
-
 import logging
 from typing import NamedTuple
 
@@ -102,8 +100,6 @@ def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
     """One-hot the training/validation anomaly labels over ``num_classes``
     classes, keep test labels as ids."""
     def ids(ds):
-        if ds.labels is None:
-            raise ValueError("split has no anomaly labels")
         return np.asarray(ds.labels, dtype=np.int64)
 
     return PreparedSplits(
@@ -122,8 +118,6 @@ def crossover(parent1, parent2, k: int, alpha: float):
     """
     p1 = np.asarray(parent1, dtype=np.float64)
     p2 = np.asarray(parent2, dtype=np.float64)
-    if p1.shape != p2.shape or p1.ndim != 1:
-        raise ValueError("parents must be equal-length vectors")
     n = p1.size
     if not 2 <= k <= n - 1:
         raise ValueError(f"cut index {k} outside [2, {n - 1}]")

@@ -11,8 +11,6 @@ Labeling pipelines for both unsupervised datasets and supervised datasets
 (per-class sub-datasets with feature weighting/aggregation) live here too.
 """
 
-from __future__ import annotations
-
 import logging
 import math
 from typing import NamedTuple
@@ -105,7 +103,7 @@ def detect_point_anomalies(points, cfg: LabelingConfig) -> np.ndarray:
 
     Points exactly at the cutoff are not anomalies.
     """
-    points = _as_points(points)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if n <= cfg.knn_k:
         raise ValueError(
@@ -240,7 +238,7 @@ def build_radius_table(pa_points) -> np.ndarray:
     The distance rows are taken ``BLOCK_ELEMENTS`` values at a time, in
     two reused buffers.
     """
-    pts = _as_points(pa_points)
+    pts = np.ascontiguousarray(pa_points, dtype=np.float64)
     k = pts.shape[0]
     if k < 2:
         raise ValueError(
@@ -272,7 +270,7 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     which happens when the points hold fewer than k distinct values, or
     distinct values whose squared distances underflow to 0.
     """
-    points = _as_points(points)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} points, got k={k}")
@@ -349,7 +347,7 @@ def cluster_density_stats(model: ClusterModel, points,
     smaller), capped at 1e12 for near-coincident points.  A singleton
     cluster gets spread 0.
     """
-    points = _as_points(points)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     k = model.centroids.shape[0]
     stds = np.zeros(k)
     for c in range(k):
@@ -420,7 +418,7 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
         cna_members = rest[is_cna[model.assignment]]
         labels[cna_members] = int(AnomalyLabel.CNA)
 
-    return ds.with_labels(labels), _report(labels, clusters_used)
+    return ds._replace(labels=labels), _report(labels, clusters_used)
 
 
 def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
@@ -464,8 +462,8 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
     normalized, _ = minmax_normalize(ds)
     x = normalized.features
     weights = x[:, drop].mean(axis=1)
-    agg = normalized.with_features(x[:, keep] + weights[:, None],
-                                   [names[j] for j in keep])
+    agg = normalized._replace(features=x[:, keep] + weights[:, None],
+                              feature_names=[names[j] for j in keep])
 
     out_features = np.zeros_like(agg.features)
     out_labels = np.zeros(ds.n, dtype=np.int8)
@@ -476,7 +474,7 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
         sub = agg.subset(rows)
         if rows.size <= cfg.knn_k:
             labels = np.full(rows.size, int(AnomalyLabel.ND), dtype=np.int8)
-            labeled, report = sub.with_labels(labels), _report(labels, 0)
+            labeled, report = sub._replace(labels=labels), _report(labels, 0)
             log.info("class %d too small to label (%d samples), all ND",
                      class_id, rows.size)
         else:
@@ -489,10 +487,3 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
     integrated = Dataset(out_features, agg.feature_names, ds.class_ids,
                          out_labels)
     return integrated, reports
-
-
-def _as_points(points) -> np.ndarray:
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be 2-D, got shape {pts.shape}")
-    return pts

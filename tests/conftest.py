@@ -27,6 +27,20 @@ def fresh_stdout(code: str, cwd, blas_threads=None) -> str:
     return done.stdout
 
 
+def make_dataset(features, feature_names=None, class_ids=None,
+                 labels=None) -> Dataset:
+    """A :class:`Dataset` of array-likes, with the dtypes ``load_csv``
+    gives; the columns are named f0, f1, ... unless ``feature_names``
+    names them."""
+    features = np.array(features, dtype=np.float64)
+    if feature_names is None:
+        feature_names = [f"f{j}" for j in range(features.shape[1])]
+    return Dataset(
+        features, list(feature_names),
+        None if class_ids is None else np.array(class_ids, dtype=np.int64),
+        None if labels is None else np.array(labels, dtype=np.int8))
+
+
 @pytest.fixture(scope="session")
 def labeled_synthetic():
     """The 195-point, 5-cluster reference dataset, labeled (all four types
@@ -65,9 +79,9 @@ def make_iris_like(seed: int = 7) -> Dataset:
         ])
         feats.append(np.column_stack([disc, ret]))
         classes.extend([c] * 50)
-    return Dataset(np.vstack(feats),
-                   ["sepal_len", "sepal_wid", "petal_len", "petal_wid"],
-                   class_ids=np.array(classes))
+    return make_dataset(np.vstack(feats),
+                        ["sepal_len", "sepal_wid", "petal_len", "petal_wid"],
+                        class_ids=classes)
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ import anomtax
 from anomtax import labeling
 from anomtax.cli import main
 from anomtax.config import load_config
-from anomtax.data import Dataset, load_csv, save_csv
-from conftest import fresh_stdout, make_iris_like
+from anomtax.data import load_csv, save_csv
+from conftest import fresh_stdout, make_dataset, make_iris_like
 
 TINY_CONFIG = """
 [synthetic]
@@ -157,8 +157,6 @@ class TestLabel:
     def test_sparse_class_ids_label_like_dense(self, tmp_path):
         # labeling visits the ids that occur, not every integer below the
         # largest; a subprocess with a timeout fails instead of hanging
-        from conftest import make_iris_like
-        from anomtax.data import Dataset, save_csv
         iris = make_iris_like()
         two = iris.subset(np.flatnonzero(iris.class_ids < 2))
         cfg = tmp_path / "sup.ini"
@@ -170,8 +168,7 @@ class TestLabel:
         outputs = []
         for top in (1, 2**40):
             csv_path = tmp_path / f"ids{top}.csv"
-            save_csv(Dataset(two.features, two.feature_names,
-                             two.class_ids * top), csv_path)
+            save_csv(two._replace(class_ids=two.class_ids * top), csv_path)
             out = tmp_path / f"lab{top}"
             done = subprocess.run(
                 [sys.executable, "-m", "anomtax.cli", "--seed", "0",
@@ -280,7 +277,7 @@ class TestLabel:
         feats = rng.normal(0, 1, (40, 3)) * [1e-3, 7.0, 1e5]
         names = ["a = b", "al,pha", "mid"]
         src = tmp_path / "in.csv"
-        save_csv(Dataset(feats, names), src)
+        save_csv(make_dataset(feats, names), src)
         out = tmp_path / "lab"
         assert main(["--seed", "0", "--config", tiny_config, "--quiet",
                      "--out", str(out), "label", str(src)]) == 0
@@ -823,6 +820,47 @@ class TestNetworkShape:
         err = capsys.readouterr().err
         assert "error in stage 'config'" in err and named in err
         assert not out.exists()
+
+
+# the input CSV of a case: the labeled reference mixture, or a file's text
+REFERENCE = object()
+
+
+@pytest.mark.parametrize("ini, data, command, message", [
+    ("[synthetic]\nbounds = 0,0,1\n", None, "synth",
+     "error in stage 'config': [synthetic] bounds needs xmin,ymin,xmax,ymax"),
+    ("[synthetic]\nblob1 = 1,2,3\n", None, "synth",
+     "error in stage 'config': [synthetic] blob1 needs cx,cy,sx,sy,count"),
+    ("", "", "label",
+     "error in stage 'load': {path}: empty file, header row required"),
+    ("", "class,label\n0,ND\n", "label",
+     "error in stage 'load': {path}: no feature columns"),
+    # load_config accepts a zero training ratio, and data alone can leave
+    # the training split empty at a positive one: one check, after the split
+    ("[split]\ntrain = 0\nvalidation = 0.5\ntest = 0.5\n", REFERENCE,
+     "compare", "error in stage 'split': empty training split"),
+    ("[split]\ntrain = 0.1\nvalidation = 0.45\ntest = 0.45\n",
+     "x,y,label\n0,0,ND\n1,0,ND\n0,1,CNA\n1,1,CNA\n"
+     "2,0,CPA\n2,1,CPA\n3,0,PA\n3,1,PA\n",
+     "compare", "error in stage 'split': empty training split"),
+], ids=["bounds-three-numbers", "blob-four-numbers", "empty-csv",
+        "no-feature-columns", "zero-train-ratio", "train-share-rounds-to-0"])
+def test_boundary_rule_stops_run(tmp_path, capsys, labeled_synthetic, ini,
+                                 data, command, message):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini, encoding="utf-8")
+    path = tmp_path / "in.csv"
+    if data is REFERENCE:
+        save_csv(labeled_synthetic[0], path)
+    elif data is not None:
+        path.write_text(data, encoding="utf-8")
+    out = tmp_path / "o"
+    argv = ["--seed", "0", "--config", str(cfg), "--quiet"]
+    if command != "synth":
+        argv += ["--out", str(out)]
+    assert main(argv + [command, str(path)]) == 1
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["label", "compare"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from anomtax import ga
-from anomtax.data import Dataset, SplitRatios, stratified_split
+from anomtax.data import SplitRatios, stratified_split
 from anomtax.evaluation import confusion
 from anomtax.evaluation import test_error as error_rate
 from anomtax.ga import (
@@ -25,6 +25,7 @@ from anomtax.mlp import (
     forward_batch,
     one_hot,
 )
+from conftest import make_dataset
 
 
 TOPO = Topology(2, 4, 2)
@@ -36,7 +37,7 @@ def tiny_splits(seed=0):
     rng = np.random.default_rng(seed)
     x = np.vstack([rng.normal((0.25, 0.25), 0.06, (30, 2)),
                    rng.normal((0.75, 0.75), 0.06, (30, 2))])
-    ds = Dataset(x, labels=[0] * 30 + [1] * 30)
+    ds = make_dataset(x, labels=[0] * 30 + [1] * 30)
     train, val, test = stratified_split(ds, SplitRatios(), seed)
     return prepare_splits(train, val, test, 2)
 

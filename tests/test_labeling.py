@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from anomtax import labeling
 from anomtax.config import load_config
-from anomtax.data import (AnomalyLabel, BlobSpec, Dataset, SyntheticSpec,
+from anomtax.data import (AnomalyLabel, BlobSpec, SyntheticSpec,
                           generate_synthetic, load_csv, minmax_normalize,
                           save_csv)
 from anomtax.labeling import (
@@ -23,6 +23,7 @@ from anomtax.labeling import (
     label_dataset,
     label_supervised,
 )
+from conftest import make_dataset
 
 
 def report_counts(report):
@@ -390,7 +391,7 @@ class TestDetectCna:
 
     def test_identical_points_all_cna(self):
         # no point anomalies, one distinct point, every spread 0 >= 0
-        _, report = label_dataset(Dataset(np.full((30, 2), 0.5)),
+        _, report = label_dataset(make_dataset(np.full((30, 2), 0.5)),
                                   LabelingConfig(num_clusters=5, seed=0))
         assert (report.clusters, report.nd, report.cna) == (1, 0, 30)
         assert report.pa == report.cpa == 0
@@ -460,7 +461,7 @@ class TestLabelDataset:
             rng.normal((0.7, 0.6), 0.06, (40, 2)),
             rng.uniform(-0.5, 1.5, (8, 2)),
         ])
-        return Dataset(pts)
+        return make_dataset(pts)
 
     def test_partition_and_report(self):
         ds = self._dataset()
@@ -473,7 +474,7 @@ class TestLabelDataset:
 
     def test_no_anomalies_propagates_empty(self):
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
-        ds = Dataset(np.column_stack([xs.ravel(), ys.ravel()]))
+        ds = make_dataset(np.column_stack([xs.ravel(), ys.ravel()]))
         labeled, report = label_dataset(
             ds, LabelingConfig(num_clusters=2, knn_k=5,
                                pa_score_multiplier=50.0, seed=0))
@@ -506,7 +507,7 @@ class TestLabelDataset:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             labeled, report = label_dataset(
-                Dataset(np.array(rows)),
+                make_dataset(np.array(rows)),
                 LabelingConfig(num_clusters=clusters, seed=0))
         assert report_counts(report) == counts
         assert labeled.labels.tolist() == labels
@@ -516,7 +517,7 @@ class TestLabelDataset:
         # cannot part them, so one cluster holds both
         pts = np.array([[0.0, -2.38191542e-165], [0.0, 1.89140052e-165]])
         labeled, report = label_dataset(
-            Dataset(pts), LabelingConfig(num_clusters=2, knn_k=1, seed=0))
+            make_dataset(pts), LabelingConfig(num_clusters=2, knn_k=1, seed=0))
         assert report.clusters == 1
         assert report_counts(report)[0] == 2
 
@@ -527,7 +528,7 @@ class TestLabelDataset:
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)],
                         [np.sin(theta), np.cos(theta)]])
-        moved = Dataset(ds.features @ rot.T + np.array([5.0, -3.0]))
+        moved = make_dataset(ds.features @ rot.T + np.array([5.0, -3.0]))
         relabeled, _ = label_dataset(moved, cfg)
         np.testing.assert_array_equal(labeled.labels, relabeled.labels)
 
@@ -588,8 +589,9 @@ class TestLabelDataset:
         # keep every kNN distance far above the density cap's 1e-12
         assume(gaps[~np.eye(n, dtype=bool)].min() > 1e-6)
         cfg = LabelingConfig(num_clusters=clusters, knn_k=3, seed=seed)
-        labeled, report = label_dataset(Dataset(pts), cfg)
-        scaled, scaled_report = label_dataset(Dataset(pts * 2.0 ** j), cfg)
+        labeled, report = label_dataset(make_dataset(pts), cfg)
+        scaled, scaled_report = label_dataset(make_dataset(pts * 2.0 ** j),
+                                              cfg)
         np.testing.assert_array_equal(scaled.labels, labeled.labels)
         assert report_counts(scaled_report) == report_counts(report)
 
@@ -675,7 +677,7 @@ class TestLabelSupervised:
         names = ["d0", "r0", "d1", "r1", "d2"]
         feats = np.column_stack([noise[:, 0], points[:, 0], noise[:, 1],
                                  points[:, 1], noise[:, 2]])
-        ds = Dataset(feats, names, class_ids=np.zeros(60, dtype=int))
+        ds = make_dataset(feats, names, class_ids=np.zeros(60, dtype=int))
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
         labeled, reports = label_supervised(ds, cfg, retained, discarded)
         assert len(reports) == 1
@@ -686,8 +688,8 @@ class TestLabelSupervised:
         drop = [j for j, name in enumerate(names) if name in discarded]
         norm, _ = minmax_normalize(ds)
         weights = sum(norm.features[:, j] for j in drop) / len(drop)
-        agg = Dataset(norm.features[:, keep] + weights[:, None],
-                      [names[j] for j in keep])
+        agg = make_dataset(norm.features[:, keep] + weights[:, None],
+                           [names[j] for j in keep])
         direct, direct_report = label_dataset(agg, cfg)
         np.testing.assert_array_equal(labeled.labels, direct.labels)
         np.testing.assert_array_equal(
@@ -725,7 +727,7 @@ class TestLabelSupervised:
     def test_tiny_class_degenerates_to_nd(self):
         rng = np.random.default_rng(12)
         feats = np.vstack([rng.random((30, 3)), rng.random((3, 3)) + 2])
-        ds = Dataset(feats, class_ids=[0] * 30 + [1] * 3)
+        ds = make_dataset(feats, class_ids=[0] * 30 + [1] * 3)
         cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
         labeled, reports = label_supervised(ds, cfg, ["f0", "f1"], ["f2"])
         class_id, report = reports[1]
@@ -735,7 +737,7 @@ class TestLabelSupervised:
         assert set(tiny) == {int(AnomalyLabel.ND)}
 
     def test_needs_class_ids(self):
-        ds = Dataset([[1.0, 2.0]])
+        ds = make_dataset([[1.0, 2.0]])
         with pytest.raises(ValueError):
             label_supervised(ds, LabelingConfig(num_clusters=1, seed=0),
                              ["f0"], ["f1"])

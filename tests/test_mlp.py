@@ -331,7 +331,7 @@ def mse_and_gradient(weights, topology, x, t):
     ``train_scg`` runs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     t = np.ascontiguousarray(t, dtype=np.float64)
-    mlp._check_batch(topology, x, t)
+    mlp._check_batch(x)
     w = mlp._Genome(topology, np.ascontiguousarray(weights))
     grad = mlp._Genome(topology)
     batch = mlp._Batch(topology, x, t, x.shape[0])
