@@ -73,10 +73,23 @@ def _load_input(path) -> Dataset:
         return load_csv(path)
 
 
-def _require_labels(ds: Dataset) -> None:
+def _labeled_input(path) -> Dataset:
+    """The labeled CSV that compare and eval read.  Its features must lie
+    in [0, 1], the range label writes; the first that does not is named
+    by row (the header is row 1) and column."""
+    ds = _load_input(path)
     if ds.labels is None:
         raise StageError("load", "dataset has no label column; run "
                                  "'anomtax label' first")
+    outside = np.flatnonzero((ds.features < 0.0) | (ds.features > 1.0))
+    if outside.size:
+        row, col = divmod(int(outside[0]), ds.dim)
+        raise StageError(
+            "load",
+            f"{path}: row {row + 2}, column {ds.feature_names[col]!r}: "
+            f"{float(ds.features[row, col])!r} is outside [0, 1], the "
+            f"feature range 'anomtax label' writes")
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +201,7 @@ def _write_model_eval(tag: str, scores, counts, y, out: Path) -> None:
 
 
 def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ds = _load_input(args.input)
-    _require_labels(ds)
+    ds = _labeled_input(args.input)
     prepared = _split_and_prepare(cfg, ds)
     topology = mlp.Topology(ds.dim, cfg.hidden, len(LABEL_TOKENS))
     with _stage("compare"):
@@ -212,8 +224,7 @@ def cmd_compare(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    ds = _load_input(args.input)
-    _require_labels(ds)
+    ds = _labeled_input(args.input)
     with _stage("load"):
         model = mlp.load_model(args.model)
     topo = model.topology

@@ -295,8 +295,6 @@ def stratified_split(ds: Dataset, ratios: SplitRatios, seed: int):
     decides membership, so the result is deterministic.
     """
     key = ds.labels
-    if key is None:
-        raise ValueError("stratified_split needs anomaly labels to group by")
     rng = np.random.default_rng(seed)
     picks = ([], [], [])
     for value in np.flatnonzero(np.bincount(key)):

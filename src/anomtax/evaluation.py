@@ -26,17 +26,10 @@ __all__ = [
 
 
 def confusion(targets, predictions, num_classes: int) -> np.ndarray:
-    """Count (target, predicted) pairs into ``counts[p, t]``."""
+    """Count (target, predicted) pairs, each a class in
+    ``[0, num_classes)``, into ``counts[p, t]``."""
     t = np.asarray(targets, dtype=np.int64)
     p = np.asarray(predictions, dtype=np.int64)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ValueError(
-            f"targets and predictions must be equal-length vectors, "
-            f"got {t.shape} and {p.shape}"
-        )
-    if t.size and not (min(t.min(), p.min()) >= 0
-                       and max(t.max(), p.max()) < num_classes):
-        raise ValueError(f"class values outside [0, {num_classes})")
     counts = np.bincount(p * num_classes + t,
                          minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
@@ -92,11 +85,6 @@ def roc_curve(scores, positives) -> RocCurve:
     positives = np.asarray(positives, dtype=bool)
     n_pos = int(positives.sum())
     n_neg = positives.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError(
-            f"ROC needs both classes present, got {n_pos} positives and "
-            f"{n_neg} negatives"
-        )
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     # one point per run of equal scores, taken after the run's last sample

@@ -22,7 +22,6 @@ from .mlp import (
     Topology,
     TrainedModel,
     TrainingConfig,
-    TrainingDivergedError,
     forward_batch,
     init_weights,
     one_hot,
@@ -51,16 +50,15 @@ log = logging.getLogger(__name__)
 
 class Individual(NamedTuple):
     """A genome, its fitness, and the model trained from it with that
-    model's test scores and confusion counts (all three None when the
-    training diverged).  ``matrix`` is the ``(k, k)`` int array
-    :func:`~anomtax.evaluation.confusion` returns, indexed
+    model's test scores and confusion counts.  ``matrix`` is the ``(k, k)``
+    int array :func:`~anomtax.evaluation.confusion` returns, indexed
     ``[predicted, target]``."""
 
     genome: np.ndarray
     fitness: float
-    model: TrainedModel | None = None
-    scores: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    model: TrainedModel
+    scores: np.ndarray
+    matrix: np.ndarray
 
 
 class GaConfig(NamedTuple):
@@ -114,13 +112,11 @@ def crossover(parent1, parent2, k: int, alpha: float):
 
     Genes before the cut (1-based positions 1..k-1) are copied from each
     infant's own parent; genes from the cut onward are blended
-    own*alpha + other*(1-alpha).  The cut must satisfy 2 <= k <= n-1.
+    own*alpha + other*(1-alpha).  :func:`run_ga` draws the cut from
+    2 <= k <= n-1.
     """
     p1 = np.asarray(parent1, dtype=np.float64)
     p2 = np.asarray(parent2, dtype=np.float64)
-    n = p1.size
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"cut index {k} outside [2, {n - 1}]")
     infant1 = p1.copy()
     infant2 = p2.copy()
     infant1[k - 1:] = p1[k - 1:] * alpha + p2[k - 1:] * (1.0 - alpha)
@@ -162,15 +158,9 @@ def evaluate_fitness(genome: np.ndarray, topology: Topology,
                      splits: PreparedSplits,
                      tcfg: TrainingConfig) -> Individual:
     """The individual of ``genome``: train from it and :func:`score` the
-    test split; the fitness is their test error.  A diverged training
-    counts as the worst fitness, 1.0, and leaves the model, scores and
-    confusion counts None."""
-    try:
-        model = train_scg(genome, topology, splits.x_train, splits.t_train,
-                          splits.x_val, splits.t_val, tcfg)
-    except TrainingDivergedError as exc:
-        log.warning("training diverged during fitness evaluation: %s", exc)
-        return Individual(genome, 1.0)
+    test split; the fitness is their test error."""
+    model = train_scg(genome, topology, splits.x_train, splits.t_train,
+                      splits.x_val, splits.t_val, tcfg)
     scores, matrix = score(model, splits.x_test, splits.y_test)
     return Individual(genome, test_error(matrix), model, scores, matrix)
 
@@ -212,8 +202,7 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
     first, and the best model and scores are the ones its evaluation
     made.  A best error of 0 ends the run: that individual is carried
     over at index 0 and ties go to the lowest index, so no later cycle
-    could replace it.  Raises ``TrainingDivergedError`` when the best
-    individual's training diverged.
+    could replace it.
     """
     rng = np.random.default_rng(cfg.seed)
     genomes = [init_weights(topology, rng)
@@ -247,9 +236,6 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
                                                 tcfg) for genome in kept]
         evaluations += len(kept)
 
-    if best.model is None:
-        raise TrainingDivergedError(
-            "training diverged for the best GA genome")
     return GaRun(stats, best, evaluations)
 
 
@@ -260,12 +246,7 @@ def conventional(splits: PreparedSplits, topology: Topology,
 
     Its uniform [0, 1] initial weights come from a substream of ``seed``,
     the GA seed, so it is independent of the GA run but reproducible from
-    the same seed.  Raises ``TrainingDivergedError`` when its training
-    diverged.
+    the same seed.
     """
     genome = init_weights(topology, np.random.default_rng([seed, 1]))
-    nn = evaluate_fitness(genome, topology, splits, tcfg)
-    if nn.model is None:
-        raise TrainingDivergedError(
-            "training diverged for the conventional network")
-    return nn
+    return evaluate_fitness(genome, topology, splits, tcfg)

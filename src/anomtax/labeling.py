@@ -133,8 +133,6 @@ def _knn_scores(pts, k: int) -> np.ndarray:
     which grow only when a block needs more room.
     """
     n = pts.shape[0]
-    if not np.isfinite(pts).all():
-        raise ValueError("kNN scores need finite coordinates")
     axis = int(np.ptp(pts, axis=0).argmax())
     order = np.argsort(pts[:, axis], kind="stable")
     cols = np.ascontiguousarray(pts[order].T)
@@ -240,10 +238,6 @@ def build_radius_table(pa_points) -> np.ndarray:
     """
     pts = np.ascontiguousarray(pa_points, dtype=np.float64)
     k = pts.shape[0]
-    if k < 2:
-        raise ValueError(
-            f"radius table needs at least 2 point anomalies, got {k}"
-        )
     step = max(1, min(k, BLOCK_ELEMENTS // k))
     cols = np.ascontiguousarray(pts.T)
     buf, tmp = np.empty((2, step, k))
@@ -261,7 +255,8 @@ def detect_cpa(radii: np.ndarray) -> np.ndarray:
 
 
 def kmeans(points, k: int, seed: int) -> ClusterModel:
-    """Lloyd's algorithm with seeded distinct-point initialization.
+    """Lloyd's algorithm with seeded distinct-point initialization of
+    ``1 <= k <= n`` centroids.
 
     Runs to an assignment fixpoint or 300 iterations.  Empty clusters are
     repaired by reseeding the centroid at the point farthest from its
@@ -272,8 +267,6 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n} points, got k={k}")
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     cols = np.ascontiguousarray(points.T)
@@ -437,8 +430,6 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
     and one ``(class_id, report)`` pair per class id that occurs, in
     ascending id order.
     """
-    if ds.class_ids is None:
-        raise ValueError("supervised labeling needs class ids")
     names = ds.feature_names
     unknown = [n for n in [*retained, *discarded] if n not in names]
     if unknown:

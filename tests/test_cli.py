@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import anomtax
-from anomtax import labeling
+from anomtax import cli, labeling, mlp
 from anomtax.cli import main
 from anomtax.config import load_config
 from anomtax.data import load_csv, save_csv
@@ -824,9 +824,16 @@ class TestNetworkShape:
 
 # the input CSV of a case: the labeled reference mixture, or a file's text
 REFERENCE = object()
+# the config text of a case, or a --config path that names no file
+NO_FILE = None
 
 
 @pytest.mark.parametrize("ini, data, command, message", [
+    (NO_FILE, None, "compare",
+     "error in stage 'config': config file not found: {cfg}"),
+    ("[synthetic]\nblobx = 1,2,3,4,5\n", None, "synth",
+     "error in stage 'config': blobx: blob keys are blobN with N a positive "
+     "integer"),
     ("[synthetic]\nbounds = 0,0,1\n", None, "synth",
      "error in stage 'config': [synthetic] bounds needs xmin,ymin,xmax,ymax"),
     ("[synthetic]\nblob1 = 1,2,3\n", None, "synth",
@@ -840,15 +847,44 @@ REFERENCE = object()
     ("[split]\ntrain = 0\nvalidation = 0.5\ntest = 0.5\n", REFERENCE,
      "compare", "error in stage 'split': empty training split"),
     ("[split]\ntrain = 0.1\nvalidation = 0.45\ntest = 0.45\n",
-     "x,y,label\n0,0,ND\n1,0,ND\n0,1,CNA\n1,1,CNA\n"
-     "2,0,CPA\n2,1,CPA\n3,0,PA\n3,1,PA\n",
+     "x,y,label\n0,0,ND\n0.25,0,ND\n0,1,CNA\n0.25,1,CNA\n"
+     "0.5,0,CPA\n0.5,1,CPA\n0.75,0,PA\n0.75,1,PA\n",
      "compare", "error in stage 'split': empty training split"),
-], ids=["bounds-three-numbers", "blob-four-numbers", "empty-csv",
-        "no-feature-columns", "zero-train-ratio", "train-share-rounds-to-0"])
+    ("", "x,y\n0.5,inf\n", "label",
+     "error in stage 'load': {path}: row 2, column 'y': not a finite "
+     "number: 'inf'"),
+    ("", "x,class\n0.5,1.5\n", "label",
+     "error in stage 'load': {path}: row 2, column 'class': not an integer: "
+     "'1.5'"),
+    ("", "x,class\n0.5,-1\n", "label",
+     "error in stage 'load': {path}: row 2, column 'class': not an integer "
+     "in [0, 2^63): '-1'"),
+    ("", "x,label\n0.5,WAT\n", "compare",
+     "error in stage 'load': {path}: row 2, column 'label': unknown label "
+     "'WAT' (expected one of ND, CNA, CPA, PA)"),
+    ("", "x,y\n0.5,0.5\n0.1\n", "label",
+     "error in stage 'load': {path}: row 3: expected 2 columns, got 1"),
+    ("", "x,y,class\n0.5,0.5,0\n0.1,0.2,1\n", "label",
+     "error in stage 'label': supervised labeling needs [data] retained and "
+     "discarded feature names matching the CSV header"),
+    # the label column is checked before the feature range
+    ("", "x,y\n2,3\n", "compare",
+     "error in stage 'load': dataset has no label column; run 'anomtax "
+     "label' first"),
+    ("", "x,y,label\n0.5,0,ND\n1,-0.25,PA\n", "compare",
+     "error in stage 'load': {path}: row 3, column 'y': -0.25 is outside "
+     "[0, 1], the feature range 'anomtax label' writes"),
+], ids=["config-missing", "blob-key-name", "bounds-three-numbers",
+        "blob-four-numbers", "empty-csv", "no-feature-columns",
+        "zero-train-ratio", "train-share-rounds-to-0", "feature-inf",
+        "class-fraction", "class-negative", "label-unknown", "ragged-row",
+        "supervised-no-retained", "compare-unlabeled",
+        "feature-below-0"])
 def test_boundary_rule_stops_run(tmp_path, capsys, labeled_synthetic, ini,
                                  data, command, message):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(ini, encoding="utf-8")
+    if ini is not NO_FILE:
+        cfg.write_text(ini, encoding="utf-8")
     path = tmp_path / "in.csv"
     if data is REFERENCE:
         save_csv(labeled_synthetic[0], path)
@@ -859,8 +895,69 @@ def test_boundary_rule_stops_run(tmp_path, capsys, labeled_synthetic, ini,
     if command != "synth":
         argv += ["--out", str(out)]
     assert main(argv + [command, str(path)]) == 1
-    assert capsys.readouterr().err == message.format(path=path) + "\n"
+    assert capsys.readouterr().err == message.format(path=path,
+                                                     cfg=cfg) + "\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model_text, message", [
+    ("2 10\n", "line 1: expected three positive layer sizes, got '2 10'"),
+    ("2 1 4\n0.5\n", "1 weights, topology needs 11"),
+], ids=["two-layer-sizes", "weight-count"])
+def test_model_file_rule_stops_eval(tmp_path, capsys, model_text, message):
+    model = tmp_path / "model.txt"
+    model.write_text(model_text, encoding="utf-8")
+    path = tmp_path / "in.csv"
+    path.write_text("x,y,label\n0.5,0.5,ND\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--seed", "0", "--quiet", "--out", str(out), "eval",
+                 str(model), str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error in stage 'load': {model}: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "eval"])
+def test_features_outside_unit_range_stop_in_load(tmp_path,
+                                                  labeled_synthetic,
+                                                  command):
+    # label writes every feature in [0, 1].  Scaled by 1e300, the labeled
+    # reference mixture once overflowed compare's training into three
+    # RuntimeWarnings and a division by zero; it now stops where it enters
+    ds = labeled_synthetic[0]
+    big = ds.features * 1e300
+    path = tmp_path / "big.csv"
+    save_csv(ds._replace(features=big), path)
+    model = tmp_path / "model.txt"
+    mlp.save_model(mlp.TrainedModel(mlp.Topology(),
+                                    np.full(mlp.Topology().genome_length,
+                                            0.5)), model)
+    args = [command, str(path)] if command == "compare" else \
+        [command, str(model), str(path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(anomtax.__file__).parents[1])
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "anomtax.cli", "--seed", "0", "--quiet",
+         "--out", str(out), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+    row, col = np.argwhere((big < 0) | (big > 1))[0]
+    assert ds.feature_names[col] == "x"
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error in stage 'load': {path}: row {row + 2}, column 'x': "
+        f"{float(big[row, col])!r} is outside [0, 1], the feature range "
+        "'anomtax label' writes"]
+    assert not out.exists()
+
+
+def test_supervised_label_output_passes_compare_load(tmp_path):
+    # each class is renormalized into [0, 1], the range compare reads
+    data, base = iris_like_run(tmp_path)
+    out = tmp_path / "label"
+    assert main(base + ["--out", str(out), "label", str(data)]) == 0
+    ds = cli._labeled_input(out / "labeled.csv")
+    assert ds.features.min() == 0.0 and ds.features.max() == 1.0
 
 
 @pytest.mark.parametrize("command", ["label", "compare"])

@@ -92,14 +92,6 @@ class TestConfusion:
         assert m.sum() == 30
         assert m.shape == (4, 4) and m.dtype.kind == "i"
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            confusion([0, 1], [0], 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            confusion([0, 5], [0, 1], 2)
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
         t = rng.integers(0, 4, 60)
@@ -297,10 +289,6 @@ class TestRocCurve:
             curve = roc_curve(scores, labels)
             assert curve.auc == pytest.approx(brute_auc(scores, labels),
                                               abs=1e-12)
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            roc_curve([0.1, 0.9], [True, True])
 
     @pytest.mark.parametrize("pool", [None, (0.1, 0.5, 0.9),
                                       (-0.0, 0.0, 0.25)],

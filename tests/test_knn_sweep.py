@@ -144,12 +144,6 @@ class TestSortedSweep:
                 " - usage.ru_minflt)")
         assert int(fresh_stdout(code, tmp_path)) < 2500
 
-    def test_rejects_non_finite(self):
-        pts = np.zeros((10, 2))
-        pts[3, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            labeling._knn_scores(pts, 5)
-
 
 class TestDegenerateInputs:
     def test_vertical_line(self):

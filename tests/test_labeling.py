@@ -121,10 +121,6 @@ class TestRadiusTable:
         radii = build_radius_table([[1, 1]] * 4)
         np.testing.assert_array_equal(radii, [0.0] * 4)
 
-    def test_single_point_rejected(self):
-        with pytest.raises(ValueError):
-            build_radius_table([[0, 0]])
-
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -271,10 +267,6 @@ class TestKmeans:
         model = kmeans(pts, 6, seed=0)
         assert model.objective_history[-1] == pytest.approx(0.0, abs=1e-15)
         assert sorted(model.assignment) == list(range(6))
-
-    def test_count_below_k_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((2, 2)), 3, seed=0)
 
     def test_objective_non_increasing_and_fixpoint(self):
         rng = np.random.default_rng(6)
@@ -735,9 +727,3 @@ class TestLabelSupervised:
         assert report.clusters == 0
         tiny = labeled.labels[np.asarray(ds.class_ids) == 1]
         assert set(tiny) == {int(AnomalyLabel.ND)}
-
-    def test_needs_class_ids(self):
-        ds = make_dataset([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            label_supervised(ds, LabelingConfig(num_clusters=1, seed=0),
-                             ["f0"], ["f1"])
