@@ -25,11 +25,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import evaluation, ga, labeling, mlp
-from .config import STREAM_SPLIT, STREAM_SYNTH, RunConfig, load_config
+from .config import RunConfig, load_config
 from .data import (
     LABEL_TOKENS,
     Dataset,
-    derive_seed,
     generate_synthetic,
     load_csv,
     minmax_normalize,
@@ -98,8 +97,7 @@ def _labeled_input(path) -> Dataset:
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     with _stage("synth"):
-        ds = generate_synthetic(cfg.synthetic, derive_seed(cfg.seed,
-                                                           STREAM_SYNTH))
+        ds = generate_synthetic(cfg.synthetic, cfg.synth_seed)
     with _stage("write"):
         Path(args.out_csv).parent.mkdir(parents=True, exist_ok=True)
         save_csv(ds, args.out_csv)
@@ -166,8 +164,7 @@ def cmd_label(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _split_and_prepare(cfg: RunConfig, ds: Dataset) -> ga.PreparedSplits:
     with _stage("split"):
-        train, val, test = stratified_split(
-            ds, cfg.ratios, derive_seed(cfg.seed, STREAM_SPLIT))
+        train, val, test = stratified_split(ds, cfg.ratios, cfg.split_seed)
         if test.n == 0:
             raise ValueError("empty test split")
         if train.n == 0:
@@ -305,7 +302,7 @@ def main(argv=None) -> int:
         if argv is None:
             # This process runs one command and ends.  Freezing what numpy
             # and anomtax built on import (numpy.random included, which
-            # load_config's derive_seed imports) keeps the collector from
+            # load_config's seed derivation imports) keeps the collector from
             # traversing it again and spares the interpreter's exit from
             # tearing it down object by object: ~15-25 ms per process on
             # a 2-vCPU VM.  A caller that passes argv goes on running, so

@@ -17,7 +17,13 @@ file or from ``--seed``); any other section or key is rejected:
 :func:`load_config` holds every rule of the file, and each error it
 raises names the key.  The records it builds (``LabelingConfig``,
 ``TrainingConfig``, ``GaConfig``, ``SplitRatios`` and the
-``SyntheticSpec``) are plain values that carry no checks of their own.
+``SyntheticSpec``) are plain values that carry no checks and no defaults
+of their own: this module is the only place a shipped value is written.
+
+It is also the only place a seed is decided.  Each purpose gets its own
+stream of the run seed: the synthetic data, labeling, the stratified
+split and the GA.  The conventional network's initial weights come from
+the ``[ga seed, 1]`` substream of the GA's (:func:`anomtax.ga.conventional`).
 """
 
 import configparser
@@ -26,25 +32,20 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import BlobSpec, SplitRatios, SyntheticSpec, derive_seed
+import numpy as np
+
+from .data import BlobSpec, SplitRatios, SyntheticSpec
 from .ga import GaConfig
 from .labeling import LabelingConfig
 from .mlp import TrainingConfig
 
-__all__ = [
-    "RunConfig",
-    "load_config",
-    "STREAM_SYNTH",
-    "STREAM_LABEL",
-    "STREAM_SPLIT",
-    "STREAM_GA",
-]
+__all__ = ["RunConfig", "load_config"]
 
 # substream tags for deriving purpose-specific seeds from the run seed
-STREAM_SYNTH = 0
-STREAM_LABEL = 1
-STREAM_SPLIT = 2
-STREAM_GA = 3
+_STREAM_SYNTH = 0
+_STREAM_LABEL = 1
+_STREAM_SPLIT = 2
+_STREAM_GA = 3
 
 _DEFAULTS = """
 [run]
@@ -90,7 +91,12 @@ test = 0.15
 
 
 class RunConfig(NamedTuple):
-    seed: int
+    """Every value of a run.  ``synth_seed`` and ``split_seed`` seed the
+    synthetic data and the stratified split; the labeling and GA records
+    carry their own seeds."""
+
+    synth_seed: int
+    split_seed: int
     retained: list
     discarded: list
     synthetic: SyntheticSpec
@@ -128,12 +134,9 @@ def _names(raw: str):
     return [v.strip() for v in raw.split(",") if v.strip()]
 
 
-def _blob_number(key: str) -> int:
-    match = re.fullmatch(r"blob([1-9][0-9]*)", key)
-    if match is None:
-        raise ValueError(f"{key}: blob keys are blobN with N a positive "
-                         "integer")
-    return int(match.group(1))
+def _derive_seed(seed: int, stream: int) -> int:
+    """Stable child seed for a named substream of a run seed."""
+    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
 def _synthetic_spec(section) -> SyntheticSpec:
@@ -142,7 +145,7 @@ def _synthetic_spec(section) -> SyntheticSpec:
         raise ValueError("[synthetic] bounds needs xmin,ymin,xmax,ymax")
     blobs = []
     for key in sorted((k for k in section if k.startswith("blob")),
-                      key=_blob_number):
+                      key=lambda k: int(k[4:])):
         vals = section.get(key).split(",")
         if len(vals) != 5:
             raise ValueError(f"[synthetic] {key} needs cx,cy,sx,sy,count")
@@ -156,15 +159,15 @@ def _synthetic_spec(section) -> SyntheticSpec:
 
 def _reject_unread_keys(user, defaults, path) -> None:
     """Raise on the first section or key of ``user`` that ``defaults`` lacks;
-    [synthetic] takes every blobN key that :func:`_blob_number` accepts."""
+    [synthetic] takes every blobN key, N a positive integer."""
     for name in user.sections():
         if not defaults.has_section(name):
             raise ValueError(f"{path}: [{name}] is not a config section; the "
                              f"sections are {', '.join(defaults.sections())}")
         for key in user[name]:
-            if name == "synthetic" and key.startswith("blob"):
-                _blob_number(key)
-            elif not defaults.has_option(name, key):
+            if name == "synthetic" and re.fullmatch(r"blob[1-9][0-9]*", key):
+                continue
+            if not defaults.has_option(name, key):
                 keys = [k for k in defaults[name] if not k.startswith("blob")]
                 raise ValueError(f"{path}: [{name}] {key} is not a config "
                                  f"key; [{name}] accepts {', '.join(keys)}"
@@ -215,7 +218,7 @@ def load_config(path=None, seed=None) -> RunConfig:
         knn_k=_number(lab, "knn_k", int, low=1),
         pa_score_multiplier=_number(lab, "score_multiplier", low=0,
                                     strict=True),
-        seed=derive_seed(seed, STREAM_LABEL),
+        seed=_derive_seed(seed, _STREAM_LABEL),
     )
     hidden = _number(parser["mlp"], "hidden", int, low=1)
     tr = parser["train"]
@@ -230,7 +233,7 @@ def load_config(path=None, seed=None) -> RunConfig:
         crossover_alpha=_number(ga, "alpha", low=0, high=1),
         mutation_rate=_number(ga, "mutation_rate", low=0, high=1),
         selection_rate=_number(ga, "selection_rate", low=0, high=1),
-        seed=derive_seed(seed, STREAM_GA),
+        seed=_derive_seed(seed, _STREAM_GA),
     )
     split = parser["split"]
     parts = [_number(split, key, low=0)
@@ -241,7 +244,8 @@ def load_config(path=None, seed=None) -> RunConfig:
     ratios = SplitRatios(*parts)
 
     return RunConfig(
-        seed=seed,
+        synth_seed=_derive_seed(seed, _STREAM_SYNTH),
+        split_seed=_derive_seed(seed, _STREAM_SPLIT),
         retained=_names(data.get("retained")),
         discarded=_names(data.get("discarded")),
         synthetic=_synthetic_spec(parser["synthetic"]),

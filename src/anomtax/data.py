@@ -31,7 +31,6 @@ __all__ = [
     "minmax_normalize",
     "stratified_split",
     "generate_synthetic",
-    "derive_seed",
 ]
 
 
@@ -88,7 +87,6 @@ class Dataset(NamedTuple):
 
     def subset(self, indices) -> "Dataset":
         """New dataset holding the given rows, re-indexed from 0."""
-        indices = np.asarray(indices, dtype=np.int64)
         return Dataset(
             self.features[indices],
             self.feature_names,
@@ -269,9 +267,9 @@ def minmax_normalize(ds: Dataset):
 class SplitRatios(NamedTuple):
     """Train/validation/test fractions; they sum to 1."""
 
-    train: float = 0.70
-    validation: float = 0.15
-    test: float = 0.15
+    train: float
+    validation: float
+    test: float
 
 
 def _largest_remainder(count: int, ratios: SplitRatios):
@@ -343,9 +341,3 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         parts.append(rng.uniform((xmin, ymin), (xmax, ymax),
                                  (spec.scatter_count, 2)))
     return Dataset(np.vstack(parts), ["x", "y"])
-
-
-def derive_seed(seed: int, stream: int) -> int:
-    """Stable child seed for a named substream of a run seed."""
-    return int(np.random.SeedSequence([int(seed), int(stream)])
-               .generate_state(1)[0])

@@ -62,12 +62,12 @@ class Individual(NamedTuple):
 
 
 class GaConfig(NamedTuple):
-    cycles: int = 20
-    population_size: int = 15
-    crossover_alpha: float = 0.3
-    mutation_rate: float = 0.1
-    selection_rate: float = 0.7
-    seed: int = 0
+    cycles: int
+    population_size: int
+    crossover_alpha: float
+    mutation_rate: float
+    selection_rate: float
+    seed: int
 
 
 class CycleStats(NamedTuple):
@@ -115,12 +115,11 @@ def crossover(parent1, parent2, k: int, alpha: float):
     own*alpha + other*(1-alpha).  :func:`run_ga` draws the cut from
     2 <= k <= n-1.
     """
-    p1 = np.asarray(parent1, dtype=np.float64)
-    p2 = np.asarray(parent2, dtype=np.float64)
-    infant1 = p1.copy()
-    infant2 = p2.copy()
-    infant1[k - 1:] = p1[k - 1:] * alpha + p2[k - 1:] * (1.0 - alpha)
-    infant2[k - 1:] = p2[k - 1:] * alpha + p1[k - 1:] * (1.0 - alpha)
+    infant1, infant2 = parent1.copy(), parent2.copy()
+    infant1[k - 1:] = (parent1[k - 1:] * alpha
+                       + parent2[k - 1:] * (1.0 - alpha))
+    infant2[k - 1:] = (parent2[k - 1:] * alpha
+                       + parent1[k - 1:] * (1.0 - alpha))
     return infant1, infant2
 
 

@@ -74,9 +74,9 @@ class LabelingConfig(NamedTuple):
     """
 
     num_clusters: int
-    knn_k: int = 5
-    pa_score_multiplier: float = 2.0
-    seed: int = 0
+    knn_k: int
+    pa_score_multiplier: float
+    seed: int
 
 
 class LabelingReport(NamedTuple):
@@ -103,7 +103,6 @@ def detect_point_anomalies(points, cfg: LabelingConfig) -> np.ndarray:
 
     Points exactly at the cutoff are not anomalies.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if n <= cfg.knn_k:
         raise ValueError(
@@ -209,10 +208,10 @@ def _strip_groups(rows, first, last):
         i = j
 
 
-def _sq_distances(rows, cols, out=None, tmp=None) -> np.ndarray:
+def _sq_distances(rows, cols, out, tmp) -> np.ndarray:
     """Squared distance from each of ``rows`` (m, d) to each of the points
-    held as the columns ``cols`` (d, n), written into ``out`` when given;
-    ``tmp``, of the same shape, is scratch space.
+    held as the columns ``cols`` (d, n), written into ``out``; ``tmp``, of
+    the same shape, is scratch space.
 
     Squared coordinate differences (row minus candidate) accumulate in
     dimension order, so a pair gets the same value in every block it falls
@@ -220,10 +219,10 @@ def _sq_distances(rows, cols, out=None, tmp=None) -> np.ndarray:
     ** 2).sum(axis=2)`` bit for bit; from d = 8 on numpy sums pairwise in
     8-way blocks, and the two differ in the last bits.
     """
-    out = np.subtract(rows[:, 0, None], cols[0], out=out)
+    np.subtract(rows[:, 0, None], cols[0], out=out)
     out *= out
     for q in range(1, rows.shape[1]):
-        tmp = np.subtract(rows[:, q, None], cols[q], out=tmp)
+        np.subtract(rows[:, q, None], cols[q], out=tmp)
         tmp *= tmp
         out += tmp
     return out
@@ -236,15 +235,15 @@ def build_radius_table(pa_points) -> np.ndarray:
     The distance rows are taken ``BLOCK_ELEMENTS`` values at a time, in
     two reused buffers.
     """
-    pts = np.ascontiguousarray(pa_points, dtype=np.float64)
-    k = pts.shape[0]
+    k = pa_points.shape[0]
     step = max(1, min(k, BLOCK_ELEMENTS // k))
-    cols = np.ascontiguousarray(pts.T)
+    cols = np.ascontiguousarray(pa_points.T)
     buf, tmp = np.empty((2, step, k))
     sums = np.empty(k)
     for lo in range(0, k, step):
         hi = min(k, lo + step)
-        block = _sq_distances(pts[lo:hi], cols, buf[:hi - lo], tmp[:hi - lo])
+        block = _sq_distances(pa_points[lo:hi], cols, buf[:hi - lo],
+                              tmp[:hi - lo])
         sums[lo:hi] = np.sqrt(block, out=block).sum(axis=1)
     return sums / (k - 1)
 
@@ -265,7 +264,6 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     which happens when the points hold fewer than k distinct values, or
     distinct values whose squared distances underflow to 0.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
     n, d = points.shape
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
@@ -291,12 +289,12 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     return ClusterModel(centroids, assign, tuple(history))
 
 
-def _nearest_centroids(cols, centroids, buf=None):
+def _nearest_centroids(cols, centroids, buf):
     """Index of each point's nearest centroid (ties go to the lowest
     index) and the squared distance to it.  ``cols`` holds the points as
     columns, shape (d, n); ``buf``, shape (2, k, n), is scratch space."""
     k, n = centroids.shape[0], cols.shape[1]
-    d2, tmp = np.empty((2, k, n)) if buf is None else buf
+    d2, tmp = buf
     _sq_distances(centroids, cols, d2, tmp)
     # strict < keeps the lowest index on ties, as argmin does; the
     # distances are never nan, because the points are finite
@@ -340,7 +338,6 @@ def cluster_density_stats(model: ClusterModel, points,
     smaller), capped at 1e12 for near-coincident points.  A singleton
     cluster gets spread 0.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
     k = model.centroids.shape[0]
     stds = np.zeros(k)
     for c in range(k):

@@ -43,11 +43,11 @@ SCG_LAMBDA0 = 5e-7
 
 
 class Topology(NamedTuple):
-    """Layer sizes; the defaults are 2 inputs, 10 hidden, 4 outputs."""
+    """Layer sizes."""
 
-    input_size: int = 2
-    hidden_size: int = 10
-    output_size: int = 4
+    input_size: int
+    hidden_size: int
+    output_size: int
 
     @property
     def genome_length(self) -> int:
@@ -56,18 +56,16 @@ class Topology(NamedTuple):
 
 
 class TrainingConfig(NamedTuple):
-    max_epochs: int = 200
-    patience: int = 6
+    max_epochs: int
+    patience: int
 
 
 class TrainedModel(NamedTuple):
     topology: Topology
     weights: np.ndarray
-    # an immutable empty default: a NamedTuple default is shared by every
-    # instance that omits the field
-    train_mse: list | tuple = ()
-    val_mse: list | None = None
-    stop_reason: str = "max_epochs"
+    train_mse: list | tuple
+    val_mse: list | None
+    stop_reason: str
 
     @property
     def epochs(self) -> int:
@@ -219,8 +217,7 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
     matrix-vector path).  So a NaN output raises ``ValueError`` naming
     how many rows have one, instead of warning or being ranked.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = _Genome(topology, np.ascontiguousarray(weights))
+    w = _Genome(topology, weights)
     hidden = np.empty((x.shape[0], topology.hidden_size))
     y = np.empty((x.shape[0], topology.output_size))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,9 +229,8 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
     return y
 
 
-def train_scg(weights0, topology: Topology, x_train, t_train,
-              x_val=None, t_val=None,
-              cfg: TrainingConfig = TrainingConfig()) -> TrainedModel:
+def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
+              cfg: TrainingConfig) -> TrainedModel:
     """Scaled conjugate gradient with Levenberg-style damping.
 
     One epoch is one candidate step along the current conjugate direction;
@@ -255,14 +251,9 @@ def train_scg(weights0, topology: Topology, x_train, t_train,
     accepted step needs the gradient, so it is taken from that pass's
     buffers after the step is accepted.
     """
-    x_train = np.ascontiguousarray(x_train, dtype=np.float64)
-    t_train = np.ascontiguousarray(t_train, dtype=np.float64)
-    has_val = x_val is not None and len(x_val) > 0
-    if has_val:
-        batch = _Batch(topology, np.concatenate([x_train, x_val]),
-                       np.concatenate([t_train, t_val]), x_train.shape[0])
-    else:
-        batch = _Batch(topology, x_train, t_train, x_train.shape[0])
+    has_val = len(x_val) > 0
+    batch = _Batch(topology, np.concatenate([x_train, x_val]),
+                   np.concatenate([t_train, t_val]), x_train.shape[0])
 
     w = np.array(weights0, dtype=np.float64)
     n_params = w.size
@@ -418,4 +409,4 @@ def load_model(path) -> TrainedModel:
             f"{path}: {weights.size} weights, topology needs "
             f"{topology.genome_length}"
         )
-    return TrainedModel(topology, weights, stop_reason="loaded")
+    return TrainedModel(topology, weights, (), None, "loaded")

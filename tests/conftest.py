@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 import anomtax
-from anomtax.config import load_config
+from anomtax.config import RunConfig, load_config
 from anomtax.data import Dataset, generate_synthetic, minmax_normalize
-from anomtax.labeling import LabelingConfig, label_dataset
+from anomtax.labeling import label_dataset
+
+
+def shipped(seed: int = 0) -> RunConfig:
+    """The records of the shipped config at run seed ``seed``: what the
+    CLI runs without ``--config``.  A test varies one with ``_replace``."""
+    return load_config(None, seed)
 
 
 def fresh_stdout(code: str, cwd, blas_threads=None) -> str:
@@ -44,13 +50,11 @@ def make_dataset(features, feature_names=None, class_ids=None,
 @pytest.fixture(scope="session")
 def labeled_synthetic():
     """The 195-point, 5-cluster reference dataset, labeled (all four types
-    present at this generation seed)."""
-    cfg = load_config(seed=0)
+    present at these generation and labeling seeds)."""
+    cfg = shipped()
     ds = generate_synthetic(cfg.synthetic, 0)
     norm, _ = minmax_normalize(ds)
-    return label_dataset(norm, LabelingConfig(num_clusters=5, knn_k=5,
-                                              pa_score_multiplier=2.0,
-                                              seed=0))
+    return label_dataset(norm, cfg.labeling._replace(seed=0))
 
 
 def make_iris_like(seed: int = 7) -> Dataset:

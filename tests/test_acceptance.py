@@ -16,7 +16,6 @@ from anomtax.data import (
     LABEL_TOKENS,
     AnomalyLabel,
     BlobSpec,
-    SplitRatios,
     SyntheticSpec,
     generate_synthetic,
     save_csv,
@@ -25,7 +24,6 @@ from anomtax.data import (
 from anomtax.evaluation import class_rates, roc_curve
 from anomtax.evaluation import test_error as error_rate
 from anomtax.ga import (
-    GaConfig,
     apply_mutation,
     conventional,
     crossover,
@@ -33,7 +31,6 @@ from anomtax.ga import (
     run_ga,
 )
 from anomtax.labeling import (
-    LabelingConfig,
     build_radius_table,
     detect_cpa,
     detect_point_anomalies,
@@ -42,14 +39,16 @@ from anomtax.labeling import (
 )
 from anomtax.mlp import (
     Topology,
-    TrainingConfig,
     init_weights,
     forward_batch,
     one_hot,
     train_scg,
 )
+from conftest import shipped
 from test_eval import FIG_GA, FIG_NN, matrix_from_counts
 from test_mlp import mse_and_gradient
+
+SHIPPED = shipped()
 
 
 def _criterion(num: int, description: str, ok: bool, detail: str = ""):
@@ -109,8 +108,8 @@ def test_criterion_02_partition_law():
         spec = SyntheticSpec(blobs, int(rng.integers(0, 15)),
                              (-30, -30, 90, 90))
         ds = generate_synthetic(spec, trial)
-        cfg = LabelingConfig(num_clusters=int(rng.integers(1, 5)),
-                             knn_k=5, seed=trial)
+        cfg = SHIPPED.labeling._replace(
+            num_clusters=int(rng.integers(1, 5)), seed=trial)
         if ds.n <= cfg.knn_k:
             continue
         labeled, report = label_dataset(ds, cfg)
@@ -139,7 +138,8 @@ def test_criterion_02_partition_law():
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_collinear_cpa():
-    radii = build_radius_table([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    radii = build_radius_table(np.array([[0.0, 0.0], [1.0, 0.0],
+                                         [2.0, 0.0]]))
     ok = list(detect_cpa(radii)) == [1]
     ok &= bool(np.all(np.abs(radii - np.array([1.5, 1.0, 1.5])) <= 1e-12))
     ok &= abs(radii.mean() - 4.0 / 3.0) <= 1e-12
@@ -190,8 +190,9 @@ def test_criterion_05_scg_sanity():
         x = np.vstack([rng.normal((0.2, 0.2), 0.05, (50, 2)),
                        rng.normal((0.8, 0.8), 0.05, (50, 2))])
         y = np.array([0] * 50 + [1] * 50)
-        model = train_scg(init_weights(topo, rng), topo, x, one_hot(y, 2),
-                          cfg=TrainingConfig(max_epochs=200))
+        t = one_hot(y, 2)
+        model = train_scg(init_weights(topo, rng), topo, x, t, x[:0], t[:0],
+                          SHIPPED.training._replace(max_epochs=200))
         pred = forward_batch(model.weights, topo, x).argmax(axis=1)
         solved += int((pred != y).sum() == 0)
     elapsed = time.perf_counter() - start
@@ -208,14 +209,15 @@ def test_criterion_05_scg_sanity():
 def ga_comparison_runs(labeled_synthetic):
     labeled, report = labeled_synthetic
     assert min(report.nd, report.cna, report.cpa, report.pa) > 0
-    topo = Topology()          # 2-10-4, tansig, trained by SCG
-    tcfg = TrainingConfig()    # reference training settings
+    # 2-10-4, tansig, trained by SCG with the reference settings
+    topo = Topology(2, SHIPPED.hidden, len(LABEL_TOKENS))
+    tcfg = SHIPPED.training
     runs = []
     for seed in range(10):
-        train, val, test = stratified_split(labeled, SplitRatios(), seed)
+        train, val, test = stratified_split(labeled, SHIPPED.ratios, seed)
         prepared = prepare_splits(train, val, test, len(LABEL_TOKENS))
         start = time.perf_counter()
-        ga_cfg = GaConfig(seed=seed)
+        ga_cfg = SHIPPED.ga._replace(seed=seed)
         nn = conventional(prepared, topo, tcfg, ga_cfg.seed)
         ga_run = run_ga(ga_cfg, topo, prepared, tcfg)
         runs.append((seed, nn, ga_run, time.perf_counter() - start))
@@ -257,8 +259,8 @@ def test_criterion_07_elitism_monotonic(ga_comparison_runs):
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_operator_goldens():
-    i1, _ = crossover([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0],
-                      k=3, alpha=0.3)
+    i1, _ = crossover(np.array([1.0, 2.0, 3.0, 4.0]),
+                      np.array([5.0, 6.0, 7.0, 8.0]), k=3, alpha=0.3)
     ok = bool(np.all(np.abs(i1 - np.array([1.0, 2.0, 5.8, 6.8])) <= 1e-12))
     up = apply_mutation(np.array([0.5]), 0, 0.2, 0.7)
     ok &= abs(up[0] - 0.7) <= 1e-12
@@ -354,7 +356,7 @@ def test_criterion_11_compare_determinism(tmp_path, labeled_synthetic):
 # ---------------------------------------------------------------------------
 
 def test_criterion_12_supervised_shape(iris_like):
-    cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+    cfg = SHIPPED.labeling._replace(num_clusters=3, seed=0)
     labeled, pairs = label_supervised(iris_like, cfg,
                                       ["petal_len", "petal_wid"],
                                       ["sepal_len", "sepal_wid"])

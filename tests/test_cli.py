@@ -13,9 +13,8 @@ import pytest
 import anomtax
 from anomtax import cli, labeling, mlp
 from anomtax.cli import main
-from anomtax.config import load_config
 from anomtax.data import load_csv, save_csv
-from conftest import fresh_stdout, make_dataset, make_iris_like
+from conftest import fresh_stdout, make_dataset, make_iris_like, shipped
 
 TINY_CONFIG = """
 [synthetic]
@@ -339,8 +338,7 @@ def test_label_tree_matches_golden(tmp_path, run):
         # the tree holds labels only, and a score moved by one ulp seldom
         # moves a label across its cutoff
         points = load_csv(out / "labeled.csv").features
-        scores = labeling._knn_scores(points, load_config(seed=0)
-                                      .labeling.knn_k)
+        scores = labeling._knn_scores(points, shipped().labeling.knn_k)
         assert (hashlib.sha256(scores.tobytes()).hexdigest()
                 == GOLDEN["knn_scores"][run])
 
@@ -832,8 +830,8 @@ NO_FILE = None
     (NO_FILE, None, "compare",
      "error in stage 'config': config file not found: {cfg}"),
     ("[synthetic]\nblobx = 1,2,3,4,5\n", None, "synth",
-     "error in stage 'config': blobx: blob keys are blobN with N a positive "
-     "integer"),
+     "error in stage 'config': {cfg}: [synthetic] blobx is not a config "
+     "key; [synthetic] accepts bounds, scatter, blobN"),
     ("[synthetic]\nbounds = 0,0,1\n", None, "synth",
      "error in stage 'config': [synthetic] bounds needs xmin,ymin,xmax,ymax"),
     ("[synthetic]\nblob1 = 1,2,3\n", None, "synth",
@@ -929,9 +927,10 @@ def test_features_outside_unit_range_stop_in_load(tmp_path,
     path = tmp_path / "big.csv"
     save_csv(ds._replace(features=big), path)
     model = tmp_path / "model.txt"
-    mlp.save_model(mlp.TrainedModel(mlp.Topology(),
-                                    np.full(mlp.Topology().genome_length,
-                                            0.5)), model)
+    topology = mlp.Topology(2, 10, 4)
+    mlp.save_model(mlp.TrainedModel(topology,
+                                    np.full(topology.genome_length, 0.5),
+                                    (), None, "loaded"), model)
     args = [command, str(path)] if command == "compare" else \
         [command, str(model), str(path)]
     env = dict(os.environ)

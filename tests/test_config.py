@@ -5,6 +5,11 @@ import pytest
 from anomtax.config import load_config
 
 
+def seeds(cfg):
+    """Every seed a run uses."""
+    return (cfg.synth_seed, cfg.labeling.seed, cfg.split_seed, cfg.ga.seed)
+
+
 def test_defaults_match_reference_setup():
     cfg = load_config(seed=0)
     assert cfg.hidden == 10
@@ -40,7 +45,7 @@ def test_file_overrides_and_inline_comments(tmp_path):
         "[labeling]\nknn_k = 7\n",
         encoding="utf-8")
     cfg = load_config(str(path))
-    assert cfg.seed == 9
+    assert seeds(cfg) == seeds(load_config(None, 9))
     assert cfg.ga.cycles == 3
     assert cfg.labeling.knn_k == 7
     # untouched sections keep their defaults
@@ -59,7 +64,7 @@ def test_blob_list_replaces_defaults(tmp_path):
 def test_flag_overrides_win(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[run]\nseed = 3\n", encoding="utf-8")
-    assert load_config(str(path), seed=8).seed == 8
+    assert seeds(load_config(str(path), seed=8)) == seeds(load_config(None, 8))
 
 
 def test_missing_config_file():
@@ -90,7 +95,9 @@ def test_malformed_blob_key_rejected(tmp_path, key):
     path = tmp_path / "cfg.ini"
     path.write_text(f"[synthetic]\nblob1 = 0, 0, 1, 1, 5\n"
                     f"{key} = 5, 5, 1, 1, 5\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: [synthetic] {key} is not a config key; [synthetic] "
+            "accepts bounds, scatter, blobN")):
         load_config(str(path), seed=0)
 
 

@@ -21,8 +21,10 @@ from anomtax.data import (
 )
 from anomtax.config import load_config
 from anomtax.data import _largest_remainder
-from anomtax.labeling import LabelingConfig, label_dataset, label_supervised
-from conftest import make_dataset
+from anomtax.labeling import label_dataset, label_supervised
+from conftest import make_dataset, shipped
+
+SHIPPED = shipped()
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -218,7 +220,7 @@ class TestNormalize:
 # Weighting and aggregation run inside labeling.label_supervised.  A class
 # of at most knn_k rows is not labeled, so its output features are its
 # weighted, shifted features min-max rescaled per column.
-SMALL_CLASS = LabelingConfig(num_clusters=1, knn_k=5, seed=0)
+SMALL_CLASS = SHIPPED.labeling._replace(num_clusters=1, knn_k=5, seed=0)
 
 
 def _supervised(features, retained, discarded, class_ids=None,
@@ -277,7 +279,7 @@ class TestAggregation:
         # the unsupervised pipeline on the retained columns
         rng = np.random.default_rng(4)
         feats = np.column_stack([rng.random((40, 2)), np.full(40, 2.5)])
-        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        cfg = SMALL_CLASS._replace(num_clusters=2)
         out = _supervised(feats, ["f0", "f1"], ["f2"], cfg=cfg)
         norm, _ = minmax_normalize(make_dataset(feats[:, :2]))
         direct, _ = label_dataset(norm, cfg)
@@ -320,7 +322,7 @@ class TestAggregation:
         feats = np.vstack([rng.random((30, 3)), rng.random((30, 3)) + 4])
         class_ids = np.array([3] * 30 + [8] * 30)
         rows = np.column_stack([np.arange(30), np.arange(30, 60)]).ravel()
-        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        cfg = SMALL_CLASS._replace(num_clusters=2)
         blocks = _supervised(feats, ["f0", "f1"], ["f2"], class_ids, cfg)
         mixed = _supervised(feats[rows], ["f0", "f1"], ["f2"],
                             class_ids[rows], cfg)
@@ -350,8 +352,8 @@ class TestStratifiedSplit:
 
     def test_deterministic(self):
         ds = self._two_group_ds()
-        a = stratified_split(ds, SplitRatios(), 42)
-        b = stratified_split(ds, SplitRatios(), 42)
+        a = stratified_split(ds, SHIPPED.ratios, 42)
+        b = stratified_split(ds, SHIPPED.ratios, 42)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.features, y.features)
 
@@ -403,11 +405,6 @@ class TestStratifiedSplit:
                         "test = 0.1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="must sum to 1"):
             load_config(path, seed=0)
-
-    def test_needs_grouping_key(self):
-        ds = make_dataset([[1.0], [2.0]])
-        with pytest.raises(ValueError):
-            stratified_split(ds, SplitRatios(), 0)
 
 
 class TestSynthetic:

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from anomtax import ga
-from anomtax.data import SplitRatios, stratified_split
+from anomtax.data import stratified_split
 from anomtax.evaluation import confusion
 from anomtax.evaluation import test_error as error_rate
 from anomtax.ga import (
-    GaConfig,
     Individual,
     PreparedSplits,
     apply_mutation,
@@ -20,15 +19,15 @@ from anomtax.ga import (
 )
 from anomtax.mlp import (
     Topology,
-    TrainingConfig,
     forward_batch,
     one_hot,
 )
-from conftest import make_dataset
+from conftest import make_dataset, shipped
 
-
+SHIPPED = shipped()
+GA = SHIPPED.ga
 TOPO = Topology(2, 4, 2)
-TCFG = TrainingConfig(max_epochs=40)
+TCFG = SHIPPED.training._replace(max_epochs=40)
 
 
 def tiny_splits(seed=0):
@@ -37,7 +36,7 @@ def tiny_splits(seed=0):
     x = np.vstack([rng.normal((0.25, 0.25), 0.06, (30, 2)),
                    rng.normal((0.75, 0.75), 0.06, (30, 2))])
     ds = make_dataset(x, labels=[0] * 30 + [1] * 30)
-    train, val, test = stratified_split(ds, SplitRatios(), seed)
+    train, val, test = stratified_split(ds, SHIPPED.ratios, seed)
     return prepare_splits(train, val, test, 2)
 
 
@@ -80,15 +79,15 @@ class TestInitPopulation:
         return seen
 
     def test_size_and_genome_length(self, monkeypatch):
-        cfg = GaConfig(population_size=15, seed=0)
-        pop = self.initial_genomes(monkeypatch, cfg, Topology())
+        cfg = GA._replace(population_size=15, seed=0)
+        pop = self.initial_genomes(monkeypatch, cfg, Topology(2, 10, 4))
         assert len(pop) == 15
         assert all(genome.shape == (74,) for genome in pop)
         assert all(0 <= genome.min() and genome.max() <= 1
                    for genome in pop)
 
     def test_deterministic(self, monkeypatch):
-        cfg = GaConfig(seed=9)
+        cfg = GA._replace(seed=9)
         a = self.initial_genomes(monkeypatch, cfg, TOPO)
         b = self.initial_genomes(monkeypatch, cfg, TOPO)
         assert len(a) == len(b) == cfg.population_size
@@ -96,14 +95,15 @@ class TestInitPopulation:
             np.testing.assert_array_equal(x, y)
 
     def test_single_individual(self, monkeypatch):
-        pop = self.initial_genomes(monkeypatch, GaConfig(population_size=1),
-                                   TOPO)
+        pop = self.initial_genomes(monkeypatch,
+                                   GA._replace(population_size=1), TOPO)
         assert len(pop) == 1
 
 
 class TestCrossover:
     def test_golden_example(self):
-        i1, i2 = crossover([1, 2, 3, 4], [5, 6, 7, 8], k=3, alpha=0.3)
+        i1, i2 = crossover(np.array([1.0, 2, 3, 4]), np.array([5.0, 6, 7, 8]),
+                           k=3, alpha=0.3)
         np.testing.assert_allclose(i1, [1, 2, 5.8, 6.8], atol=1e-12)
         np.testing.assert_allclose(i2, [5, 6, 3.0 * 0.7 + 7 * 0.3,
                                         4 * 0.7 + 8 * 0.3], atol=1e-12)
@@ -153,13 +153,13 @@ class TestMutation:
     def test_rate_zero_never_mutates(self):
         rng = np.random.default_rng(2)
         g = rng.random(10)
-        cfg = GaConfig(mutation_rate=0.0, seed=0)
+        cfg = GA._replace(mutation_rate=0.0, seed=0)
         for _ in range(20):
             assert mutate(g, cfg, rng) is g
 
     def test_rate_one_always_mutates_one_gene(self):
         rng = np.random.default_rng(3)
-        cfg = GaConfig(mutation_rate=1.0, seed=0)
+        cfg = GA._replace(mutation_rate=1.0, seed=0)
         for _ in range(20):
             g = rng.random(10)
             out = mutate(g, cfg, rng)
@@ -169,7 +169,7 @@ class TestMutation:
 
     def test_genome_closure_under_many_operations(self):
         rng = np.random.default_rng(4)
-        cfg = GaConfig(mutation_rate=0.8, seed=0)
+        cfg = GA._replace(mutation_rate=0.8, seed=0)
         g1, g2 = rng.random(12), rng.random(12)
         for _ in range(200):
             k = int(rng.integers(2, 12))
@@ -188,8 +188,8 @@ def unscored(genome, fitness) -> Individual:
 class TestSelect:
     def test_truncation_keeps_best(self):
         pop = [unscored(np.zeros(4), f) for f in (0.1, 0.5, 0.3)]
-        pool = select(pop, GaConfig(population_size=3, selection_rate=0.7,
-                                    seed=0), np.random.default_rng(0))
+        pool = select(pop, GA._replace(population_size=3, seed=0),
+                      np.random.default_rng(0))
         assert len(pool) == 3
         assert pool[0].fitness == 0.1 and pool[1].fitness == 0.3
         assert pool[2].fitness == 0.5  # only candidate left to sample
@@ -197,8 +197,8 @@ class TestSelect:
     def test_rate_one_pure_truncation(self):
         rng = np.random.default_rng(5)
         pop = [unscored(np.zeros(4), float(f)) for f in rng.random(6)]
-        pool = select(pop, GaConfig(population_size=6, selection_rate=1.0,
-                                    seed=0), rng)
+        pool = select(pop, GA._replace(population_size=6, selection_rate=1.0,
+                                       seed=0), rng)
         fits = [ind.fitness for ind in pool]
         assert fits == sorted(fits)
 
@@ -211,8 +211,9 @@ class TestSelect:
                 for fits in (np.full(size, 0.5), rng.random(size)):
                     pop = [unscored(np.full(4, i / 10), float(f))
                            for i, f in enumerate(fits)]
-                    pool = select(pop, GaConfig(population_size=size,
-                                                selection_rate=rate, seed=0),
+                    pool = select(pop, GA._replace(population_size=size,
+                                                   selection_rate=rate,
+                                                   seed=0),
                                   rng)
                     assert sorted(map(id, pool)) == sorted(map(id, pop))
                     # ties go to the lower index
@@ -229,7 +230,7 @@ class TestEvaluateFitness:
         from anomtax.mlp import init_weights, train_scg
         w0 = init_weights(TOPO, np.random.default_rng(0))
         model = train_scg(w0, TOPO, splits.x_train, splits.t_train,
-                          cfg=TCFG)
+                          splits.x_train[:0], splits.t_train[:0], TCFG)
         pred = forward_batch(model.weights, TOPO, splits.x_test).argmax(axis=1)
         assert (pred != splits.y_test).sum() == 0
         ind = evaluate_fitness(np.clip(model.weights, 0, 1), TOPO, splits,
@@ -258,7 +259,7 @@ class TestEvaluateFitness:
 class TestRunGa:
     def test_zero_error_stops_first_cycle(self):
         splits, _ = one_class_splits()
-        cfg = GaConfig(cycles=5, population_size=3, seed=0)
+        cfg = GA._replace(cycles=5, population_size=3, seed=0)
         run = run_ga(cfg, TOPO, splits, TCFG)
         assert len(run.cycles) == 1
         assert run.cycles[0].best_fitness == run.best.fitness == 0.0
@@ -266,7 +267,7 @@ class TestRunGa:
 
     def test_elitism_best_non_increasing(self):
         splits = unsolvable_splits()
-        cfg = GaConfig(cycles=6, population_size=5, seed=1)
+        cfg = GA._replace(cycles=6, population_size=5, seed=1)
         run = run_ga(cfg, TOPO, splits, TCFG)
         assert len(run.cycles) == cfg.cycles
         best = [c.best_fitness for c in run.cycles]
@@ -274,7 +275,7 @@ class TestRunGa:
 
     def test_evaluation_budget(self):
         splits = unsolvable_splits()
-        cfg = GaConfig(cycles=4, population_size=5, seed=2)
+        cfg = GA._replace(cycles=4, population_size=5, seed=2)
         run = run_ga(cfg, TOPO, splits, TCFG)
         assert len(run.cycles) == cfg.cycles
         assert run.evaluations <= 4 * 5
@@ -283,7 +284,7 @@ class TestRunGa:
         # a population of one breeds with itself and keeps no infant, so
         # it is trained once and carried through every cycle
         splits = unsolvable_splits()
-        cfg = GaConfig(cycles=3, population_size=1, seed=4)
+        cfg = GA._replace(cycles=3, population_size=1, seed=4)
         run = run_ga(cfg, TOPO, splits, TCFG)
         assert run.evaluations == 1
         assert len(run.cycles) == cfg.cycles
@@ -291,7 +292,7 @@ class TestRunGa:
 
     def test_deterministic(self):
         splits = unsolvable_splits()
-        cfg = GaConfig(cycles=3, population_size=4, seed=3)
+        cfg = GA._replace(cycles=3, population_size=4, seed=3)
         a = run_ga(cfg, TOPO, splits, TCFG)
         b = run_ga(cfg, TOPO, splits, TCFG)
         assert len(a.cycles) == cfg.cycles
@@ -309,7 +310,7 @@ class TestRunGa:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(ga, "train_scg", counting)
-        cfg = GaConfig(cycles=3, population_size=4, seed=6)
+        cfg = GA._replace(cycles=3, population_size=4, seed=6)
         run = run_ga(cfg, TOPO, splits, TCFG)
         assert len(run.cycles) == cfg.cycles
         assert len(trainings) == run.evaluations
@@ -337,7 +338,7 @@ def assert_scored_by_its_fitness(ind, splits):
 class TestScore:
     def test_conventional_and_best_keep_their_scoring(self):
         splits = unsolvable_splits()
-        cfg = GaConfig(cycles=3, population_size=4, seed=5)
+        cfg = GA._replace(cycles=3, population_size=4, seed=5)
         assert_scored_by_its_fitness(
             conventional(splits, TOPO, TCFG, cfg.seed), splits)
         run = run_ga(cfg, TOPO, splits, TCFG)
@@ -348,7 +349,7 @@ class TestScore:
 class TestCompare:
     def test_report_consistency_and_determinism(self):
         splits = unsolvable_splits()
-        cfg = GaConfig(cycles=3, population_size=4, seed=5)
+        cfg = GA._replace(cycles=3, population_size=4, seed=5)
         (nn_a, ga_a), (nn_b, ga_b) = [
             (conventional(splits, TOPO, TCFG, cfg.seed),
              run_ga(cfg, TOPO, splits, TCFG)) for _ in range(2)]

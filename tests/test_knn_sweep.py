@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from anomtax import labeling
 from anomtax.cli import main
-from anomtax.labeling import LabelingConfig, detect_point_anomalies
-from conftest import fresh_stdout
+from anomtax.labeling import detect_point_anomalies
+from conftest import fresh_stdout, shipped
 
 
 def dense_knn_scores(pts, k):
@@ -180,8 +180,7 @@ class TestDegenerateInputs:
         pts[0] *= 20.0
         expected = dense_knn_scores(pts, k)
         np.testing.assert_array_equal(labeling._knn_scores(pts, k), expected)
-        cfg = LabelingConfig(num_clusters=1, knn_k=k,
-                             pa_score_multiplier=1.0, seed=0)
+        cfg = shipped().labeling._replace(knn_k=k, pa_score_multiplier=1.0)
         np.testing.assert_array_equal(
             detect_point_anomalies(pts, cfg),
             np.flatnonzero(expected > expected.mean() + expected.std()))

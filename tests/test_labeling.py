@@ -8,12 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anomtax import labeling
-from anomtax.config import load_config
 from anomtax.data import (AnomalyLabel, BlobSpec, SyntheticSpec,
                           generate_synthetic, load_csv, minmax_normalize,
                           save_csv)
 from anomtax.labeling import (
-    LabelingConfig,
     build_radius_table,
     cluster_density_stats,
     detect_cna,
@@ -23,7 +21,9 @@ from anomtax.labeling import (
     label_dataset,
     label_supervised,
 )
-from conftest import make_dataset
+from conftest import make_dataset, shipped
+
+LABELING = shipped().labeling
 
 
 def report_counts(report):
@@ -78,23 +78,23 @@ class TestPointAnomalies:
     def test_blob_plus_far_point(self):
         rng = np.random.default_rng(0)
         pts = np.vstack([rng.normal(0, 1, (50, 2)), [[100.0, 100.0]]])
-        cfg = LabelingConfig(num_clusters=1, knn_k=5,
-                             pa_score_multiplier=2.0, seed=0)
+        cfg = LABELING._replace(num_clusters=1, knn_k=5,
+                                pa_score_multiplier=2.0, seed=0)
         pa = detect_point_anomalies(pts, cfg)
         assert list(pa) == [50]
 
     def test_uniform_grid_no_anomalies(self):
         xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0))
         pts = np.column_stack([xs.ravel(), ys.ravel()])
-        cfg = LabelingConfig(num_clusters=1, knn_k=5,
-                             pa_score_multiplier=10.0, seed=0)
+        cfg = LABELING._replace(num_clusters=1, knn_k=5,
+                                pa_score_multiplier=10.0, seed=0)
         assert detect_point_anomalies(pts, cfg).size == 0
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         pts = np.vstack([rng.normal(0, 1, (40, 2)),
                          rng.normal(0, 1, (5, 2)) * 30])
-        cfg = LabelingConfig(num_clusters=1, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=1, knn_k=5, seed=0)
         base = {int(i) for i in detect_point_anomalies(pts, cfg)}
         assert base  # the scaled tail points must register
         perm = rng.permutation(len(pts))
@@ -102,23 +102,23 @@ class TestPointAnomalies:
         assert {int(perm[i]) for i in got} == base
 
     def test_too_few_points(self):
-        cfg = LabelingConfig(num_clusters=1, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=1, knn_k=5, seed=0)
         with pytest.raises(ValueError):
             detect_point_anomalies(np.zeros((5, 2)), cfg)
 
 
 class TestRadiusTable:
     def test_collinear_golden(self):
-        radii = build_radius_table([[0, 0], [1, 0], [2, 0]])
+        radii = build_radius_table(np.array([[0.0, 0], [1, 0], [2, 0]]))
         np.testing.assert_allclose(radii, [1.5, 1.0, 1.5], atol=1e-15)
         assert radii.mean() == pytest.approx(4 / 3, abs=1e-15)
 
     def test_symmetric_pair(self):
-        radii = build_radius_table([[0, 0], [2, 0]])
+        radii = build_radius_table(np.array([[0.0, 0], [2, 0]]))
         np.testing.assert_array_equal(radii, [2.0, 2.0])
 
     def test_coincident_points(self):
-        radii = build_radius_table([[1, 1]] * 4)
+        radii = build_radius_table(np.full((4, 2), 1.0))
         np.testing.assert_array_equal(radii, [0.0] * 4)
 
     def test_matches_brute_force(self):
@@ -135,15 +135,22 @@ class TestRadiusTable:
 
 class TestDetectCpa:
     def test_middle_point_huddles(self):
-        radii = build_radius_table([[0, 0], [1, 0], [2, 0]])
+        radii = build_radius_table(np.array([[0.0, 0], [1, 0], [2, 0]]))
         assert list(detect_cpa(radii)) == [1]
 
     def test_all_equal_no_strict_winner(self):
-        radii = build_radius_table([[0, 0], [2, 0]])
+        radii = build_radius_table(np.array([[0.0, 0], [2, 0]]))
         assert detect_cpa(radii).size == 0
 
     def test_outlier_among_outliers(self):
         assert list(detect_cpa(np.array([1.0, 100.0]))) == [0]
+
+
+def nearest_centroids(pts, centroids):
+    """``_nearest_centroids`` of the rows ``pts``, with its scratch
+    buffer."""
+    buf = np.empty((2, centroids.shape[0], pts.shape[0]))
+    return labeling._nearest_centroids(pts.T.copy(), centroids, buf)
 
 
 def broadcast_nearest_centroids(pts, centroids):
@@ -197,7 +204,7 @@ class TestKmeans:
             else:
                 pts = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), (n, d))
                 cents = rng.normal(0.0, pts.std() + 1.0, (k, d))
-            got = labeling._nearest_centroids(pts.T.copy(), cents)
+            got = nearest_centroids(pts, cents)
             want = broadcast_nearest_centroids(pts, cents)
             if d <= 7:
                 np.testing.assert_array_equal(got[0], want[0])
@@ -286,7 +293,7 @@ class TestKmeans:
     def test_nearest_centroids_tie_to_lowest_index(self):
         pts = np.array([[0.0, 0.0]])
         cents = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assign, _ = labeling._nearest_centroids(pts.T.copy(), cents)
+        assign, _ = nearest_centroids(pts, cents)
         assert assign[0] == 0
 
     def test_nearest_centroids_many_ties_k9(self):
@@ -297,7 +304,7 @@ class TestKmeans:
         cents[8] = cents[4]  # a repeated centroid never wins
         pts = np.array([[0.0, 0.0], [0.5, 0.5], [-0.5, 0.0], [0.0, -0.5],
                         [1.0, 1.0], [2.0, 2.0], [-0.5, -0.5], [0.5, -0.5]])
-        assign, d2 = labeling._nearest_centroids(pts.T.copy(), cents)
+        assign, d2 = nearest_centroids(pts, cents)
         want = broadcast_nearest_centroids(pts, cents)
         np.testing.assert_array_equal(assign, want[0])
         np.testing.assert_array_equal(d2, want[1])
@@ -370,12 +377,12 @@ class TestDetectCna:
 
     def test_one_cluster_on_reference_data_is_cna(self, caplog):
         # the >= rule: a single cluster's spread equals the mean threshold
-        cfg = load_config(seed=0)
+        cfg = shipped()
         norm, _ = minmax_normalize(generate_synthetic(cfg.synthetic, 0))
         with caplog.at_level("INFO", logger="anomtax.labeling"):
             _, report = label_dataset(
-                norm, LabelingConfig(num_clusters=1, knn_k=5,
-                                     pa_score_multiplier=2.0, seed=0))
+                norm, LABELING._replace(num_clusters=1, knn_k=5,
+                                        pa_score_multiplier=2.0, seed=0))
         assert (report.points, report.clusters, report.cna) == (195, 1, 184)
         assert report.nd == 0
         assert [r.levelname for r in caplog.records
@@ -384,7 +391,7 @@ class TestDetectCna:
     def test_identical_points_all_cna(self):
         # no point anomalies, one distinct point, every spread 0 >= 0
         _, report = label_dataset(make_dataset(np.full((30, 2), 0.5)),
-                                  LabelingConfig(num_clusters=5, seed=0))
+                                  LABELING._replace(num_clusters=5, seed=0))
         assert (report.clusters, report.nd, report.cna) == (1, 0, 30)
         assert report.pa == report.cpa == 0
 
@@ -427,18 +434,18 @@ class TestBlockedDistances:
     def test_label_memory_linear_in_n(self):
         # the shipped mixture scaled to about 6000 points; the dense
         # (n, n, d) formulas peaked near 1.4 GB here
-        shipped = load_config(seed=0).synthetic
+        mixture = shipped().synthetic
         scale = 6000 / 195
-        spec = shipped._replace(
+        spec = mixture._replace(
             blobs=tuple(b._replace(count=round(b.count * scale))
-                        for b in shipped.blobs),
-            scatter_count=round(shipped.scatter_count * scale))
+                        for b in mixture.blobs),
+            scatter_count=round(mixture.scatter_count * scale))
         ds, _ = minmax_normalize(generate_synthetic(spec, 0))
         assert ds.n >= 5990
         tracemalloc.start()
         try:
-            label_dataset(ds, LabelingConfig(num_clusters=5, knn_k=5,
-                                             seed=0))
+            label_dataset(ds, LABELING._replace(num_clusters=5, knn_k=5,
+                                                seed=0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -458,7 +465,7 @@ class TestLabelDataset:
     def test_partition_and_report(self):
         ds = self._dataset()
         labeled, report = label_dataset(
-            ds, LabelingConfig(num_clusters=2, knn_k=5, seed=0))
+            ds, LABELING._replace(num_clusters=2, knn_k=5, seed=0))
         assert report.nd + report.cna + report.cpa + report.pa == ds.n
         counts = np.bincount(labeled.labels, minlength=4)
         assert (report.nd, report.cna, report.cpa, report.pa) == \
@@ -468,14 +475,15 @@ class TestLabelDataset:
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
         ds = make_dataset(np.column_stack([xs.ravel(), ys.ravel()]))
         labeled, report = label_dataset(
-            ds, LabelingConfig(num_clusters=2, knn_k=5,
-                               pa_score_multiplier=50.0, seed=0))
+            ds, LABELING._replace(num_clusters=2, knn_k=5,
+                                  pa_score_multiplier=50.0, seed=0))
         assert report.pa == 0 and report.cpa == 0
         assert report.nd + report.cna == ds.n
 
     def test_csv_roundtrip_preserves_labels(self, tmp_path):
         labeled, _ = label_dataset(
-            self._dataset(), LabelingConfig(num_clusters=2, knn_k=5, seed=0))
+            self._dataset(),
+            LABELING._replace(num_clusters=2, knn_k=5, seed=0))
         path = tmp_path / "labeled.csv"
         save_csv(labeled, path)
         back = load_csv(path)
@@ -500,7 +508,7 @@ class TestLabelDataset:
             warnings.simplefilter("error")
             labeled, report = label_dataset(
                 make_dataset(np.array(rows)),
-                LabelingConfig(num_clusters=clusters, seed=0))
+                LABELING._replace(num_clusters=clusters, seed=0))
         assert report_counts(report) == counts
         assert labeled.labels.tolist() == labels
 
@@ -509,13 +517,14 @@ class TestLabelDataset:
         # cannot part them, so one cluster holds both
         pts = np.array([[0.0, -2.38191542e-165], [0.0, 1.89140052e-165]])
         labeled, report = label_dataset(
-            make_dataset(pts), LabelingConfig(num_clusters=2, knn_k=1, seed=0))
+            make_dataset(pts),
+            LABELING._replace(num_clusters=2, knn_k=1, seed=0))
         assert report.clusters == 1
         assert report_counts(report)[0] == 2
 
     def test_rigid_motion_invariance(self):
         ds = self._dataset(seed=3)
-        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=2, knn_k=5, seed=0)
         labeled, _ = label_dataset(ds, cfg)
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)],
@@ -527,7 +536,7 @@ class TestLabelDataset:
 
     def test_cna_labels_are_members_of_cna_clusters(self):
         # rebuild the pipeline from the public steps; np.isin is the oracle
-        cfg = LabelingConfig(num_clusters=4, knn_k=5, seed=2)
+        cfg = LABELING._replace(num_clusters=4, knn_k=5, seed=2)
         for seed in range(4):
             ds = self._dataset(seed)
             labeled, _ = label_dataset(ds, cfg)
@@ -547,9 +556,9 @@ class TestLabelDataset:
         # the reference mixture; the double loop of acceptance criterion 1
         # is the oracle for which point anomalies huddle
         ds, _ = minmax_normalize(
-            generate_synthetic(load_config(seed=seed).synthetic, seed))
-        labeled, report = label_dataset(ds, LabelingConfig(num_clusters=5,
-                                                           seed=seed))
+            generate_synthetic(shipped(seed).synthetic, seed))
+        labeled, report = label_dataset(
+            ds, LABELING._replace(num_clusters=5, seed=seed))
         assert report.cpa > 0 and report.pa > 0
         anomalies = np.flatnonzero(labeled.labels >= AnomalyLabel.CPA)
         pts = ds.features[anomalies]
@@ -580,7 +589,7 @@ class TestLabelDataset:
         gaps = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=2))
         # keep every kNN distance far above the density cap's 1e-12
         assume(gaps[~np.eye(n, dtype=bool)].min() > 1e-6)
-        cfg = LabelingConfig(num_clusters=clusters, knn_k=3, seed=seed)
+        cfg = LABELING._replace(num_clusters=clusters, knn_k=3, seed=seed)
         labeled, report = label_dataset(make_dataset(pts), cfg)
         scaled, scaled_report = label_dataset(make_dataset(pts * 2.0 ** j),
                                               cfg)
@@ -602,7 +611,7 @@ class TestLabelDataset:
         pts = rng.integers(-50, 51, (n, d)).astype(np.float64)
         pts[: n // 4] *= 6.0  # some spread-out points to become anomalies
         moved = pts + np.array(shift[:d], dtype=np.float64)
-        cfg = LabelingConfig(num_clusters=1, knn_k=knn_k)
+        cfg = LABELING._replace(num_clusters=1, knn_k=knn_k)
         pa = detect_point_anomalies(pts, cfg)
         np.testing.assert_array_equal(detect_point_anomalies(moved, cfg), pa)
         if len(pa) >= 2:
@@ -623,7 +632,8 @@ class TestLabelDataset:
                              scatter, (-30, -30, 90, 90))
         ds = generate_synthetic(spec, seed)
         assume(ds.n > knn_k)
-        cfg = LabelingConfig(num_clusters=clusters, knn_k=knn_k, seed=seed)
+        cfg = LABELING._replace(num_clusters=clusters, knn_k=knn_k,
+                                seed=seed)
         labeled, report = label_dataset(ds, cfg)
         labels = labeled.labels
         counts = np.bincount(labels, minlength=len(AnomalyLabel))
@@ -642,7 +652,7 @@ IRIS_SPLIT = (["petal_len", "petal_wid"], ["sepal_len", "sepal_wid"])
 
 class TestLabelSupervised:
     def test_iris_like_shape(self, iris_like):
-        cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=3, knn_k=5, seed=0)
         labeled, reports = label_supervised(iris_like, cfg, *IRIS_SPLIT)
         assert [class_id for class_id, _ in reports] == [0, 1, 2]
         assert [r.points for _, r in reports] == [50, 50, 50]
@@ -651,7 +661,7 @@ class TestLabelSupervised:
         assert labeled.dim == 2
 
     def test_sub_dataset_sizes_sum_to_n(self, iris_like):
-        cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=3, knn_k=5, seed=0)
         _, reports = label_supervised(iris_like, cfg, *IRIS_SPLIT)
         assert sum(r.points for _, r in reports) == iris_like.n
 
@@ -670,7 +680,7 @@ class TestLabelSupervised:
         feats = np.column_stack([noise[:, 0], points[:, 0], noise[:, 1],
                                  points[:, 1], noise[:, 2]])
         ds = make_dataset(feats, names, class_ids=np.zeros(60, dtype=int))
-        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=2, knn_k=5, seed=0)
         labeled, reports = label_supervised(ds, cfg, retained, discarded)
         assert len(reports) == 1
 
@@ -690,7 +700,7 @@ class TestLabelSupervised:
         assert report_counts(reports[0][1]) == report_counts(direct_report)
 
     def test_retained_keep_header_order(self, iris_like):
-        cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=3, knn_k=5, seed=0)
         listed, _ = label_supervised(iris_like, cfg, *IRIS_SPLIT)
         reversed_, _ = label_supervised(iris_like, cfg,
                                         ["petal_wid", "petal_len"],
@@ -711,7 +721,7 @@ class TestLabelSupervised:
     ], ids=["unknown", "twice", "both", "no-retained", "no-discarded"])
     def test_feature_names_checked(self, iris_like, retained, discarded,
                                    message):
-        cfg = LabelingConfig(num_clusters=3, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=3, knn_k=5, seed=0)
         with pytest.raises(ValueError) as err:
             label_supervised(iris_like, cfg, retained, discarded)
         assert message in str(err.value)
@@ -720,7 +730,7 @@ class TestLabelSupervised:
         rng = np.random.default_rng(12)
         feats = np.vstack([rng.random((30, 3)), rng.random((3, 3)) + 2])
         ds = make_dataset(feats, class_ids=[0] * 30 + [1] * 3)
-        cfg = LabelingConfig(num_clusters=2, knn_k=5, seed=0)
+        cfg = LABELING._replace(num_clusters=2, knn_k=5, seed=0)
         labeled, reports = label_supervised(ds, cfg, ["f0", "f1"], ["f2"])
         class_id, report = reports[1]
         assert class_id == 1 and report.points == 3 and report.nd == 3

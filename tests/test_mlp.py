@@ -9,7 +9,6 @@ from anomtax.mlp import (
     SCG_CONVERGENCE_TOL,
     Topology,
     TrainedModel,
-    TrainingConfig,
     forward_batch,
     init_weights,
     load_model,
@@ -18,10 +17,24 @@ from anomtax.mlp import (
     train_scg,
     unpack_weights,
 )
+from conftest import shipped
+
+TRAINING = shipped().training
 
 
 def predicted(model, x):
-    return forward_batch(model.weights, model.topology, x).argmax(axis=1)
+    return forward_batch(model.weights, model.topology,
+                         np.array(x, dtype=np.float64)).argmax(axis=1)
+
+
+def untrained(topo, weights):
+    """A model of ``weights`` that no training made."""
+    return TrainedModel(topo, weights, (), None, "loaded")
+
+
+def train(w0, topo, x, t, cfg=TRAINING):
+    """``train_scg`` with no validation rows."""
+    return train_scg(w0, topo, x, t, x[:0], t[:0], cfg)
 
 
 def two_blob_problem(seed, n_per=50):
@@ -34,7 +47,7 @@ def two_blob_problem(seed, n_per=50):
 
 class TestTopology:
     def test_genome_length_default(self):
-        assert Topology().genome_length == 74
+        assert Topology(2, shipped().hidden, 4).genome_length == 74
 
     def test_genome_length_custom(self):
         assert Topology(3, 5, 2).genome_length == (4 * 5) + (6 * 2)
@@ -43,7 +56,7 @@ class TestTopology:
         # a Topology holds whatever it is given, so a zero-size layer can
         # be saved; load_model is where a topology from a file is checked
         path = tmp_path / "model.txt"
-        save_model(TrainedModel(Topology(0, 5, 2), [0.5] * 12), path)
+        save_model(untrained(Topology(0, 5, 2), [0.5] * 12), path)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: line 1: expected three positive layer sizes, "
                 "got '0 5 2'")):
@@ -52,13 +65,13 @@ class TestTopology:
 
 class TestInitWeights:
     def test_random_range_and_length(self):
-        topo = Topology()
+        topo = Topology(2, 10, 4)
         w = init_weights(topo, np.random.default_rng(0))
         assert w.shape == (74,)
         assert w.min() >= 0.0 and w.max() <= 1.0
 
     def test_seeded_determinism(self):
-        topo = Topology()
+        topo = Topology(2, 10, 4)
         a = init_weights(topo, np.random.default_rng(5))
         b = init_weights(topo, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
@@ -66,12 +79,13 @@ class TestInitWeights:
 
 class TestForward:
     def test_zero_weights_zero_output(self):
-        topo = Topology()
-        out = forward_batch(np.zeros(topo.genome_length), topo, [[0.3, -0.7]])
+        topo = Topology(2, 10, 4)
+        out = forward_batch(np.zeros(topo.genome_length), topo,
+                            np.array([[0.3, -0.7]]))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_outputs_inside_open_interval(self):
-        topo = Topology()
+        topo = Topology(2, 10, 4)
         rng = np.random.default_rng(1)
         w = rng.random(topo.genome_length)
         for _ in range(20):
@@ -81,7 +95,7 @@ class TestForward:
     def test_tiny_net_nested_tanh(self):
         topo = Topology(1, 1, 1)
         w = np.array([1.0, 0.0, 1.0, 0.0])  # w1, b1, w2, b2
-        out = forward_batch(w, topo, [[0.5]])
+        out = forward_batch(w, topo, np.array([[0.5]]))
         assert out[0, 0] == pytest.approx(math.tanh(math.tanh(0.5)),
                                           abs=1e-15)
 
@@ -142,14 +156,14 @@ class TestTrainScg:
         topo = Topology(2, 10, 2)
         t = one_hot(y, 2)
         w0 = init_weights(topo, np.random.default_rng(1))
-        model = train_scg(w0, topo, x, t)
+        model = train(w0, topo, x, t)
         assert (predicted(model, x) != y).sum() == 0
 
     def test_training_mse_non_increasing(self):
         x, y = two_blob_problem(1)
         topo = Topology(2, 6, 2)
-        model = train_scg(init_weights(topo, np.random.default_rng(2)),
-                          topo, x, one_hot(y, 2))
+        model = train(init_weights(topo, np.random.default_rng(2)), topo, x,
+                      one_hot(y, 2))
         assert np.all(np.diff(model.train_mse) <= 1e-15)
 
     def test_patience_restores_best_validation_weights(self):
@@ -161,7 +175,7 @@ class TestTrainScg:
         x_val = rng.uniform(0, 1, (40, 2))
         t_val = one_hot(rng.integers(0, 2, 40), 2)
         model = train_scg(init_weights(topo, rng), topo, x, one_hot(y, 2),
-                          x_val, t_val, TrainingConfig(patience=1))
+                          x_val, t_val, TRAINING._replace(patience=1))
         assert model.stop_reason == "patience"
         best_epoch = int(np.argmin(model.val_mse))
         err = forward_batch(model.weights, topo, x_val) - t_val
@@ -173,9 +187,9 @@ class TestTrainScg:
         x, y = two_blob_problem(5)
         topo = Topology(2, 6, 2)
         w0 = init_weights(topo, np.random.default_rng(6))
-        cfg = TrainingConfig(max_epochs=40)
-        a = train_scg(w0, topo, x, one_hot(y, 2), cfg=cfg)
-        b = train_scg(w0, topo, x, one_hot(y, 2), cfg=cfg)
+        cfg = TRAINING._replace(max_epochs=40)
+        a = train(w0, topo, x, one_hot(y, 2), cfg)
+        b = train(w0, topo, x, one_hot(y, 2), cfg)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.train_mse == b.train_mse
 
@@ -184,17 +198,16 @@ class TestTrainScg:
         topo = Topology(2, 4, 2)
         w0 = init_weights(topo, np.random.default_rng(3))
         kept = w0.copy()
-        model = train_scg(w0, topo, x, one_hot(y, 2),
-                          cfg=TrainingConfig(max_epochs=5))
+        model = train(w0, topo, x, one_hot(y, 2),
+                      TRAINING._replace(max_epochs=5))
         np.testing.assert_array_equal(w0, kept)
         assert not np.array_equal(model.weights, w0)
 
     def test_history_bounded_by_max_epochs(self):
         x, y = two_blob_problem(6)
         topo = Topology(2, 4, 2)
-        model = train_scg(init_weights(topo, np.random.default_rng(7)),
-                          topo, x, one_hot(y, 2),
-                          cfg=TrainingConfig(max_epochs=17))
+        model = train(init_weights(topo, np.random.default_rng(7)), topo, x,
+                      one_hot(y, 2), TRAINING._replace(max_epochs=17))
         assert model.epochs <= 17
         assert model.stop_reason in {"patience", "max_epochs",
                                      "scg_converged"}
@@ -206,19 +219,19 @@ class TestPredict:
         # craft outputs (0.9, -0.2, 0.1, 0.0) via output biases, zero weights
         w = np.zeros(topo.genome_length)
         w[-4:] = np.arctanh([0.9, -0.2, 0.1, 0.0])
-        model = TrainedModel(topo, w)
+        model = untrained(topo, w)
         assert predicted(model, [[0.0, 0.0]]).tolist() == [0]
 
     def test_tie_breaks_low_index(self):
         topo = Topology(2, 2, 4)
-        model = TrainedModel(topo, np.zeros(topo.genome_length))
+        model = untrained(topo, np.zeros(topo.genome_length))
         assert predicted(model, [[0.5, 0.5]]).tolist() == [0]
 
     def test_trained_model_recovers_blob_classes(self):
         x, y = two_blob_problem(8)
         topo = Topology(2, 10, 2)
-        model = train_scg(init_weights(topo, np.random.default_rng(9)),
-                          topo, x, one_hot(y, 2))
+        model = train(init_weights(topo, np.random.default_rng(9)), topo, x,
+                      one_hot(y, 2))
         assert predicted(model, [[0.2, 0.2], [0.8, 0.8]]).tolist() == \
             [0, 1]
 
@@ -227,9 +240,8 @@ class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         x, y = two_blob_problem(10)
         topo = Topology(2, 5, 2)
-        model = train_scg(init_weights(topo, np.random.default_rng(11)),
-                          topo, x, one_hot(y, 2),
-                          cfg=TrainingConfig(max_epochs=30))
+        model = train(init_weights(topo, np.random.default_rng(11)), topo,
+                      x, one_hot(y, 2), TRAINING._replace(max_epochs=30))
         path = tmp_path / "model.txt"
         save_model(model, path)
         back = load_model(path)
@@ -448,7 +460,7 @@ def scg_oracle_runs():
                 seed = 100 * topo.genome_length + 10 * n_train + n_val
                 w0, x, t, x_val, t_val = _random_problem(topo, n_train,
                                                          n_val, seed)
-                cfg = TrainingConfig(max_epochs=60)
+                cfg = TRAINING._replace(max_epochs=60)
                 counts = {"reject": 0, "restart": 0}
                 old = _old_train_scg(w0, topo, x, t, x_val, t_val, cfg,
                                      counts)
@@ -491,3 +503,54 @@ class TestBitIdentityOracle:
                 assert np.array_equal(
                     forward_batch(w, topo, x),
                     _old_mlp_forward(*unpack_weights(w, topo), x))
+
+
+class TestScgConvergedStops:
+    """Both ``scg_converged`` exits, each against the old loop bit for
+    bit."""
+
+    @staticmethod
+    def _both(w0, topo, x, t, x_val, t_val):
+        counts = {"reject": 0, "restart": 0}
+        old = _old_train_scg(w0, topo, x, t, x_val, t_val, TRAINING, counts)
+        new = train_scg(w0, topo, x, t, x_val, t_val, TRAINING)
+        assert new.stop_reason == old.stop_reason
+        assert new.train_mse == old.train_mse
+        assert new.val_mse == old.val_mse
+        assert np.array_equal(new.weights, old.weights)
+        return new
+
+    def test_zero_gradient_stops_before_the_first_epoch(self):
+        # one class, w2 = 0 and b2 = (20, 0): every output is exactly
+        # (tanh(20), tanh(0)) = (1, 0), the target, so every gradient
+        # term is exactly 0
+        topo = Topology(2, 3, 2)
+        rng = np.random.default_rng(0)
+        x = rng.random((6, 2))
+        t = one_hot([0] * 6, 2)
+        w0 = rng.random(topo.genome_length)
+        _, _, w2, b2 = unpack_weights(w0, topo)
+        w2[:] = 0.0
+        b2[:] = (20.0, 0.0)
+        model = self._both(w0, topo, x, t, x[:2], t[:2])
+        assert model.stop_reason == "scg_converged"
+        assert model.epochs == 0 and model.val_mse == []
+        np.testing.assert_array_equal(model.weights, w0)
+
+    def test_step_and_gradient_below_tolerance(self):
+        # targets a network makes exactly, and a start 1e-11 away from
+        # it: one accepted step shorter than the tolerance leaves a
+        # gradient that is not 0 but is below it
+        topo = Topology(2, 3, 2)
+        rng = np.random.default_rng(1)
+        w_star = rng.random(topo.genome_length)
+        x = rng.random((8, 2))
+        t = forward_batch(w_star, topo, x)
+        w0 = w_star + 1e-11 * rng.standard_normal(topo.genome_length)
+        model = self._both(w0, topo, x, t, x[:0], t[:0])
+        assert model.stop_reason == "scg_converged"
+        assert model.epochs == 1
+        step = np.linalg.norm(model.weights - w0)
+        assert 0.0 < step < SCG_CONVERGENCE_TOL
+        _, grad = mse_and_gradient(model.weights, topo, x, t)
+        assert 0.0 < np.linalg.norm(grad) < SCG_CONVERGENCE_TOL

@@ -9,23 +9,36 @@ from pathlib import Path
 
 import pytest
 
-from anomtax.cli import _build_parser
+from anomtax.cli import _build_parser, main
 from anomtax.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_library_example_runs(tmp_path):
+    # the Command line walkthrough's synth, label and compare at seed 0
+    run = tmp_path / "run"
+    for argv in (["synth", str(tmp_path / "synth.csv")],
+                 ["--out", str(run), "label", str(tmp_path / "synth.csv")],
+                 ["--out", str(run / "cmp"), "compare",
+                  str(run / "labeled.csv")]):
+        assert main(["--seed", "0", "--quiet", *argv]) == 0
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    code += ("from anomtax.mlp import save_model\n"
+             "save_model(nn.model, 'nn_model.txt')\n"
+             "save_model(best.model, 'ga_best_model.txt')\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    nn_error, ga_error = map(float, done.stdout.split())
-    assert 0.0 <= nn_error <= 1.0 and 0.0 <= ga_error <= 1.0
+    assert done.stdout == (run / "cmp" / "summary.txt").read_text(
+        encoding="utf-8")
+    for name in ("nn_model.txt", "ga_best_model.txt"):
+        assert ((tmp_path / name).read_bytes()
+                == (run / "cmp" / name).read_bytes()), name
 
 
 def _expand(name: str) -> list:
