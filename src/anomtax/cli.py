@@ -136,12 +136,21 @@ def cmd_label(cfg: RunConfig, args: argparse.Namespace) -> int:
     if ds.labels is not None and not args.relabel:
         raise StageError("label", "input is already labeled; pass --relabel "
                                   "to overwrite its labels")
-    if ds.class_ids is None and (cfg.retained or cfg.discarded):
+    # load_config checked the [data] lists; these rules need the header
+    if ds.class_ids is None and cfg.retained:
         raise StageError("label", "[data] retained and discarded apply only "
                                   "to a CSV with a 'class' column, and this "
                                   "input has none")
     params = None
     if ds.class_ids is not None:
+        if not cfg.retained:
+            raise StageError("label", "a CSV with a 'class' column needs "
+                                      "[data] retained and discarded")
+        unknown = [n for n in cfg.retained + cfg.discarded
+                   if n not in ds.feature_names]
+        if unknown:
+            raise StageError("label", "[data] names not in the CSV header: "
+                                      f"{', '.join(unknown)}")
         with _stage("label"):
             labeled, reports = labeling.label_supervised(
                 ds, cfg.labeling, cfg.retained, cfg.discarded)

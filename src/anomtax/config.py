@@ -14,11 +14,12 @@ file or from ``--seed``); any other section or key is rejected:
     [ga]        cycles, population, alpha, mutation_rate, selection_rate
     [split]     train, validation, test
 
-:func:`load_config` holds every rule of the file, and each error it
-raises names the key.  The records it builds (``LabelingConfig``,
-``TrainingConfig``, ``GaConfig``, ``SplitRatios`` and the
-``SyntheticSpec``) are plain values that carry no checks and no defaults
-of their own: this module is the only place a shipped value is written.
+:func:`load_config` reads the file once, holds every rule the file alone
+decides, and names the key in each error it raises.  The records it
+builds (``LabelingConfig``, ``TrainingConfig``, ``GaConfig``,
+``SplitRatios`` and the ``SyntheticSpec``) are plain values that carry
+no checks and no defaults of their own: this module is the only place a
+shipped value is written.
 
 It is also the only place a seed is decided.  Each purpose gets its own
 stream of the run seed: the synthetic data, labeling, the stratified
@@ -29,7 +30,6 @@ the ``[ga seed, 1]`` substream of the GA's (:func:`anomtax.ga.conventional`).
 import configparser
 import math
 import re
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -97,8 +97,8 @@ class RunConfig(NamedTuple):
 
     synth_seed: int
     split_seed: int
-    retained: list
-    discarded: list
+    retained: tuple
+    discarded: tuple
     synthetic: SyntheticSpec
     labeling: LabelingConfig
     hidden: int
@@ -130,8 +130,22 @@ def _number(section, key: str, kind=float, raw: str | None = None, *,
     return value
 
 
-def _names(raw: str):
-    return [v.strip() for v in raw.split(",") if v.strip()]
+def _feature_split(data):
+    """The ``[data]`` lists ``(retained, discarded)``: both set or both
+    empty, and no feature named twice in them."""
+    retained, discarded = (
+        tuple(filter(None, map(str.strip, data[key].split(","))))
+        for key in ("retained", "discarded"))
+    for key, names in (("retained", retained), ("discarded", discarded),
+                       ("retained and discarded", retained + discarded)):
+        twice = dict.fromkeys(n for i, n in enumerate(names) if n in names[:i])
+        if twice:
+            raise ValueError(f"[data] {key}: {', '.join(twice)} named twice")
+    if bool(retained) != bool(discarded):
+        given = "retained" if retained else "discarded"
+        raise ValueError("[data] retained and discarded are set together, "
+                         f"but only {given} is")
+    return retained, discarded
 
 
 def _derive_seed(seed: int, stream: int) -> int:
@@ -174,27 +188,33 @@ def _reject_unread_keys(user, defaults, path) -> None:
                                  + ", blobN" * (name == "synthetic"))
 
 
-def load_config(path=None, seed=None) -> RunConfig:
-    """Merge the shipped defaults, an optional config file, and the
-    ``--seed`` override into one validated RunConfig.  The seed is
-    mandatory."""
+def load_config(path, seed) -> RunConfig:
+    """Merge the shipped defaults, the config file at ``path`` (None for
+    none), and the ``--seed`` override ``seed`` (None for none) into one
+    validated RunConfig.  The seed is mandatory."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(_DEFAULTS)
     if path is not None:
-        if not Path(path).is_file():
-            raise FileNotFoundError(f"config file not found: {path}")
         # no section is named "", so [DEFAULT] is rejected like any other
         user = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                          default_section="")
-        user.read(path, encoding="utf-8")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                user.read_file(fh)
+        except FileNotFoundError:
+            raise FileNotFoundError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise OSError(f"cannot read config file {path}: "
+                          f"{exc.strerror or exc}") from None
         _reject_unread_keys(user, parser, path)
+        values = {name: dict(user.items(name, raw=True))
+                  for name in user.sections()}
         # a user blob list replaces the default recipe instead of merging
-        if user.has_section("synthetic") and any(
-                k.startswith("blob") for k in user["synthetic"]):
+        if any(k.startswith("blob") for k in values.get("synthetic", ())):
             for key in [k for k in parser["synthetic"]
                         if k.startswith("blob")]:
                 parser.remove_option("synthetic", key)
-        parser.read(path, encoding="utf-8")
+        parser.read_dict(values)
 
     run = parser["run"]
     # the file's seed is checked even when --seed overrides it
@@ -203,15 +223,12 @@ def load_config(path=None, seed=None) -> RunConfig:
         if value is not None and value < 0:
             raise ValueError(f"{name} must be a non-negative integer, "
                              f"got {value}")
+    seed = file_seed if seed is None else seed
     if seed is None:
-        if file_seed is None:
-            raise ValueError(
-                "a seed is required: set [run] seed in the config file or "
-                "pass --seed"
-            )
-        seed = file_seed
+        raise ValueError("a seed is required: set [run] seed in the config "
+                         "file or pass --seed")
 
-    data = parser["data"]
+    retained, discarded = _feature_split(parser["data"])
     lab = parser["labeling"]
     labeling = LabelingConfig(
         num_clusters=_number(lab, "clusters", int, low=1),
@@ -241,17 +258,15 @@ def load_config(path=None, seed=None) -> RunConfig:
     if abs(sum(parts) - 1.0) > 1e-9:
         raise ValueError("[split] train, validation and test must sum to 1, "
                          f"got {' + '.join(map(str, parts))} = {sum(parts)}")
-    ratios = SplitRatios(*parts)
 
     return RunConfig(
         synth_seed=_derive_seed(seed, _STREAM_SYNTH),
         split_seed=_derive_seed(seed, _STREAM_SPLIT),
-        retained=_names(data.get("retained")),
-        discarded=_names(data.get("discarded")),
+        retained=retained, discarded=discarded,
         synthetic=_synthetic_spec(parser["synthetic"]),
         labeling=labeling,
         hidden=hidden,
         training=training,
         ga=ga_cfg,
-        ratios=ratios,
+        ratios=SplitRatios(*parts),
     )

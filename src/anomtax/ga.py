@@ -97,13 +97,10 @@ def prepare_splits(train: Dataset, val: Dataset, test: Dataset,
                    num_classes: int) -> PreparedSplits:
     """One-hot the training/validation anomaly labels over ``num_classes``
     classes, keep test labels as ids."""
-    def ids(ds):
-        return np.asarray(ds.labels, dtype=np.int64)
-
     return PreparedSplits(
-        x_train=train.features, t_train=one_hot(ids(train), num_classes),
-        x_val=val.features, t_val=one_hot(ids(val), num_classes),
-        x_test=test.features, y_test=ids(test),
+        x_train=train.features, t_train=one_hot(train.labels, num_classes),
+        x_val=val.features, t_val=one_hot(val.labels, num_classes),
+        x_test=test.features, y_test=test.labels,
     )
 
 
@@ -213,8 +210,7 @@ def run_ga(cfg: GaConfig, topology: Topology, splits: PreparedSplits,
 
     for cycle in range(1, cfg.cycles + 1):
         fits = [ind.fitness for ind in population]
-        best_idx = min(range(len(fits)), key=lambda i: (fits[i], i))
-        best = population[best_idx]
+        best = population[fits.index(min(fits))]  # ties: the lowest index
         stats.append(CycleStats(cycle, best.fitness,
                                 float(np.mean(fits))))
         log.info("cycle %d: best %.4f mean %.4f", cycle, best.fitness,

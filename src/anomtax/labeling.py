@@ -414,13 +414,15 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
 def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
     """Label a supervised dataset class by class.
 
-    ``retained`` and ``discarded`` name feature columns; each list is taken
-    in the CSV's column order, whatever order it names them in.  The
-    dataset is normalized, each sample weighted by the mean of its
-    discarded features, the retained features shifted by that weight, and
-    the result split by class.  Every class sub-dataset is labeled
-    independently, re-normalized, and the pieces are stitched back together
-    in the original sample order.
+    ``ds`` has class ids, and ``retained`` and ``discarded`` are nonempty,
+    disjoint lists of distinct feature names of ``ds``: ``load_config``
+    and ``anomtax label`` check this.  Each list is taken in the CSV's
+    column order, whatever order it names them in.  The dataset is
+    normalized, each sample weighted by the mean of its discarded
+    features, the retained features shifted by that weight, and the result
+    split by class.  Every class sub-dataset is labeled independently,
+    re-normalized, and the pieces are stitched back together in the
+    original sample order.
 
     ``cfg`` applies to every class.  A class too small to analyze is
     reported as degenerate and labeled all-ND.  Returns the labeled dataset
@@ -428,22 +430,6 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
     ascending id order.
     """
     names = ds.feature_names
-    unknown = [n for n in [*retained, *discarded] if n not in names]
-    if unknown:
-        raise ValueError("[data] retained/discarded names not in "
-                         f"the CSV header: {', '.join(unknown)}")
-    twice = [n for chosen in (retained, discarded)
-             for i, n in enumerate(chosen) if n in chosen[:i]]
-    if twice:
-        raise ValueError("[data] names a feature twice in one list: "
-                         f"{', '.join(dict.fromkeys(twice))}")
-    both = [n for n in retained if n in discarded]
-    if both:
-        raise ValueError("[data] names both retained and "
-                         f"discarded: {', '.join(both)}")
-    if not retained or not discarded:
-        raise ValueError("supervised labeling needs [data] retained and "
-                         "discarded feature names matching the CSV header")
     keep = sorted(map(names.index, retained))
     drop = sorted(map(names.index, discarded))
 
@@ -472,6 +458,5 @@ def label_supervised(ds: Dataset, cfg: LabelingConfig, retained, discarded):
         out_labels[rows] = renorm.labels
         reports.append((class_id, report))
 
-    integrated = Dataset(out_features, agg.feature_names, ds.class_ids,
-                         out_labels)
-    return integrated, reports
+    return Dataset(out_features, agg.feature_names, ds.class_ids,
+                   out_labels), reports

@@ -144,51 +144,45 @@ class _Batch:
         self.hidden = np.empty((n, n_hid))
         self.y = np.empty((n, n_out))
         self.t, self.fit_t = t, t[:n_fit]
-        self.err = np.empty((n, n_out))
-        self.sq = np.empty((n, n_out))
+        self.err, self.sq = np.empty((2, n, n_out))
         self.fit = (x[:n_fit], self.hidden[:n_fit], self.y[:n_fit])
         self.fit_parts = (self.fit,)
-        self.parts = (self.fit,
-                      (x[n_fit:], self.hidden[n_fit:], self.y[n_fit:]))
+        self.parts = self.fit_parts + (
+            ((x[n_fit:], self.hidden[n_fit:], self.y[n_fit:]),)
+            if n > n_fit else ())
         self.fit_err, self.fit_sq = self.err[:n_fit], self.sq[:n_fit]
         self.val_sq = self.sq[n_fit:]
         self.fit_size = n_fit * n_out
         self.val_size = (n - n_fit) * n_out
         self.scale = 2.0 / self.fit_size
-        self.dy = np.empty((n_fit, n_out))
-        self.d2 = np.empty((n_fit, n_out))
-        self.dh = np.empty((n_fit, n_hid))
-        self.d1 = np.empty((n_fit, n_hid))
+        self.dy, self.d2 = np.empty((2, n_fit, n_out))
+        self.dh, self.d1 = np.empty((2, n_fit, n_hid))
         self.d2t, self.d1t = self.d2.T, self.d1.T
 
-    def forward(self, w: _Genome, loss: bool = True, score: bool = False):
-        """Run the fitted rows, and with ``score`` the scored rows too, at
-        genome ``w``; return ``(fit_mse, val_mse)``: the fitted rows' MSE
-        (None without ``loss``) and the scored rows' MSE (None without
-        ``score``)."""
-        if score:
-            _forward(w.fwd, self.parts, self.hidden, self.y)
-            np.subtract(self.y, self.t, self.err)
-            np.multiply(self.err, self.err, self.sq)
-        else:
-            _, hidden, y = self.fit
-            _forward(w.fwd, self.fit_parts, hidden, y)
-            np.subtract(y, self.fit_t, self.fit_err)
-            if loss:
-                np.multiply(self.fit_err, self.fit_err, self.fit_sq)
-        fit_mse = val_mse = None
-        if loss:
-            fit_mse = float(np.add.reduce(self.fit_sq, axis=None)) \
-                / self.fit_size
-        if score:
+    def loss(self, w: _Genome):
+        """Run every row at genome ``w``; return ``(fit_mse, val_mse)``, the
+        MSE of the fitted rows and of the scored ones (None without
+        any)."""
+        _forward(w.fwd, self.parts, self.hidden, self.y)
+        np.subtract(self.y, self.t, self.err)
+        np.multiply(self.err, self.err, self.sq)
+        fit_mse = float(np.add.reduce(self.fit_sq, axis=None)) / self.fit_size
+        val_mse = None
+        if self.val_size:
             val_mse = float(np.add.reduce(self.val_sq, axis=None)) \
                 / self.val_size
         return fit_mse, val_mse
 
+    def probe(self, w: _Genome) -> None:
+        """Run the fitted rows alone at genome ``w``, for :meth:`backward`."""
+        _, hidden, y = self.fit
+        _forward(w.fwd, self.fit_parts, hidden, y)
+        np.subtract(y, self.fit_t, self.fit_err)
+
     def backward(self, w: _Genome, g: _Genome) -> None:
         """Write into genome ``g`` the gradient of the fitted rows' MSE at
-        genome ``w``, from what the last :meth:`forward` call, made at
-        ``w``, left in the buffers."""
+        genome ``w``, from what the last :meth:`loss` or :meth:`probe`
+        call, made at ``w``, left in the buffers."""
         x, hidden, y = self.fit
         gw1, gb1, gw2, gb2 = g.views
         dy, d2, dh, d1 = self.dy, self.d2, self.dh, self.d1
@@ -251,7 +245,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     accepted step needs the gradient, so it is taken from that pass's
     buffers after the step is accepted.
     """
-    has_val = len(x_val) > 0
     batch = _Batch(topology, np.concatenate([x_train, x_val]),
                    np.concatenate([t_train, t_val]), x_train.shape[0])
 
@@ -261,7 +254,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     trial.flat[:] = w
     r, r_new, p, diff, best_w = (np.empty(n_params) for _ in range(5))
 
-    f, fv = batch.forward(trial, score=has_val)
+    f, fv = batch.loss(trial)
     batch.backward(trial, grad)
     np.negative(grad.flat, out=r)
     p[:] = r
@@ -273,7 +266,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     last_step_norm = math.inf
 
     train_hist: list[float] = []
-    val_hist: list[float] | None = [] if has_val else None
+    val_hist: list[float] | None = None if fv is None else []
     best_val = math.inf
     fails = 0
     stop = "max_epochs"
@@ -295,7 +288,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             sigma = SCG_SIGMA0 / math.sqrt(p_norm2)
             np.multiply(p, sigma, out=trial.flat)
             np.add(w, trial.flat, out=trial.flat)
-            batch.forward(trial, loss=False)
+            batch.probe(trial)
             batch.backward(trial, grad_sigma)
             np.subtract(grad_sigma.flat, grad.flat, out=diff)
             delta = float(p @ diff) / sigma
@@ -307,7 +300,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
         alpha = mu / delta
         np.multiply(p, alpha, out=trial.flat)
         np.add(w, trial.flat, out=trial.flat)
-        f_cand, fv_cand = batch.forward(trial, score=has_val)
+        f_cand, fv_cand = batch.loss(trial)
         comparison = 2.0 * delta * (f - f_cand) / (mu * mu)
         # a NaN loss makes the comparison NaN, so that step is rejected
         if comparison >= 0:
@@ -336,7 +329,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             lam += delta * (1.0 - comparison) / p_norm2
 
         train_hist.append(f)
-        if has_val:
+        if fv is not None:
             val_hist.append(fv)
             if fv < best_val:
                 best_val = fv
@@ -345,7 +338,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             elif fv > best_val:
                 fails += 1
 
-        if has_val and fails >= cfg.patience:
+        if fails >= cfg.patience:
             stop = "patience"
             w = best_w
             break

@@ -187,38 +187,48 @@ class TestLabel:
                             [r[1:] for r in report]))
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("data, named", [
+    # a name not in the header needs the CSV; the other two rules are the
+    # config file's alone
+    @pytest.mark.parametrize("data, message", [
         ("retained = petal_len, petal_wdt\ndiscarded = sepal_len, sepal\n",
+         "error in stage 'label': [data] names not in the CSV header: "
          "petal_wdt, sepal"),
         ("retained = petal_len, petal_wid\n"
-         "discarded = petal_wid, sepal_len\n", "petal_wid"),
+         "discarded = petal_wid, sepal_len\n",
+         "error in stage 'config': [data] retained and discarded: petal_wid "
+         "named twice"),
         ("retained = petal_len, petal_len\n"
-         "discarded = sepal_len, sepal_wid\n", "twice in one list: petal_len"),
+         "discarded = sepal_len, sepal_wid\n",
+         "error in stage 'config': [data] retained: petal_len named twice"),
     ], ids=["unknown", "both", "twice"])
     def test_supervised_feature_names_checked(self, tmp_path, capsys, data,
-                                              named):
+                                              message):
         assert self._label_supervised(tmp_path, data) == 1
-        err = capsys.readouterr().err
-        assert "error in stage 'label'" in err and named in err
-        assert not (tmp_path / "sup" / "labeled.csv").exists()
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "sup").exists()
 
-    @pytest.mark.parametrize("data", [
-        "retained = nope\ndiscarded = zip\n", "retained = x\n",
-        "discarded = y\n"], ids=["both", "retained", "discarded"])
+    @pytest.mark.parametrize("data, message", [
+        ("retained = nope\ndiscarded = zip\n",
+         "error in stage 'label': [data] retained and discarded apply only "
+         "to a CSV with a 'class' column, and this input has none"),
+        ("retained = x\n",
+         "error in stage 'config': [data] retained and discarded are set "
+         "together, but only retained is"),
+        ("discarded = y\n",
+         "error in stage 'config': [data] retained and discarded are set "
+         "together, but only discarded is"),
+    ], ids=["both", "retained", "discarded"])
     def test_unsupervised_refuses_feature_split(self, tmp_path, capsys,
-                                                data):
+                                                tiny_config, data, message):
+        synth = tmp_path / "synth.csv"
+        assert main(["--seed", "5", "--config", tiny_config, "--quiet",
+                     "synth", str(synth)]) == 0
         cfg = tmp_path / "split.ini"
         cfg.write_text(TINY_CONFIG + "\n[data]\n" + data, encoding="utf-8")
-        synth = tmp_path / "synth.csv"
-        assert main(["--seed", "5", "--config", str(cfg), "--quiet",
-                     "synth", str(synth)]) == 0
         out = tmp_path / "lab"
         assert main(["--seed", "5", "--config", str(cfg), "--quiet",
                      "--out", str(out), "label", str(synth)]) == 1
-        err = capsys.readouterr().err
-        assert "error in stage 'label'" in err
-        assert "[data] retained and discarded" in err
-        assert "'class' column" in err
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
     def test_column_named_twice_stops_in_load(self, tmp_path, tiny_config,
@@ -863,8 +873,8 @@ NO_FILE = None
     ("", "x,y\n0.5,0.5\n0.1\n", "label",
      "error in stage 'load': {path}: row 3: expected 2 columns, got 1"),
     ("", "x,y,class\n0.5,0.5,0\n0.1,0.2,1\n", "label",
-     "error in stage 'label': supervised labeling needs [data] retained and "
-     "discarded feature names matching the CSV header"),
+     "error in stage 'label': a CSV with a 'class' column needs [data] "
+     "retained and discarded"),
     # the label column is checked before the feature range
     ("", "x,y\n2,3\n", "compare",
      "error in stage 'load': dataset has no label column; run 'anomtax "
@@ -895,6 +905,59 @@ def test_boundary_rule_stops_run(tmp_path, capsys, labeled_synthetic, ini,
     assert main(argv + [command, str(path)]) == 1
     assert capsys.readouterr().err == message.format(path=path,
                                                      cfg=cfg) + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "label", "compare", "eval"])
+def test_bad_data_block_stops_every_command(tmp_path, capsys, command):
+    # load_config checks [data] for every command, as it checks every key
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[data]\nretained = x, y\ndiscarded = y\n",
+                   encoding="utf-8")
+    path, out = tmp_path / "in.csv", tmp_path / "o"
+    path.write_text("x,y,label\n0.5,0.5,ND\n", encoding="utf-8")
+    argv = ["--seed", "0", "--config", str(cfg), "--quiet"]
+    if command == "synth":
+        argv += [command, str(out)]
+    else:
+        argv += ["--out", str(out), command] + [str(path)] * (
+            2 if command == "eval" else 1)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ("error in stage 'config': [data] "
+                                       "retained and discarded: y named "
+                                       "twice\n")
+    assert not out.exists()
+
+
+def _unreadable(tmp_path):
+    if os.geteuid() == 0:
+        pytest.skip("root reads a file whatever its mode")
+    path = tmp_path / "locked.ini"
+    path.write_text("[run]\nseed = 0\n", encoding="utf-8")
+    path.chmod(0)
+    return path
+
+
+def _proc_self_mem(tmp_path):
+    # opens, but reading its first page fails: unmapped memory
+    if not os.path.exists("/proc/self/mem"):
+        pytest.skip("no /proc/self/mem here")
+    return "/proc/self/mem"
+
+
+@pytest.mark.parametrize("config, reason", [
+    (_unreadable, "Permission denied"),
+    (_proc_self_mem, "Input/output error"),
+], ids=["mode-000", "proc-self-mem"])
+def test_unreadable_config_stops_run(tmp_path, capsys, config, reason):
+    # a file that exists but cannot be read is never replaced by the
+    # shipped defaults
+    cfg = config(tmp_path)
+    out = tmp_path / "m.csv"
+    assert main(["--seed", "0", "--config", str(cfg), "--quiet", "synth",
+                 str(out)]) == 1
+    assert capsys.readouterr().err == (f"error in stage 'config': cannot "
+                                       f"read config file {cfg}: {reason}\n")
     assert not out.exists()
 
 

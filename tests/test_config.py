@@ -11,7 +11,7 @@ def seeds(cfg):
 
 
 def test_defaults_match_reference_setup():
-    cfg = load_config(seed=0)
+    cfg = load_config(None, 0)
     assert cfg.hidden == 10
     assert cfg.ga.cycles == 20
     assert cfg.ga.population_size == 15
@@ -28,13 +28,13 @@ def test_defaults_match_reference_setup():
 
 def test_seed_mandatory():
     with pytest.raises(ValueError, match="seed"):
-        load_config()
+        load_config(None, None)
 
 
 def test_negative_flag_seed_named():
     with pytest.raises(ValueError, match="^--seed must be a non-negative "
                                          "integer, got -1$"):
-        load_config(seed=-1)
+        load_config(None, -1)
 
 
 def test_file_overrides_and_inline_comments(tmp_path):
@@ -44,7 +44,7 @@ def test_file_overrides_and_inline_comments(tmp_path):
         "[ga]\ncycles = 3   ; short run\n\n"
         "[labeling]\nknn_k = 7\n",
         encoding="utf-8")
-    cfg = load_config(str(path))
+    cfg = load_config(str(path), None)
     assert seeds(cfg) == seeds(load_config(None, 9))
     assert cfg.ga.cycles == 3
     assert cfg.labeling.knn_k == 7
@@ -68,8 +68,50 @@ def test_flag_overrides_win(tmp_path):
 
 
 def test_missing_config_file():
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^config file not found: "
+                                                "/nonexistent/path.ini$"):
         load_config("/nonexistent/path.ini", seed=0)
+
+
+def test_unreadable_config_file(tmp_path):
+    # a path that opens as no file is an error, never the shipped defaults
+    with pytest.raises(OSError) as info:
+        load_config(str(tmp_path), seed=0)
+    assert str(info.value) == (f"cannot read config file {tmp_path}: "
+                               "Is a directory")
+
+
+@pytest.mark.parametrize("data, message", [
+    ("retained = a, b, a\ndiscarded = c\n",
+     "[data] retained: a named twice"),
+    ("retained = a\ndiscarded = c, b, c, b, c\n",
+     "[data] discarded: c, b named twice"),
+    ("retained = a, b\ndiscarded = c, b, a\n",
+     "[data] retained and discarded: b, a named twice"),
+    ("retained =\ndiscarded = c\n",
+     "[data] retained and discarded are set together, but only discarded "
+     "is"),
+    ("retained = a, b\n",
+     "[data] retained and discarded are set together, but only retained "
+     "is"),
+], ids=["twice", "twice-in-discarded", "both", "no-retained",
+        "no-discarded"])
+def test_feature_split_checked(tmp_path, data, message):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[data]\n" + data, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load_config(str(path), seed=0)
+    assert str(info.value) == message
+
+
+def test_feature_split_read(tmp_path):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[data]\nretained = b, a,\ndiscarded = c\n",
+                    encoding="utf-8")
+    cfg = load_config(str(path), seed=0)
+    assert (cfg.retained, cfg.discarded) == (("b", "a"), ("c",))
+    shipped = load_config(None, 0)
+    assert (shipped.retained, shipped.discarded) == ((), ())
 
 
 def test_removed_workers_key_rejected(tmp_path):

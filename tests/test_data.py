@@ -261,10 +261,15 @@ class TestWeighting:
         np.testing.assert_array_equal(out.features[:, 0],
                                       (raw - 0.1) / (0.9 - 0.1))
 
-    def test_no_discarded_rejected(self):
-        with pytest.raises(ValueError, match="needs \\[data\\] retained "
-                                             "and discarded"):
-            _supervised([[0.5, 0.5], [0.1, 0.2]], ["f0", "f1"], [])
+    def test_no_discarded_rejected(self, tmp_path):
+        # the weight is a mean over the discarded columns, so there must
+        # be one; load_config holds that rule for label_supervised
+        path = tmp_path / "cfg.ini"
+        path.write_text("[data]\nretained = f0, f1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^\[data\] retained and "
+                           r"discarded are set together, but only retained "
+                           r"is$"):
+            load_config(str(path), 0)
 
 
 class TestAggregation:

@@ -709,23 +709,6 @@ class TestLabelSupervised:
         np.testing.assert_array_equal(reversed_.features, listed.features)
         np.testing.assert_array_equal(reversed_.labels, listed.labels)
 
-    @pytest.mark.parametrize("retained, discarded, message", [
-        (["petal_len", "petal_wdt"], ["sepal_len", "sepal"],
-         "not in the CSV header: petal_wdt, sepal"),
-        (["petal_len", "petal_len"], ["sepal_len"],
-         "twice in one list: petal_len"),
-        (["petal_len", "petal_wid"], ["petal_wid", "sepal_len"],
-         "both retained and discarded: petal_wid"),
-        ([], ["sepal_len"], "needs [data] retained and discarded"),
-        (["petal_len"], [], "needs [data] retained and discarded"),
-    ], ids=["unknown", "twice", "both", "no-retained", "no-discarded"])
-    def test_feature_names_checked(self, iris_like, retained, discarded,
-                                   message):
-        cfg = LABELING._replace(num_clusters=3, knn_k=5, seed=0)
-        with pytest.raises(ValueError) as err:
-            label_supervised(iris_like, cfg, retained, discarded)
-        assert message in str(err.value)
-
     def test_tiny_class_degenerates_to_nd(self):
         rng = np.random.default_rng(12)
         feats = np.vstack([rng.random((30, 3)), rng.random((3, 3)) + 2])

@@ -315,7 +315,7 @@ def mse_and_gradient(weights, topology, x, t):
     w = mlp._Genome(topology, np.ascontiguousarray(weights))
     grad = mlp._Genome(topology)
     batch = mlp._Batch(topology, x, t, x.shape[0])
-    loss, _ = batch.forward(w)
+    loss, _ = batch.loss(w)
     batch.backward(w, grad)
     return loss, grad.flat
 

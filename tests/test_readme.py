@@ -106,7 +106,7 @@ def test_config_block_names_every_accepted_key(tmp_path):
     block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
     path = tmp_path / "readme.ini"
     path.write_text(block, encoding="utf-8")
-    load_config(str(path))  # the block names no key the loader rejects
+    load_config(str(path), None)  # the block names no key the loader rejects
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(block)
     documented = {name: {"blobN" if key.startswith("blob") else key
