@@ -28,13 +28,14 @@ the ``[ga seed, 1]`` substream of the GA's (:func:`anomtax.ga.conventional`).
 """
 
 import configparser
+import io
 import math
 import re
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import BlobSpec, SplitRatios, SyntheticSpec
+from .data import BlobSpec, SplitRatios, SyntheticSpec, read_input
 from .ga import GaConfig
 from .labeling import LabelingConfig
 from .mlp import TrainingConfig
@@ -199,13 +200,14 @@ def load_config(path, seed) -> RunConfig:
         user = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                          default_section="")
         try:
-            with open(path, encoding="utf-8") as fh:
-                user.read_file(fh)
-        except FileNotFoundError:
-            raise FileNotFoundError(f"config file not found: {path}") from None
-        except OSError as exc:
-            raise OSError(f"cannot read config file {path}: "
-                          f"{exc.strerror or exc}") from None
+            user.read_file(io.StringIO(read_input(path), newline=None),
+                           source=str(path))
+        except configparser.MissingSectionHeaderError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: no [section] header "
+                             f"before {exc.line.strip()!r}") from None
+        except configparser.ParsingError as exc:
+            raise ValueError(f"{path}: line {exc.errors[0][0]}: neither a "
+                             "[section] header nor key = value") from None
         _reject_unread_keys(user, parser, path)
         values = {name: dict(user.items(name, raw=True))
                   for name in user.sections()}

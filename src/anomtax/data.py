@@ -1,5 +1,5 @@
-"""Dataset container, CSV ingestion, normalization, stratified splitting,
-and synthetic 2-D data generation.
+"""Input file reading, dataset container, CSV ingestion, normalization,
+stratified splitting, and synthetic 2-D data generation.
 
 A :class:`Dataset` is a plain record, column-oriented (one ``(n, d)``
 float array plus optional per-sample class ids and anomaly labels), and
@@ -11,6 +11,7 @@ were.
 """
 
 import csv
+import io
 import math
 from enum import IntEnum
 from typing import NamedTuple, NoReturn
@@ -26,6 +27,7 @@ __all__ = [
     "CsvStructureError",
     "CsvParseError",
     "LabelTokenError",
+    "read_input",
     "load_csv",
     "save_csv",
     "minmax_normalize",
@@ -142,17 +144,28 @@ def _label(cell: str) -> int:
 _NAMED_RULES = {"class": _class_id, "label": _label}
 
 
+def read_input(path) -> str:
+    """UTF-8 text of the input file ``path``, a leading BOM dropped."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8-sig")
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line} is not UTF-8") from None
+
+
 def load_csv(path) -> Dataset:
     """Parse a CSV file in the format above into a :class:`Dataset`.
 
     Each column goes through its rule whole.  Only a file with a fault is
     walked again row by row, to name its first faulty cell.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+    reader = csv.reader(io.StringIO(read_input(path), newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
             raise CsvStructureError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
         twice = [name for i, name in enumerate(header)
@@ -166,6 +179,8 @@ def load_csv(path) -> Dataset:
             raise ValueError(f"{path}: no feature columns")
 
         rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
     # in the order a row's faults are named: features, class, label
     rules = [(i, _feature) for i in feat_cols] + [

@@ -16,10 +16,13 @@ call, and its epoch loop allocates no arrays.  :func:`forward_batch`
 scores rows with the same forward pass.
 """
 
+import io
 import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .data import read_input
 
 
 __all__ = [
@@ -373,30 +376,30 @@ def load_model(path) -> TrainedModel:
     """Read a :func:`save_model` file; a malformed topology line or a
     weight that is not a finite number is rejected with the file and line
     named."""
-    with open(path, encoding="utf-8") as fh:
-        sizes = fh.readline().split()
+    lines = io.StringIO(read_input(path), newline=None)
+    sizes = lines.readline().split()
+    try:
+        layers = [int(size) for size in sizes]
+    except ValueError:
+        layers = []
+    if len(layers) != 3 or min(layers) < 1:
+        raise ValueError(f"{path}: line 1: expected three positive "
+                         f"layer sizes, got {' '.join(sizes)!r}")
+    topology = Topology(*layers)
+    weights = []
+    for lineno, line in enumerate(lines, start=2):
+        text = line.strip()
+        if not text:
+            continue
         try:
-            layers = [int(size) for size in sizes]
+            value = float(text)
         except ValueError:
-            layers = []
-        if len(layers) != 3 or min(layers) < 1:
-            raise ValueError(f"{path}: line 1: expected three positive "
-                             f"layer sizes, got {' '.join(sizes)!r}")
-        topology = Topology(*layers)
-        weights = []
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: weight must be a "
-                                 f"finite number, got {text!r}")
-            weights.append(value)
-        weights = np.array(weights)
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: weight must be a "
+                             f"finite number, got {text!r}")
+        weights.append(value)
+    weights = np.array(weights)
     if weights.shape != (topology.genome_length,):
         raise ValueError(
             f"{path}: {weights.size} weights, topology needs "

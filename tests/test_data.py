@@ -91,8 +91,11 @@ class TestLoadCsv:
             load_csv(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_csv(tmp_path / "nope.csv")
+        path = tmp_path / "nope.csv"
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == (f"cannot read {path}: No such file or "
+                                   "directory")
 
     @pytest.mark.parametrize("text, error, match", [
         # the first faulty row wins, whatever its fault
