@@ -1,5 +1,6 @@
-"""Run configuration: a flat, sectioned key-value file (INI syntax) whose
-shipped defaults reproduce the reference setup with zero flags.
+"""Run configuration: a flat, sectioned key-value file (INI syntax, each
+value read as written, ``%`` included) whose shipped defaults reproduce
+the reference setup with zero flags.
 
 Sections and keys (all optional except the seed, which must come from the
 file or from ``--seed``); any other section or key is rejected:
@@ -193,12 +194,14 @@ def load_config(path, seed) -> RunConfig:
     """Merge the shipped defaults, the config file at ``path`` (None for
     none), and the ``--seed`` override ``seed`` (None for none) into one
     validated RunConfig.  The seed is mandatory."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     parser.read_string(_DEFAULTS)
     if path is not None:
         # no section is named "", so [DEFAULT] is rejected like any other
         user = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                         default_section="")
+                                         default_section="",
+                                         interpolation=None)
         try:
             user.read_file(io.StringIO(read_input(path), newline=None),
                            source=str(path))
@@ -209,8 +212,7 @@ def load_config(path, seed) -> RunConfig:
             raise ValueError(f"{path}: line {exc.errors[0][0]}: neither a "
                              "[section] header nor key = value") from None
         _reject_unread_keys(user, parser, path)
-        values = {name: dict(user.items(name, raw=True))
-                  for name in user.sections()}
+        values = {name: dict(user.items(name)) for name in user.sections()}
         # a user blob list replaces the default recipe instead of merging
         if any(k.startswith("blob") for k in values.get("synthetic", ())):
             for key in [k for k in parser["synthetic"]

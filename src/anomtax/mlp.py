@@ -3,17 +3,18 @@ error, trained full-batch by scaled conjugate gradient with optional early
 stopping on a validation set.
 
 All weights and biases live in one flat genome vector so a genetic
-algorithm can evolve initializations.  Canonical ordering: hidden-layer
-weights row-major, hidden biases, output-layer weights row-major, output
-biases.
+algorithm can evolve initializations.  Canonical ordering, the one
+crossover cuts and the model file holds: hidden-layer weights row-major,
+hidden biases, output-layer weights row-major, output biases.
 
-The network is evaluated through genome views: :func:`unpack_weights`
-gives (w1, b1, w2, b2) views of a flat vector, and a gradient is written
-through the same views of a flat gradient buffer with ``out`` arguments,
-so it is never packed.  :func:`train_scg` allocates the weights, the
-trial point, two gradient slots and every intermediate array once per
-call, and its epoch loop allocates no arrays.  :func:`forward_batch`
-scores rows with the same forward pass.
+:func:`train_scg` and :func:`forward_batch` run on a genome permuted into
+an internal order, hidden row j's weights then its bias, row by row, then
+the output layer, against inputs with a ones column: one matrix product
+gives the hidden pre-activations and one their weight and bias gradient.
+The output bias stays a broadcast add, as a ones column on the hidden
+buffer would leave ``tanh`` a slower, strided view.  Gradients are written
+through views of flat genome buffers, with ``out`` arguments; ``train_scg``
+allocates every array once per call and returns canonical-order weights.
 """
 
 import io
@@ -95,23 +96,36 @@ def unpack_weights(weights: np.ndarray, topology: Topology):
     return w1, b1, w2, b2
 
 
+def _internal_order(topology: Topology) -> np.ndarray:
+    """The internal order: ``canonical[order]`` is the internal genome."""
+    w1, b1, w2, b2 = unpack_weights(np.arange(topology.genome_length),
+                                    topology)
+    return np.concatenate([np.column_stack((w1, b1)).ravel(), w2.ravel(),
+                           b2])
+
+
 class _Genome:
-    """A flat genome-length buffer, its (w1, b1, w2, b2) views, and the
-    (w1.T, b1, w2.T, b2) views the forward pass multiplies by."""
+    """A flat genome-length buffer in internal order, its (w1, w2, b2)
+    views, where w1's last column is the hidden biases, and the
+    (w1.T, w2.T, b2) views the forward pass multiplies by."""
 
     __slots__ = ("flat", "views", "fwd")
 
     def __init__(self, topology: Topology, flat=None):
+        n_in, n_hid, n_out = topology
         if flat is None:
             flat = np.zeros(topology.genome_length)
+        i = n_hid * (n_in + 1)
         self.flat = flat
-        self.views = w1, b1, w2, b2 = unpack_weights(self.flat, topology)
-        self.fwd = (w1.T, b1, w2.T, b2)
+        self.views = w1, w2, b2 = (flat[:i].reshape(n_hid, n_in + 1),
+                                   flat[i:-n_out].reshape(n_out, n_hid),
+                                   flat[-n_out:])
+        self.fwd = (w1.T, w2.T, b2)
 
 
 def _forward(w, parts, hidden, y) -> None:
-    """Outputs at the views ``w`` = (w1.T, b1, w2.T, b2), written into
-    ``hidden`` and ``y``.
+    """Outputs at the views ``w`` = (w1.T, w2.T, b2), written into
+    ``hidden`` and ``y``; the ``x`` of each part ends in a ones column.
 
     ``parts`` splits the rows into ``(x, hidden, y)`` slices, and each
     slice gets its own matrix products: the bits of a row of a product can
@@ -120,10 +134,9 @@ def _forward(w, parts, hidden, y) -> None:
     The elementwise steps run over all rows at once, which gives every
     element the bits of a pass over its own part.
     """
-    w1t, b1, w2t, b2 = w
+    w1t, w2t, b2 = w
     for x, h, _ in parts:
         np.matmul(x, w1t, h)
-    np.add(hidden, b1, hidden)
     np.tanh(hidden, hidden)
     for _, h, out in parts:
         np.matmul(h, w2t, out)
@@ -144,20 +157,22 @@ class _Batch:
     def __init__(self, topology: Topology, x, t, n_fit: int):
         n = x.shape[0]
         n_hid, n_out = topology.hidden_size, topology.output_size
+        x = np.column_stack((x, np.ones(n)))
         self.hidden = np.empty((n, n_hid))
         self.y = np.empty((n, n_out))
         self.t, self.fit_t = t, t[:n_fit]
-        self.err, self.sq = np.empty((2, n, n_out))
+        self.err = np.empty((n, n_out))
         self.fit = (x[:n_fit], self.hidden[:n_fit], self.y[:n_fit])
         self.fit_parts = (self.fit,)
         self.parts = self.fit_parts + (
             ((x[n_fit:], self.hidden[n_fit:], self.y[n_fit:]),)
             if n > n_fit else ())
-        self.fit_err, self.fit_sq = self.err[:n_fit], self.sq[:n_fit]
-        self.val_sq = self.sq[n_fit:]
-        self.fit_size = n_fit * n_out
-        self.val_size = (n - n_fit) * n_out
-        self.scale = 2.0 / self.fit_size
+        self.fit_err = self.err[:n_fit]
+        # row slices of a contiguous buffer, so these are flat views
+        self.fit_e = self.fit_err.reshape(-1)
+        self.val_e = self.err[n_fit:].reshape(-1)
+        self.scale = 2.0 / self.fit_e.size
+        self.ones = np.ones(n_fit)
         self.dy, self.d2 = np.empty((2, n_fit, n_out))
         self.dh, self.d1 = np.empty((2, n_fit, n_hid))
         self.d2t, self.d1t = self.d2.T, self.d1.T
@@ -168,12 +183,10 @@ class _Batch:
         any)."""
         _forward(w.fwd, self.parts, self.hidden, self.y)
         np.subtract(self.y, self.t, self.err)
-        np.multiply(self.err, self.err, self.sq)
-        fit_mse = float(np.add.reduce(self.fit_sq, axis=None)) / self.fit_size
+        fit_mse = float(self.fit_e @ self.fit_e) / self.fit_e.size
         val_mse = None
-        if self.val_size:
-            val_mse = float(np.add.reduce(self.val_sq, axis=None)) \
-                / self.val_size
+        if self.val_e.size:
+            val_mse = float(self.val_e @ self.val_e) / self.val_e.size
         return fit_mse, val_mse
 
     def probe(self, w: _Genome) -> None:
@@ -187,20 +200,19 @@ class _Batch:
         genome ``w``, from what the last :meth:`loss` or :meth:`probe`
         call, made at ``w``, left in the buffers."""
         x, hidden, y = self.fit
-        gw1, gb1, gw2, gb2 = g.views
+        gw1, gw2, gb2 = g.views
         dy, d2, dh, d1 = self.dy, self.d2, self.dh, self.d1
         np.multiply(y, y, dy)
         np.subtract(1.0, dy, dy)
         np.multiply(self.fit_err, self.scale, d2)
         np.multiply(d2, dy, d2)
         np.matmul(self.d2t, hidden, gw2)
-        np.add.reduce(d2, 0, None, gb2)
-        np.matmul(d2, w.views[2], d1)
+        np.matmul(self.d2t, self.ones, gb2)
+        np.matmul(d2, w.views[1], d1)
         np.multiply(hidden, hidden, dh)
         np.subtract(1.0, dh, dh)
         np.multiply(d1, dh, d1)
         np.matmul(self.d1t, x, gw1)
-        np.add.reduce(d1, 0, None, gb1)
 
 
 def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
@@ -214,14 +226,16 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
     matrix-vector path).  So a NaN output raises ``ValueError`` naming
     how many rows have one, instead of warning or being ranked.
     """
-    w = _Genome(topology, weights)
-    hidden = np.empty((x.shape[0], topology.hidden_size))
-    y = np.empty((x.shape[0], topology.output_size))
+    n = x.shape[0]
+    w = _Genome(topology, weights[_internal_order(topology)])
+    x = np.column_stack((x, np.ones(n)))
+    hidden = np.empty((n, topology.hidden_size))
+    y = np.empty((n, topology.output_size))
     with np.errstate(over="ignore", invalid="ignore"):
         _forward(w.fwd, ((x, hidden, y),), hidden, y)
     bad = np.count_nonzero(np.isnan(y).any(axis=1))
     if bad:
-        raise ValueError(f"network output is NaN for {bad} of {x.shape[0]} "
+        raise ValueError(f"network output is NaN for {bad} of {n} "
                          "rows: the weights overflow float64")
     return y
 
@@ -251,15 +265,16 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     batch = _Batch(topology, np.concatenate([x_train, x_val]),
                    np.concatenate([t_train, t_val]), x_train.shape[0])
 
-    w = np.array(weights0, dtype=np.float64)
-    n_params = w.size
+    order = _internal_order(topology)
+    n_params = order.size
+    current = _Genome(topology, np.asarray(weights0, np.float64)[order])
     trial, grad, grad_sigma = (_Genome(topology) for _ in range(3))
-    trial.flat[:] = w
     r, r_new, p, diff, best_w = (np.empty(n_params) for _ in range(5))
 
-    f, fv = batch.loss(trial)
-    batch.backward(trial, grad)
+    f, fv = batch.loss(current)
+    batch.backward(current, grad)
     np.negative(grad.flat, out=r)
+    r_norm2 = float(r @ r)
     p[:] = r
     success = True
     lam = SCG_LAMBDA0
@@ -275,7 +290,6 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     stop = "max_epochs"
 
     for _ in range(cfg.max_epochs):
-        r_norm2 = float(r @ r)
         if r_norm2 == 0.0:
             stop = "scg_converged"
             break
@@ -290,7 +304,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
         if success:
             sigma = SCG_SIGMA0 / math.sqrt(p_norm2)
             np.multiply(p, sigma, out=trial.flat)
-            np.add(w, trial.flat, out=trial.flat)
+            np.add(current.flat, trial.flat, out=trial.flat)
             batch.probe(trial)
             batch.backward(trial, grad_sigma)
             np.subtract(grad_sigma.flat, grad.flat, out=diff)
@@ -302,16 +316,17 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             lam = lam_bar
         alpha = mu / delta
         np.multiply(p, alpha, out=trial.flat)
-        np.add(w, trial.flat, out=trial.flat)
+        np.add(current.flat, trial.flat, out=trial.flat)
         f_cand, fv_cand = batch.loss(trial)
         comparison = 2.0 * delta * (f - f_cand) / (mu * mu)
         # a NaN loss makes the comparison NaN, so that step is rejected
         if comparison >= 0:
-            w[:] = trial.flat
+            current, trial = trial, current
             f = f_cand
             fv = fv_cand
-            batch.backward(trial, grad)
+            batch.backward(current, grad)
             np.negative(grad.flat, out=r_new)
+            new_norm2 = float(r_new @ r_new)
             lam_bar = 0.0
             success = True
             accepted_steps += 1
@@ -319,10 +334,11 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             if accepted_steps % n_params == 0:
                 p[:] = r_new
             else:
-                beta = float(r_new @ r_new - r_new @ r) / mu
+                beta = (new_norm2 - float(r_new @ r)) / mu
                 np.multiply(p, beta, out=p)
                 np.add(r_new, p, out=p)
             r, r_new = r_new, r
+            r_norm2 = new_norm2
             if comparison >= 0.75:
                 lam *= 0.25
         else:
@@ -336,21 +352,22 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             val_hist.append(fv)
             if fv < best_val:
                 best_val = fv
-                best_w[:] = w
+                best_w[:] = current.flat
                 fails = 0
             elif fv > best_val:
                 fails += 1
 
         if fails >= cfg.patience:
             stop = "patience"
-            w = best_w
+            current.flat[:] = best_w
             break
         if (last_step_norm < SCG_CONVERGENCE_TOL
-                and math.sqrt(float(r @ r)) < SCG_CONVERGENCE_TOL):
+                and math.sqrt(r_norm2) < SCG_CONVERGENCE_TOL):
             stop = "scg_converged"
             break
 
-    return TrainedModel(topology, w, train_hist, val_hist, stop)
+    return TrainedModel(topology, current.flat[np.argsort(order)],
+                        train_hist, val_hist, stop)
 
 
 def one_hot(class_ids, num_classes: int) -> np.ndarray:

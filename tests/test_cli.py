@@ -848,6 +848,12 @@ REFERENCE = object()
      "error in stage 'config': [synthetic] bounds needs xmin,ymin,xmax,ymax"),
     ("[synthetic]\nblob1 = 1,2,3\n", None, "synth",
      "error in stage 'config': [synthetic] blob1 needs cx,cy,sx,sy,count"),
+    # a value is read as written: "%" is no interpolation syntax
+    ("[ga]\ncycles = 5%\n", None, "synth",
+     "error in stage 'config': [ga] cycles must be an integer, got '5%'"),
+    ("[labeling]\nclusters = %(knn_k)s\n", None, "synth",
+     "error in stage 'config': [labeling] clusters must be an integer, "
+     "got '%(knn_k)s'"),
     ("", "", "label",
      "error in stage 'load': {path}: empty file, header row required"),
     ("", "class,label\n0,ND\n", "label",
@@ -888,7 +894,8 @@ REFERENCE = object()
      "error in stage 'load': {path}: row 3, column 'y': -0.25 is outside "
      "[0, 1], the feature range 'anomtax label' writes"),
 ], ids=["no-section-header", "not-key-value", "blob-key-name",
-        "bounds-three-numbers", "blob-four-numbers", "empty-csv",
+        "bounds-three-numbers", "blob-four-numbers", "percent-sign",
+        "interpolation-syntax", "empty-csv",
         "no-feature-columns", "zero-train-ratio", "train-share-rounds-to-0",
         "feature-inf", "class-fraction", "class-negative", "label-unknown",
         "ragged-row", "field-too-large", "supervised-no-retained",

@@ -281,49 +281,82 @@ class TestOneHot:
             one_hot([0, 2], 3), [[1, 0, 0], [0, 0, 1]])
 
 # ---------------------------------------------------------------------------
-# Bit-identity oracle: the loss/gradient kernel and the SCG loop as they
-# were before the genome-view rewrite, copied verbatim apart from the two
-# counters of rejected steps and lost-descent restarts.
+# Bit-identity oracle: the loss/gradient kernel and the SCG loop in plain
+# numpy, with train_scg's formulas: the genome in internal order (hidden
+# row j's weights then its bias, then the output layer), the hidden biases
+# as the last column of w1 against inputs with a ones column, and the
+# output-bias gradient and each MSE as matrix products.  The loop is the
+# one from before the genome-view rewrite, run on internal-order vectors,
+# with two counters of rejected steps and lost-descent restarts.
 # ---------------------------------------------------------------------------
 
-def _old_mlp_loss_grad(w1, b1, w2, b2, x, t):
+def _with_ones(x):
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
+def _to_internal(weights, topology):
+    w1, b1, w2, b2 = unpack_weights(np.asarray(weights, np.float64),
+                                    topology)
+    return np.concatenate([np.hstack([w1, b1[:, None]]).ravel(),
+                           w2.ravel(), b2])
+
+
+def _internal_views(vec, topology):
+    """(w1 with the hidden biases as its last column, w2, b2)."""
+    n_in, n_hid, n_out = topology
+    i = n_hid * (n_in + 1)
+    j = i + n_out * n_hid
+    return (vec[:i].reshape(n_hid, n_in + 1), vec[i:j].reshape(n_out, n_hid),
+            vec[j:])
+
+
+def _to_canonical(vec, topology):
+    w1, w2, b2 = _internal_views(vec, topology)
+    return np.concatenate([w1[:, :-1].ravel(), w1[:, -1], w2.ravel(), b2])
+
+
+def _old_mlp_loss_grad(w1, w2, b2, x, t):
     n, n_out = t.shape
-    hidden = np.tanh(x @ w1.T + b1)
+    x = _with_ones(x)
+    hidden = np.tanh(x @ w1.T)
     y = np.tanh(hidden @ w2.T + b2)
     err = y - t
-    loss = float((err * err).sum() / (n * n_out))
+    e = err.ravel()
+    loss = float(e @ e) / (n * n_out)
     d2 = (2.0 / (n * n_out)) * err * (1.0 - y * y)
     gw2 = d2.T @ hidden
-    gb2 = d2.sum(axis=0)
+    gb2 = d2.T @ np.ones(n)
     d1 = (d2 @ w2) * (1.0 - hidden * hidden)
     gw1 = d1.T @ x
-    gb1 = d1.sum(axis=0)
-    return loss, gw1, gb1, gw2, gb2
+    return loss, np.concatenate([gw1.ravel(), gw2.ravel(), gb2])
 
 
-def _old_mlp_forward(w1, b1, w2, b2, x):
-    hidden = np.tanh(x @ w1.T + b1)
+def _old_mlp_forward(w1, w2, b2, x):
+    hidden = np.tanh(_with_ones(x) @ w1.T)
     return np.tanh(hidden @ w2.T + b2)
 
 
 def mse_and_gradient(weights, topology, x, t):
     """Mean squared error over all outputs and examples, plus its exact
-    gradient with respect to the flat genome, through the batch that
-    ``train_scg`` runs."""
+    gradient with respect to the flat canonical genome, through the batch
+    that ``train_scg`` runs."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     t = np.ascontiguousarray(t, dtype=np.float64)
-    w = mlp._Genome(topology, np.ascontiguousarray(weights))
+    order = mlp._internal_order(topology)
+    w = mlp._Genome(topology, np.asarray(weights, np.float64)[order])
     grad = mlp._Genome(topology)
     batch = mlp._Batch(topology, x, t, x.shape[0])
     loss, _ = batch.loss(w)
     batch.backward(w, grad)
-    return loss, grad.flat
+    canonical = np.empty_like(grad.flat)
+    canonical[order] = grad.flat
+    return loss, canonical
 
 
 def _old_mse_and_gradient(weights, topology, x, t):
-    w1, b1, w2, b2 = unpack_weights(np.ascontiguousarray(weights), topology)
-    loss, gw1, gb1, gw2, gb2 = _old_mlp_loss_grad(w1, b1, w2, b2, x, t)
-    return float(loss), np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    loss, grad = _old_mlp_loss_grad(
+        *_internal_views(_to_internal(weights, topology), topology), x, t)
+    return loss, _to_canonical(grad, topology)
 
 
 def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
@@ -335,16 +368,17 @@ def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
         x_val = np.ascontiguousarray(x_val, dtype=np.float64)
         t_val = np.ascontiguousarray(t_val, dtype=np.float64)
 
-    w = np.array(weights0, dtype=np.float64)
+    w = _to_internal(weights0, topology)
     n_params = w.size
 
     def loss_grad(vec):
-        return _old_mse_and_gradient(vec, topology, x_train, t_train)
+        return _old_mlp_loss_grad(*_internal_views(vec, topology), x_train,
+                                  t_train)
 
     def val_loss(vec):
-        y = _old_mlp_forward(*unpack_weights(vec, topology), x_val)
-        err = y - t_val
-        return float((err * err).sum() / err.size)
+        y = _old_mlp_forward(*_internal_views(vec, topology), x_val)
+        e = (y - t_val).ravel()
+        return float(e @ e) / e.size
 
     f, grad = loss_grad(w)
     r = -grad
@@ -432,7 +466,8 @@ def _old_train_scg(weights0, topology, x_train, t_train, x_val, t_val, cfg,
             stop = "scg_converged"
             break
 
-    return TrainedModel(topology, w, train_hist, val_hist, stop)
+    return TrainedModel(topology, _to_canonical(w, topology), train_hist,
+                        val_hist, stop)
 
 
 def _random_problem(topo, n_train, n_val, seed):
@@ -502,7 +537,20 @@ class TestBitIdentityOracle:
                 assert np.array_equal(grad, old_grad)
                 assert np.array_equal(
                     forward_batch(w, topo, x),
-                    _old_mlp_forward(*unpack_weights(w, topo), x))
+                    _old_mlp_forward(
+                        *_internal_views(_to_internal(w, topo), topo), x))
+
+    @pytest.mark.parametrize("topo", ORACLE_TOPOLOGIES + (Topology(1, 1, 1),),
+                             ids=lambda topo: f"{topo.genome_length}")
+    def test_internal_order_is_a_permutation_that_round_trips(self, topo):
+        order = mlp._internal_order(topo)
+        assert sorted(order.tolist()) == list(range(topo.genome_length))
+        w = np.random.default_rng(topo.genome_length).random(
+            topo.genome_length)
+        assert np.array_equal(w[order], _to_internal(w, topo))
+        back = np.empty_like(w)
+        back[order] = w[order]
+        assert np.array_equal(back, w)
 
 
 class TestScgConvergedStops:
