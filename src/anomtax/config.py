@@ -168,9 +168,15 @@ def _synthetic_spec(section) -> SyntheticSpec:
         cx, cy, sx, sy = (_number(section, key, raw=v) for v in vals[:4])
         blobs.append(BlobSpec((cx, cy), (sx, sy),
                               _number(section, key, int, vals[4], low=1)))
-    return SyntheticSpec(
-        tuple(blobs), _number(section, "scatter", int, low=0),
-        tuple(_number(section, "bounds", raw=v) for v in bounds))
+    box = tuple(_number(section, "bounds", raw=v) for v in bounds)
+    xmin, ymin, xmax, ymax = box
+    if not (xmin <= xmax and ymin <= ymax
+            and math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise ValueError("[synthetic] bounds needs xmin <= xmax and ymin <= "
+                         "ymax with finite widths, got "
+                         f"{', '.join(map(str, box))}")
+    return SyntheticSpec(tuple(blobs), _number(section, "scatter", int, low=0),
+                         box)
 
 
 def _reject_unread_keys(user, defaults, path) -> None:
@@ -211,6 +217,12 @@ def load_config(path, seed) -> RunConfig:
         except configparser.ParsingError as exc:
             raise ValueError(f"{path}: line {exc.errors[0][0]}: neither a "
                              "[section] header nor key = value") from None
+        except configparser.DuplicateOptionError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: [{exc.section}] "
+                             f"{exc.option} is set twice") from None
+        except configparser.DuplicateSectionError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: [{exc.section}] "
+                             "appears twice") from None
         _reject_unread_keys(user, parser, path)
         values = {name: dict(user.items(name)) for name in user.sections()}
         # a user blob list replaces the default recipe instead of merging

@@ -343,14 +343,22 @@ class SyntheticSpec(NamedTuple):
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """Deterministically generate an unlabeled 2-D dataset.  The spec is
-    taken as given: its counts are checked where it is read, by
-    :func:`anomtax.config.load_config`."""
+    taken as given: its counts and bounds are checked where it is read, by
+    :func:`anomtax.config.load_config`.  A blob so far out or so wide that
+    a drawn coordinate overflows raises a ValueError naming it."""
     rng = np.random.default_rng(seed)
     parts = []
     for blob in spec.blobs:
         center = np.asarray(blob.center, dtype=np.float64)
         spread = np.asarray(blob.spread, dtype=np.float64)
-        parts.append(center + spread * rng.standard_normal((blob.count, 2)))
+        with np.errstate(over="ignore"):
+            part = center + spread * rng.standard_normal((blob.count, 2))
+        if not np.isfinite(part).all():
+            raise ValueError(
+                f"[synthetic] blobN = {', '.join(map(str, blob.center))}, "
+                f"{', '.join(map(str, blob.spread))}, {blob.count} draws a "
+                "value that is not finite")
+        parts.append(part)
     if spec.scatter_count:
         xmin, ymin, xmax, ymax = spec.bounds
         parts.append(rng.uniform((xmin, ymin), (xmax, ymax),

@@ -53,10 +53,6 @@ STRIP_REL_MARGIN = 1e-9
 STRIP_ABS_MARGIN = 1e-150
 
 
-class EmptyClusterError(ValueError):
-    """k-means could not give every cluster a member."""
-
-
 class ClusterModel(NamedTuple):
     """k-means result: the centroids, each point's cluster, and the
     objective after each assignment."""
@@ -257,31 +253,29 @@ def kmeans(points, k: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm with seeded distinct-point initialization of
     ``1 <= k <= n`` centroids.
 
-    Runs to an assignment fixpoint or 300 iterations.  Empty clusters are
-    repaired by reseeding the centroid at the point farthest from its
-    current centroid, which keeps the objective non-increasing.  Raises
-    :class:`EmptyClusterError` if a cluster stays empty after repair,
-    which happens when the points hold fewer than k distinct values, or
-    distinct values whose squared distances underflow to 0.
+    Runs to an assignment fixpoint or 300 iterations.  A centroid
+    coordinate is ``np.bincount(assign, column, k) / sizes``, the members
+    added in row order.  :func:`_repair_empty` refills empty clusters,
+    which keeps the objective non-increasing, and drops those no point
+    can fill: the model has fewer than k centroids when the points hold
+    fewer than k distinct values (or values whose squared distances
+    underflow to 0).
     """
-    n, d = points.shape
+    n = points.shape[0]
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     cols = np.ascontiguousarray(points.T)
     buf = np.empty((2, k, n))
     assign, d2 = _nearest_centroids(cols, centroids, buf)
-    assign, d2, sizes = _repair_empty(cols, centroids, assign, d2, buf)
+    centroids, assign, d2, sizes, buf = _repair_empty(cols, centroids, assign,
+                                                      d2, buf)
     history = [float(d2.sum())]
     for _ in range(KMEANS_MAX_ITER):
-        if d == 1:  # numpy's mean sums one column pairwise, not in order
-            for c in range(k):
-                centroids[c] = points[assign == c].mean(axis=0)
-        else:  # equals mean(axis=0), which adds the rows in order
-            for q in range(d):
-                centroids[:, q] = np.bincount(assign, cols[q], k) / sizes
+        for q, col in enumerate(cols):
+            centroids[:, q] = np.bincount(assign, col, sizes.size) / sizes
         new_assign, d2 = _nearest_centroids(cols, centroids, buf)
-        new_assign, d2, sizes = _repair_empty(cols, centroids, new_assign,
-                                              d2, buf)
+        centroids, new_assign, d2, sizes, buf = _repair_empty(
+            cols, centroids, new_assign, d2, buf)
         history.append(float(d2.sum()))
         if np.array_equal(new_assign, assign):
             break
@@ -309,23 +303,24 @@ def _nearest_centroids(cols, centroids, buf):
 
 
 def _repair_empty(cols, centroids, assign, d2, buf):
-    """Move each empty cluster's centroid onto the point currently
-    farthest from its own centroid, then reassign; returns the repaired
-    assignment, its squared distances and the cluster sizes."""
+    """While a cluster is empty and a point lies off every centroid, move
+    the first empty cluster's centroid onto the point farthest from its
+    own and reassign; each move takes a location no centroid held, so
+    this ends.  Drop the clusters still empty.  Returns the kept
+    centroids, the assignment, its squared distances, the cluster sizes
+    and ``buf`` cut to the kept clusters."""
     k = centroids.shape[0]
-    for attempt in range(k + 1):
-        sizes = np.bincount(assign, minlength=k)
-        empties = np.flatnonzero(sizes == 0)
-        if empties.size == 0:
-            return assign, d2, sizes
-        if attempt == k:
-            break
-        centroids[empties[0]] = cols[:, int(d2.argmax())]
+    sizes = np.bincount(assign, minlength=k)
+    while not sizes.all() and d2.max() > 0:
+        centroids[sizes.argmin()] = cols[:, d2.argmax()]  # first empty
         assign, d2 = _nearest_centroids(cols, centroids, buf)
-    raise EmptyClusterError(
-        f"k-means left {empties.size} of {k} clusters empty; the points "
-        f"hold fewer than k distinct values, or values whose squared "
-        f"distances underflow to 0")
+        sizes = np.bincount(assign, minlength=k)
+    keep = sizes > 0
+    if not keep.all():
+        centroids, sizes = centroids[keep], sizes[keep]
+        assign = (np.cumsum(keep) - 1)[assign]
+        buf = buf[:, :sizes.size]
+    return centroids, assign, d2, sizes, buf
 
 
 def cluster_density_stats(model: ClusterModel, points,
@@ -388,16 +383,9 @@ def label_dataset(ds: Dataset, cfg: LabelingConfig):
     clusters_used = 0
     if rest.size:
         rest_points = points[rest]
-        clusters_used = min(cfg.num_clusters, rest.size)
-        while True:
-            try:
-                model = kmeans(rest_points, clusters_used, cfg.seed)
-                break
-            except EmptyClusterError as err:
-                # points k-means cannot tell apart share a nearest
-                # centroid; one cluster always fills
-                clusters_used -= 1
-                log.info("%s; retrying with k=%d", err, clusters_used)
+        model = kmeans(rest_points, min(cfg.num_clusters, rest.size),
+                       cfg.seed)
+        clusters_used = model.centroids.shape[0]
         spreads = cluster_density_stats(model, rest_points, cfg.knn_k)
         cna_clusters = detect_cna(spreads)
         if cna_clusters.size == clusters_used:

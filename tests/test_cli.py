@@ -848,6 +848,21 @@ REFERENCE = object()
      "error in stage 'config': [synthetic] bounds needs xmin,ymin,xmax,ymax"),
     ("[synthetic]\nblob1 = 1,2,3\n", None, "synth",
      "error in stage 'config': [synthetic] blob1 needs cx,cy,sx,sy,count"),
+    ("[ga]\ncycles = 3\ncycles = 4\n", None, "synth",
+     "error in stage 'config': {cfg}: line 3: [ga] cycles is set twice"),
+    ("[ga]\ncycles = 3\n[ga]\n", None, "synth",
+     "error in stage 'config': {cfg}: line 3: [ga] appears twice"),
+    # the box is checked whether or not scatter draws from it
+    ("[synthetic]\nbounds = 120, 120, -20, -20\nscatter = 0\n", None,
+     "synth", "error in stage 'config': [synthetic] bounds needs xmin <= "
+     "xmax and ymin <= ymax with finite widths, got 120.0, 120.0, -20.0, "
+     "-20.0"),
+    ("[synthetic]\nbounds = -1e308, 0, 1e308, 1\n", None, "synth",
+     "error in stage 'config': [synthetic] bounds needs xmin <= xmax and "
+     "ymin <= ymax with finite widths, got -1e+308, 0.0, 1e+308, 1.0"),
+    ("[synthetic]\nblob1 = 1e308, 0, 1e308, 1, 20\n", None, "synth",
+     "error in stage 'synth': [synthetic] blobN = 1e+308, 0.0, 1e+308, 1.0, "
+     "20 draws a value that is not finite"),
     # a value is read as written: "%" is no interpolation syntax
     ("[ga]\ncycles = 5%\n", None, "synth",
      "error in stage 'config': [ga] cycles must be an integer, got '5%'"),
@@ -894,7 +909,9 @@ REFERENCE = object()
      "error in stage 'load': {path}: row 3, column 'y': -0.25 is outside "
      "[0, 1], the feature range 'anomtax label' writes"),
 ], ids=["no-section-header", "not-key-value", "blob-key-name",
-        "bounds-three-numbers", "blob-four-numbers", "percent-sign",
+        "bounds-three-numbers", "blob-four-numbers", "duplicate-key",
+        "duplicate-section", "bounds-reversed", "bounds-infinite-width",
+        "blob-overflows", "percent-sign",
         "interpolation-syntax", "empty-csv",
         "no-feature-columns", "zero-train-ratio", "train-share-rounds-to-0",
         "feature-inf", "class-fraction", "class-negative", "label-unknown",
@@ -917,6 +934,8 @@ def test_boundary_rule_stops_run(tmp_path, capsys, labeled_synthetic, ini,
     assert capsys.readouterr().err == message.format(path=path,
                                                      cfg=cfg) + "\n"
     assert not out.exists()
+    if command == "synth":
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "label", "compare", "eval"])

@@ -162,7 +162,8 @@ def broadcast_nearest_centroids(pts, centroids):
 
 def broadcast_kmeans(points, k, seed):
     """The Lloyd loop on the broadcast formula, with its empty-cluster
-    repair; also returns how many repairs it made."""
+    repair, for points with at least k distinct values; each centroid adds
+    its members in row order.  Also returns how many repairs it made."""
     rng = np.random.default_rng(seed)
     centroids = points[rng.choice(len(points), size=k, replace=False)].copy()
     repairs = 0
@@ -183,7 +184,8 @@ def broadcast_kmeans(points, k, seed):
     history = [float(d2.sum())]
     for _ in range(labeling.KMEANS_MAX_ITER):
         for c in range(k):
-            centroids[c] = points[assign == c].mean(axis=0)
+            members = points[assign == c]
+            centroids[c] = np.add.accumulate(members)[-1] / len(members)
         new_assign, d2 = nearest_repaired()
         history.append(float(d2.sum()))
         if np.array_equal(new_assign, assign):
@@ -285,10 +287,31 @@ class TestKmeans:
             again = kmeans(pts, 4, seed=seed)
             np.testing.assert_array_equal(model.assignment, again.assignment)
 
-    def test_fewer_distinct_points_than_k_rejected(self):
+    def test_fewer_distinct_points_than_k_drops_clusters(self):
+        # no point can fill a third cluster: it is dropped, not an error
         pts = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3)
-        with pytest.raises(ValueError, match="empty"):
-            kmeans(pts, 3, seed=0)
+        model = kmeans(pts, 3, seed=0)
+        assert model.centroids.shape == (2, 2)
+        assert model.objective_history[-1] == 0.0
+        assert model.assignment.tolist() in ([0] * 3 + [1] * 3,
+                                             [1] * 3 + [0] * 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_nonempty_cluster_per_distinct_value_up_to_k(self, data):
+        # lattice points, many of them coincident
+        d = data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+            min_size=1, max_size=40))
+        scale = data.draw(st.sampled_from([1.0, 0.1, 1e3]))
+        pts = np.array(cells, dtype=np.float64) * scale
+        k = data.draw(st.integers(1, len(pts)))
+        model = kmeans(pts, k, data.draw(st.integers(0, 2**32 - 1)))
+        clusters = min(k, np.unique(pts, axis=0).shape[0])
+        assert model.centroids.shape == (clusters, d)
+        sizes = np.bincount(model.assignment, minlength=clusters)
+        assert sizes.size == clusters and sizes.all()
 
     def test_nearest_centroids_tie_to_lowest_index(self):
         pts = np.array([[0.0, 0.0]])
