@@ -15,6 +15,12 @@ The output bias stays a broadcast add, as a ones column on the hidden
 buffer would leave ``tanh`` a slower, strided view.  Gradients are written
 through views of flat genome buffers, with ``out`` arguments; ``train_scg``
 allocates every array once per call and returns canonical-order weights.
+
+Every product is an ``ndarray.dot`` call.  It reaches the same BLAS
+routine as ``matmul`` without the generalized ufunc's dispatch, which costs
+0.4-0.6 microseconds a call and is most of a product's time at these sizes.
+``ndarray.dot`` raises when its ``out`` is not a C-contiguous float64 array
+of the exact shape; it never copies into one (see :func:`_forward`).
 """
 
 import io
@@ -133,13 +139,19 @@ def _forward(w, parts, hidden, y) -> None:
     Haswell dgemm, and a one-row matrix takes numpy's matrix-vector path).
     The elementwise steps run over all rows at once, which gives every
     element the bits of a pass over its own part.
+
+    Each ``out`` given to ``ndarray.dot``, here and in
+    :meth:`_Batch.backward`, is a row slice of a C-contiguous buffer or a
+    reshape of a flat genome buffer, so it is C-contiguous float64 of the
+    product's shape, as ``ndarray.dot`` demands.  No caller's array is
+    ever an ``out``, so its layout or float dtype cannot break this.
     """
     w1t, w2t, b2 = w
     for x, h, _ in parts:
-        np.matmul(x, w1t, h)
+        x.dot(w1t, h)
     np.tanh(hidden, hidden)
     for _, h, out in parts:
-        np.matmul(h, w2t, out)
+        h.dot(w2t, out)
     np.add(y, b2, y)
     np.tanh(y, y)
 
@@ -183,10 +195,10 @@ class _Batch:
         any)."""
         _forward(w.fwd, self.parts, self.hidden, self.y)
         np.subtract(self.y, self.t, self.err)
-        fit_mse = float(self.fit_e @ self.fit_e) / self.fit_e.size
+        fit_mse = float(self.fit_e.dot(self.fit_e)) / self.fit_e.size
         val_mse = None
         if self.val_e.size:
-            val_mse = float(self.val_e @ self.val_e) / self.val_e.size
+            val_mse = float(self.val_e.dot(self.val_e)) / self.val_e.size
         return fit_mse, val_mse
 
     def probe(self, w: _Genome) -> None:
@@ -206,13 +218,13 @@ class _Batch:
         np.subtract(1.0, dy, dy)
         np.multiply(self.fit_err, self.scale, d2)
         np.multiply(d2, dy, d2)
-        np.matmul(self.d2t, hidden, gw2)
-        np.matmul(self.d2t, self.ones, gb2)
-        np.matmul(d2, w.views[1], d1)
+        self.d2t.dot(hidden, gw2)
+        self.d2t.dot(self.ones, gb2)
+        d2.dot(w.views[1], d1)
         np.multiply(hidden, hidden, dh)
         np.subtract(1.0, dh, dh)
         np.multiply(d1, dh, d1)
-        np.matmul(self.d1t, x, gw1)
+        self.d1t.dot(x, gw1)
 
 
 def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
@@ -249,10 +261,12 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     gradients, the step is accepted only if it lowers the training error,
     and the direction restarts every genome_length accepted steps.
 
-    Stops on: ``patience`` consecutive validation-error increases over the
-    best seen (the best-validation weights are restored); a zero gradient,
-    or step size and gradient both below 1e-10 (``scg_converged``); or
-    ``max_epochs``.  An empty validation set disables early stopping.
+    Stops on: ``patience`` epochs with a validation error above the best
+    seen, counted since the last new best, where an epoch that equals the
+    best neither counts nor resets (the best-validation weights are
+    restored); a zero gradient, or step size and gradient both below 1e-10
+    (``scg_converged``); or ``max_epochs``.  An empty validation set
+    disables early stopping.
     ``weights0`` is copied, never written to.
 
     The validation rows are stacked under the training rows, so the pass
@@ -274,7 +288,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     f, fv = batch.loss(current)
     batch.backward(current, grad)
     np.negative(grad.flat, out=r)
-    r_norm2 = float(r @ r)
+    r_norm2 = float(r.dot(r))
     p[:] = r
     success = True
     lam = SCG_LAMBDA0
@@ -293,8 +307,8 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
         if r_norm2 == 0.0:
             stop = "scg_converged"
             break
-        p_norm2 = float(p @ p)
-        mu = float(p @ r)
+        p_norm2 = float(p.dot(p))
+        mu = float(p.dot(r))
         if mu <= 0 or p_norm2 == 0.0:
             # direction lost descent; restart with steepest descent
             p[:] = r
@@ -308,7 +322,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             batch.probe(trial)
             batch.backward(trial, grad_sigma)
             np.subtract(grad_sigma.flat, grad.flat, out=diff)
-            delta = float(p @ diff) / sigma
+            delta = float(p.dot(diff)) / sigma
         delta += (lam - lam_bar) * p_norm2
         if delta <= 0:
             lam_bar = 2.0 * (lam - delta / p_norm2)
@@ -326,7 +340,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             fv = fv_cand
             batch.backward(current, grad)
             np.negative(grad.flat, out=r_new)
-            new_norm2 = float(r_new @ r_new)
+            new_norm2 = float(r_new.dot(r_new))
             lam_bar = 0.0
             success = True
             accepted_steps += 1
@@ -334,7 +348,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             if accepted_steps % n_params == 0:
                 p[:] = r_new
             else:
-                beta = (new_norm2 - float(r_new @ r)) / mu
+                beta = (new_norm2 - float(r_new.dot(r))) / mu
                 np.multiply(p, beta, out=p)
                 np.add(r_new, p, out=p)
             r, r_new = r_new, r

@@ -480,12 +480,15 @@ def _random_problem(topo, n_train, n_val, seed):
     return rng.random(topo.genome_length), x, t, x_val, t_val
 
 
-ORACLE_TOPOLOGIES = (Topology(2, 10, 4), Topology(3, 5, 2))
+# 1-1-1, 1-3-1 and 4-1-4 give the products' one-element, row and column
+# operand shapes, which BLAS dispatch sorts into shape classes of their own
+ORACLE_TOPOLOGIES = (Topology(2, 10, 4), Topology(3, 5, 2), Topology(1, 1, 1),
+                     Topology(1, 3, 1), Topology(4, 1, 4))
 
 
 @pytest.fixture(scope="module")
 def scg_oracle_runs():
-    """Old and new training on a grid: both topologies, 1/7/117 training
+    """Old and new training on a grid: every topology, 1/7/117 training
     rows, 0/1/39 validation rows (one row takes numpy's matrix-vector
     path), each to max_epochs or patience."""
     runs = []
@@ -540,7 +543,7 @@ class TestBitIdentityOracle:
                     _old_mlp_forward(
                         *_internal_views(_to_internal(w, topo), topo), x))
 
-    @pytest.mark.parametrize("topo", ORACLE_TOPOLOGIES + (Topology(1, 1, 1),),
+    @pytest.mark.parametrize("topo", ORACLE_TOPOLOGIES,
                              ids=lambda topo: f"{topo.genome_length}")
     def test_internal_order_is_a_permutation_that_round_trips(self, topo):
         order = mlp._internal_order(topo)
@@ -551,6 +554,42 @@ class TestBitIdentityOracle:
         back = np.empty_like(w)
         back[order] = w[order]
         assert np.array_equal(back, w)
+
+
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=0)[::2],
+    "float32": lambda a: a.astype(np.float32),
+}
+
+
+class TestInputLayout:
+    """Whatever the layout or float dtype of the features and targets,
+    training and scoring give the bits of a C-contiguous float64 copy:
+    the products write only into buffers ``_Batch`` and ``forward_batch``
+    build themselves."""
+
+    @pytest.mark.parametrize("n_train, n_val", [(1, 1), (7, 0), (117, 39)])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_same_bits_as_c_contiguous_float64(self, layout, n_train,
+                                               n_val):
+        topo = Topology(2, 10, 4)
+        w0, *arrays = _random_problem(topo, n_train, n_val,
+                                      10 * n_train + n_val)
+        arrays = [LAYOUTS[layout](a) for a in arrays]
+        copies = [np.ascontiguousarray(a, np.float64) for a in arrays]
+        cfg = TRAINING._replace(max_epochs=60)
+        got = train_scg(w0, topo, *arrays, cfg)
+        want = train_scg(w0, topo, *copies, cfg)
+        assert got.stop_reason == want.stop_reason
+        assert got.train_mse == want.train_mse
+        assert got.val_mse == want.val_mse
+        assert np.array_equal(got.weights, want.weights)
+        x, want_x = arrays[0], copies[0]
+        for rows in (slice(None), slice(0, 1)):
+            assert np.array_equal(forward_batch(got.weights, topo, x[rows]),
+                                  forward_batch(got.weights, topo,
+                                                want_x[rows]))
 
 
 class TestScgConvergedStops:
