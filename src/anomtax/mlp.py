@@ -11,18 +11,33 @@ hidden biases, output-layer weights row-major, output biases.
 an internal order, hidden row j's weights then its bias, row by row, then
 the output layer, against inputs with a ones column: one matrix product
 gives the hidden pre-activations and one their weight and bias gradient.
-The output bias stays a broadcast add, as a ones column on the hidden
-buffer would leave ``tanh`` a slower, strided view.  Gradients are written
-through views of flat genome buffers, with ``out`` arguments; ``train_scg``
-allocates every array once per call and returns canonical-order weights.
+The permutation and its inverse are made once per topology.  The output
+bias stays a broadcast add (~2 microseconds a pass at 166 rows): a ones
+column on the hidden buffer would add it inside the product's sum, which
+rounds some outputs differently, and would leave ``tanh`` a slower,
+strided view.  Gradients
+are written through views of flat genome buffers; ``train_scg`` allocates
+every array once per call and returns canonical-order weights.
 
-Every product is an ``ndarray.dot`` call.  It reaches the same BLAS
-routine as ``matmul`` without the generalized ufunc's dispatch, which costs
-0.4-0.6 microseconds a call and is most of a product's time at these sizes.
-``ndarray.dot`` raises when its ``out`` is not a C-contiguous float64 array
-of the exact shape; it never copies into one (see :func:`_forward`).
+The passes over the rows are closures that :class:`_Batch` binds to its
+buffers, and ``forward_batch`` runs the same one as training does.  Every
+product is an ``ndarray.dot`` call.  It reaches the same BLAS routine as
+``matmul`` without the generalized ufunc's dispatch, which costs 0.4-0.6
+microseconds a call and is most of a product's time at these sizes.
+``ndarray.dot`` raises when its ``out`` is not a C-contiguous float64
+array of the exact shape; it never copies into one (see :class:`_Batch`).
+
+Every ufunc call takes array operands and a positional ``out``: under
+numpy 2 a Python-float operand costs a call ~0.17 microseconds more than a
+0-d float64 array, and an ``out=`` keyword ~0.04 more than a positional
+one.  So ``_Batch`` holds 0-d arrays for 1 and 2/N, and ``train_scg``
+writes sigma, alpha and beta into one reused 0-d array.  At 2-10-4 on
+137 + 29 rows a ``loss`` call takes ~13.5 microseconds, ``probe`` ~9.8
+and ``backward`` ~8.1, and an SCG epoch ~45.5 (2-vCPU AVX-512 VM, numpy
+2.4, OpenBLAS SkylakeX kernel).
 """
 
+import functools
 import io
 import math
 from typing import NamedTuple
@@ -102,12 +117,18 @@ def unpack_weights(weights: np.ndarray, topology: Topology):
     return w1, b1, w2, b2
 
 
-def _internal_order(topology: Topology) -> np.ndarray:
-    """The internal order: ``canonical[order]`` is the internal genome."""
+@functools.cache
+def _internal_order(topology: Topology):
+    """``(order, inverse)``, made once per topology and read-only:
+    ``canonical[order]`` is the internal genome and ``internal[inverse]``
+    the canonical one."""
     w1, b1, w2, b2 = unpack_weights(np.arange(topology.genome_length),
                                     topology)
-    return np.concatenate([np.column_stack((w1, b1)).ravel(), w2.ravel(),
-                           b2])
+    order = np.concatenate([np.column_stack((w1, b1)).ravel(), w2.ravel(),
+                            b2])
+    inverse = np.argsort(order)
+    order.flags.writeable = inverse.flags.writeable = False
+    return order, inverse
 
 
 class _Genome:
@@ -129,102 +150,95 @@ class _Genome:
         self.fwd = (w1.T, w2.T, b2)
 
 
-def _forward(w, parts, hidden, y) -> None:
-    """Outputs at the views ``w`` = (w1.T, w2.T, b2), written into
-    ``hidden`` and ``y``; the ``x`` of each part ends in a ones column.
+class _Batch:
+    """Rows the network is evaluated on, every intermediate array
+    allocated once, and the passes over them, :meth:`loss`, :meth:`probe`
+    and :meth:`backward`: closures bound to those arrays, so a pass looks
+    up nothing on the batch and runs no loop.
 
-    ``parts`` splits the rows into ``(x, hidden, y)`` slices, and each
-    slice gets its own matrix products: the bits of a row of a product can
+    Rows ``[0, n_fit)`` are fitted: the loss and gradient cover them
+    alone.  Any rows after them (a validation set) are only scored.  Each
+    part gets its own matrix products: the bits of a row of a product can
     depend on the rows multiplied with it (they do under OpenBLAS's
     Haswell dgemm, and a one-row matrix takes numpy's matrix-vector path).
     The elementwise steps run over all rows at once, which gives every
-    element the bits of a pass over its own part.
+    element the bits of a pass over its own part.  Without validation
+    rows, :meth:`loss` still makes their two empty products (~1
+    microsecond) rather than keep a second copy of the forward pass.
 
-    Each ``out`` given to ``ndarray.dot``, here and in
-    :meth:`_Batch.backward`, is a row slice of a C-contiguous buffer or a
-    reshape of a flat genome buffer, so it is C-contiguous float64 of the
-    product's shape, as ``ndarray.dot`` demands.  No caller's array is
-    ever an ``out``, so its layout or float dtype cannot break this.
-    """
-    w1t, w2t, b2 = w
-    for x, h, _ in parts:
-        x.dot(w1t, h)
-    np.tanh(hidden, hidden)
-    for _, h, out in parts:
-        h.dot(w2t, out)
-    np.add(y, b2, y)
-    np.tanh(y, y)
-
-
-class _Batch:
-    """Rows the network is evaluated on, with every intermediate array
-    allocated once.
-
-    Rows ``[0, n_fit)`` are fitted: the loss and gradient cover them
-    alone.  Any rows after them (a validation set) are only scored.  A
-    scoring pass multiplies each part on its own (see :func:`_forward`), so
-    every row gets the bits of a pass over its own part.
+    Each ``out`` given to ``ndarray.dot`` is a row slice of a C-contiguous
+    buffer or a reshape of a flat genome buffer, so it is C-contiguous
+    float64 of the product's shape, as ``ndarray.dot`` demands.  No
+    caller's array is ever an ``out``, so its layout or float dtype cannot
+    break this.  ``y`` holds the outputs of the last pass.
     """
 
     def __init__(self, topology: Topology, x, t, n_fit: int):
         n = x.shape[0]
         n_hid, n_out = topology.hidden_size, topology.output_size
         x = np.column_stack((x, np.ones(n)))
-        self.hidden = np.empty((n, n_hid))
-        self.y = np.empty((n, n_out))
-        self.t, self.fit_t = t, t[:n_fit]
-        self.err = np.empty((n, n_out))
-        self.fit = (x[:n_fit], self.hidden[:n_fit], self.y[:n_fit])
-        self.fit_parts = (self.fit,)
-        self.parts = self.fit_parts + (
-            ((x[n_fit:], self.hidden[n_fit:], self.y[n_fit:]),)
-            if n > n_fit else ())
-        self.fit_err = self.err[:n_fit]
+        hidden = np.empty((n, n_hid))
+        self.y = y = np.empty((n, n_out))
+        err = np.empty((n, n_out))
+        x_fit, h_fit, y_fit = x[:n_fit], hidden[:n_fit], y[:n_fit]
+        x_val, h_val, y_val = x[n_fit:], hidden[n_fit:], y[n_fit:]
+        t_fit, err_fit = t[:n_fit], err[:n_fit]
         # row slices of a contiguous buffer, so these are flat views
-        self.fit_e = self.fit_err.reshape(-1)
-        self.val_e = self.err[n_fit:].reshape(-1)
-        self.scale = 2.0 / self.fit_e.size
-        self.ones = np.ones(n_fit)
-        self.dy, self.d2 = np.empty((2, n_fit, n_out))
-        self.dh, self.d1 = np.empty((2, n_fit, n_hid))
-        self.d2t, self.d1t = self.d2.T, self.d1.T
+        e_fit, e_val = err_fit.reshape(-1), err[n_fit:].reshape(-1)
+        n_e_fit, n_e_val = e_fit.size, e_val.size
+        one, scale = np.array(1.0), np.array(2.0 / n_e_fit)
+        ones = np.ones(n_fit)
+        dy, d2 = np.empty((2, n_fit, n_out))
+        dh, d1 = np.empty((2, n_fit, n_hid))
+        d2t, d1t = d2.T, d1.T
 
-    def loss(self, w: _Genome):
-        """Run every row at genome ``w``; return ``(fit_mse, val_mse)``, the
-        MSE of the fitted rows and of the scored ones (None without
-        any)."""
-        _forward(w.fwd, self.parts, self.hidden, self.y)
-        np.subtract(self.y, self.t, self.err)
-        fit_mse = float(self.fit_e.dot(self.fit_e)) / self.fit_e.size
-        val_mse = None
-        if self.val_e.size:
-            val_mse = float(self.val_e.dot(self.val_e)) / self.val_e.size
-        return fit_mse, val_mse
+        def loss(w: _Genome):
+            """Run every row at genome ``w``; return ``(fit_mse, val_mse)``,
+            the MSE of the fitted rows and of the scored ones (None without
+            any)."""
+            w1t, w2t, b2 = w.fwd
+            x_fit.dot(w1t, h_fit)
+            x_val.dot(w1t, h_val)
+            np.tanh(hidden, hidden)
+            h_fit.dot(w2t, y_fit)
+            h_val.dot(w2t, y_val)
+            np.add(y, b2, y)
+            np.tanh(y, y)
+            np.subtract(y, t, err)
+            fit_mse = float(e_fit.dot(e_fit)) / n_e_fit
+            if not n_e_val:
+                return fit_mse, None
+            return fit_mse, float(e_val.dot(e_val)) / n_e_val
 
-    def probe(self, w: _Genome) -> None:
-        """Run the fitted rows alone at genome ``w``, for :meth:`backward`."""
-        _, hidden, y = self.fit
-        _forward(w.fwd, self.fit_parts, hidden, y)
-        np.subtract(y, self.fit_t, self.fit_err)
+        def probe(w: _Genome) -> None:
+            """Run the fitted rows alone at genome ``w``, for
+            :meth:`backward`."""
+            w1t, w2t, b2 = w.fwd
+            x_fit.dot(w1t, h_fit)
+            np.tanh(h_fit, h_fit)
+            h_fit.dot(w2t, y_fit)
+            np.add(y_fit, b2, y_fit)
+            np.tanh(y_fit, y_fit)
+            np.subtract(y_fit, t_fit, err_fit)
 
-    def backward(self, w: _Genome, g: _Genome) -> None:
-        """Write into genome ``g`` the gradient of the fitted rows' MSE at
-        genome ``w``, from what the last :meth:`loss` or :meth:`probe`
-        call, made at ``w``, left in the buffers."""
-        x, hidden, y = self.fit
-        gw1, gw2, gb2 = g.views
-        dy, d2, dh, d1 = self.dy, self.d2, self.dh, self.d1
-        np.multiply(y, y, dy)
-        np.subtract(1.0, dy, dy)
-        np.multiply(self.fit_err, self.scale, d2)
-        np.multiply(d2, dy, d2)
-        self.d2t.dot(hidden, gw2)
-        self.d2t.dot(self.ones, gb2)
-        d2.dot(w.views[1], d1)
-        np.multiply(hidden, hidden, dh)
-        np.subtract(1.0, dh, dh)
-        np.multiply(d1, dh, d1)
-        self.d1t.dot(x, gw1)
+        def backward(w: _Genome, g: _Genome) -> None:
+            """Write into genome ``g`` the gradient of the fitted rows' MSE
+            at genome ``w``, from what the last :meth:`loss` or
+            :meth:`probe` call, made at ``w``, left in the buffers."""
+            gw1, gw2, gb2 = g.views
+            np.multiply(y_fit, y_fit, dy)
+            np.subtract(one, dy, dy)
+            np.multiply(err_fit, scale, d2)
+            np.multiply(d2, dy, d2)
+            d2t.dot(h_fit, gw2)
+            d2t.dot(ones, gb2)
+            d2.dot(w.views[1], d1)
+            np.multiply(h_fit, h_fit, dh)
+            np.subtract(one, dh, dh)
+            np.multiply(d1, dh, d1)
+            d1t.dot(x_fit, gw1)
+
+        self.loss, self.probe, self.backward = loss, probe, backward
 
 
 def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
@@ -237,14 +251,18 @@ def forward_batch(weights: np.ndarray, topology: Topology, x) -> np.ndarray:
     depends on how numpy groups the products (a one-row batch takes its
     matrix-vector path).  So a NaN output raises ``ValueError`` naming
     how many rows have one, instead of warning or being ranked.
+
+    The rows run through :meth:`_Batch.probe` as fitted rows against zero
+    targets; no rows give a ``(0, output_size)`` array.
     """
     n = x.shape[0]
-    w = _Genome(topology, weights[_internal_order(topology)])
-    x = np.column_stack((x, np.ones(n)))
-    hidden = np.empty((n, topology.hidden_size))
-    y = np.empty((n, topology.output_size))
+    if not n:
+        return np.empty((0, topology.output_size))
+    batch = _Batch(topology, x, np.zeros((n, topology.output_size)), n)
+    w = _Genome(topology, weights[_internal_order(topology)[0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        _forward(w.fwd, ((x, hidden, y),), hidden, y)
+        batch.probe(w)
+    y = batch.y
     bad = np.count_nonzero(np.isnan(y).any(axis=1))
     if bad:
         raise ValueError(f"network output is NaN for {bad} of {n} "
@@ -278,16 +296,19 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     """
     batch = _Batch(topology, np.concatenate([x_train, x_val]),
                    np.concatenate([t_train, t_val]), x_train.shape[0])
+    loss, probe, backward = batch.loss, batch.probe, batch.backward
 
-    order = _internal_order(topology)
+    order, inverse = _internal_order(topology)
     n_params = order.size
     current = _Genome(topology, np.asarray(weights0, np.float64)[order])
     trial, grad, grad_sigma = (_Genome(topology) for _ in range(3))
     r, r_new, p, diff, best_w = (np.empty(n_params) for _ in range(5))
+    # sigma, alpha and beta in turn, as an array operand
+    step = np.empty(())
 
-    f, fv = batch.loss(current)
-    batch.backward(current, grad)
-    np.negative(grad.flat, out=r)
+    f, fv = loss(current)
+    backward(current, grad)
+    np.negative(grad.flat, r)
     r_norm2 = float(r.dot(r))
     p[:] = r
     success = True
@@ -317,11 +338,12 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             success = True
         if success:
             sigma = SCG_SIGMA0 / math.sqrt(p_norm2)
-            np.multiply(p, sigma, out=trial.flat)
-            np.add(current.flat, trial.flat, out=trial.flat)
-            batch.probe(trial)
-            batch.backward(trial, grad_sigma)
-            np.subtract(grad_sigma.flat, grad.flat, out=diff)
+            step[()] = sigma
+            np.multiply(p, step, trial.flat)
+            np.add(current.flat, trial.flat, trial.flat)
+            probe(trial)
+            backward(trial, grad_sigma)
+            np.subtract(grad_sigma.flat, grad.flat, diff)
             delta = float(p.dot(diff)) / sigma
         delta += (lam - lam_bar) * p_norm2
         if delta <= 0:
@@ -329,17 +351,18 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             delta = -delta + lam * p_norm2
             lam = lam_bar
         alpha = mu / delta
-        np.multiply(p, alpha, out=trial.flat)
-        np.add(current.flat, trial.flat, out=trial.flat)
-        f_cand, fv_cand = batch.loss(trial)
+        step[()] = alpha
+        np.multiply(p, step, trial.flat)
+        np.add(current.flat, trial.flat, trial.flat)
+        f_cand, fv_cand = loss(trial)
         comparison = 2.0 * delta * (f - f_cand) / (mu * mu)
         # a NaN loss makes the comparison NaN, so that step is rejected
         if comparison >= 0:
             current, trial = trial, current
             f = f_cand
             fv = fv_cand
-            batch.backward(current, grad)
-            np.negative(grad.flat, out=r_new)
+            backward(current, grad)
+            np.negative(grad.flat, r_new)
             new_norm2 = float(r_new.dot(r_new))
             lam_bar = 0.0
             success = True
@@ -348,9 +371,9 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             if accepted_steps % n_params == 0:
                 p[:] = r_new
             else:
-                beta = (new_norm2 - float(r_new.dot(r))) / mu
-                np.multiply(p, beta, out=p)
-                np.add(r_new, p, out=p)
+                step[()] = (new_norm2 - float(r_new.dot(r))) / mu
+                np.multiply(p, step, p)
+                np.add(r_new, p, p)
             r, r_new = r_new, r
             r_norm2 = new_norm2
             if comparison >= 0.75:
@@ -380,7 +403,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             stop = "scg_converged"
             break
 
-    return TrainedModel(topology, current.flat[np.argsort(order)],
+    return TrainedModel(topology, current.flat[inverse],
                         train_hist, val_hist, stop)
 
 
