@@ -24,9 +24,6 @@ __all__ = [
     "SplitRatios",
     "BlobSpec",
     "SyntheticSpec",
-    "CsvStructureError",
-    "CsvParseError",
-    "LabelTokenError",
     "read_input",
     "load_csv",
     "save_csv",
@@ -53,18 +50,6 @@ class AnomalyLabel(IntEnum):
 LABEL_TOKENS = tuple(label.name for label in AnomalyLabel)
 
 
-class CsvStructureError(ValueError):
-    """Raised when a CSV row does not match the header width."""
-
-
-class CsvParseError(ValueError):
-    """Raised when a cell cannot be parsed for its declared role."""
-
-
-class LabelTokenError(ValueError):
-    """Raised when a label cell holds anything but ND, CNA, CPA or PA."""
-
-
 class Dataset(NamedTuple):
     """Ordered collection of feature vectors with optional labels: an
     ``(n, d)`` float64 array, its ``d`` column names, and optional
@@ -76,8 +61,8 @@ class Dataset(NamedTuple):
 
     features: np.ndarray
     feature_names: list
-    class_ids: np.ndarray | None = None
-    labels: np.ndarray | None = None
+    class_ids: np.ndarray | None
+    labels: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -112,9 +97,9 @@ def _feature(cell: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise CsvParseError(f"not a number: {cell!r}") from None
+        raise ValueError(f"not a number: {cell!r}") from None
     if not math.isfinite(value):
-        raise CsvParseError(f"not a finite number: {cell!r}")
+        raise ValueError(f"not a finite number: {cell!r}")
     return value
 
 
@@ -122,9 +107,9 @@ def _class_id(cell: str) -> int:
     try:
         value = int(cell)
     except ValueError:
-        raise CsvParseError(f"not an integer: {cell!r}") from None
+        raise ValueError(f"not an integer: {cell!r}") from None
     if not 0 <= value < 2**63:
-        raise CsvParseError(f"not an integer in [0, 2^63): {cell!r}")
+        raise ValueError(f"not an integer in [0, 2^63): {cell!r}")
     return value
 
 
@@ -135,7 +120,7 @@ def _label(cell: str) -> int:
     try:
         return _LABEL_VALUES[cell]
     except KeyError:
-        raise LabelTokenError(
+        raise ValueError(
             f"unknown label {cell!r} (expected one of "
             f"{', '.join(LABEL_TOKENS)})") from None
 
@@ -166,12 +151,12 @@ def load_csv(path) -> Dataset:
     try:
         header = next(reader, None)
         if header is None:
-            raise CsvStructureError(f"{path}: empty file, header row required")
+            raise ValueError(f"{path}: empty file, header row required")
         header = [h.strip() for h in header]
         twice = [name for i, name in enumerate(header)
                  if name in header[:i]]
         if twice:
-            raise CsvStructureError(
+            raise ValueError(
                 f"{path}: header names column {twice[0]!r} twice")
         feat_cols = [i for i, name in enumerate(header)
                      if name not in _NAMED_RULES]
@@ -188,7 +173,7 @@ def load_csv(path) -> Dataset:
         if name in header]
     try:
         if set(map(len, rows)) - {len(header)}:
-            raise CsvStructureError("ragged rows")
+            raise ValueError("ragged rows")
         columns = list(zip(*rows)) or [()] * len(header)
         parsed = {header[i]: list(map(rule, map(str.strip, columns[i])))
                   for i, rule in rules}
@@ -214,15 +199,15 @@ def _raise_first_fault(path, header, rows, rules) -> NoReturn:
     the order of ``rules``, named by file, row and column."""
     for rownum, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            raise CsvStructureError(
+            raise ValueError(
                 f"{path}: row {rownum}: expected {len(header)} columns, "
                 f"got {len(row)}")
         for i, rule in rules:
             try:
                 rule(row[i].strip())
             except ValueError as exc:
-                raise type(exc)(f"{path}: row {rownum}, column "
-                                f"{header[i]!r}: {exc}") from None
+                raise ValueError(f"{path}: row {rownum}, column "
+                                 f"{header[i]!r}: {exc}") from None
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -363,4 +348,4 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         xmin, ymin, xmax, ymax = spec.bounds
         parts.append(rng.uniform((xmin, ymin), (xmax, ymax),
                                  (spec.scatter_count, 2)))
-    return Dataset(np.vstack(parts), ["x", "y"])
+    return Dataset(np.vstack(parts), ["x", "y"], None, None)

@@ -86,15 +86,15 @@ class TrainingConfig(NamedTuple):
 
 
 class TrainedModel(NamedTuple):
+    """A network as its model file holds it, the topology and the
+    canonical-order weights, plus the SCG epochs that trained it and why
+    training stopped: ``patience``, ``scg_converged`` or ``max_epochs``.
+    A model read by :func:`load_model` has 0 epochs and ``"loaded"``."""
+
     topology: Topology
     weights: np.ndarray
-    train_mse: list | tuple
-    val_mse: list | None
+    epochs: int
     stop_reason: str
-
-    @property
-    def epochs(self) -> int:
-        return len(self.train_mse)
 
 
 def init_weights(topology: Topology, rng) -> np.ndarray:
@@ -287,6 +287,10 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     disables early stopping.
     ``weights0`` is copied, never written to.
 
+    Returns a :class:`TrainedModel` of the final weights in canonical
+    order (the best-validation ones after a ``patience`` stop), the number
+    of epochs run and the stop reason.
+
     The validation rows are stacked under the training rows, so the pass
     that scores a candidate step also gives its validation error; an
     accepted step moves the weights to exactly that point and a rejected
@@ -318,8 +322,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
     accepted_steps = 0
     last_step_norm = math.inf
 
-    train_hist: list[float] = []
-    val_hist: list[float] | None = None if fv is None else []
+    epochs = 0
     best_val = math.inf
     fails = 0
     stop = "max_epochs"
@@ -384,9 +387,8 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
         if comparison < 0.25:
             lam += delta * (1.0 - comparison) / p_norm2
 
-        train_hist.append(f)
+        epochs += 1
         if fv is not None:
-            val_hist.append(fv)
             if fv < best_val:
                 best_val = fv
                 best_w[:] = current.flat
@@ -403,8 +405,7 @@ def train_scg(weights0, topology: Topology, x_train, t_train, x_val, t_val,
             stop = "scg_converged"
             break
 
-    return TrainedModel(topology, current.flat[inverse],
-                        train_hist, val_hist, stop)
+    return TrainedModel(topology, current.flat[inverse], epochs, stop)
 
 
 def one_hot(class_ids, num_classes: int) -> np.ndarray:
@@ -459,4 +460,4 @@ def load_model(path) -> TrainedModel:
             f"{path}: {weights.size} weights, topology needs "
             f"{topology.genome_length}"
         )
-    return TrainedModel(topology, weights, (), None, "loaded")
+    return TrainedModel(topology, weights, 0, "loaded")

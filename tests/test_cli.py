@@ -1076,7 +1076,7 @@ def test_features_outside_unit_range_stop_in_load(tmp_path,
     topology = mlp.Topology(2, 10, 4)
     mlp.save_model(mlp.TrainedModel(topology,
                                     np.full(topology.genome_length, 0.5),
-                                    (), None, "loaded"), model)
+                                    0, "loaded"), model)
     args = [command, str(path)] if command == "compare" else \
         [command, str(model), str(path)]
     env = dict(os.environ)

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from anomtax.data import (
     AnomalyLabel,
     BlobSpec,
-    CsvParseError,
-    CsvStructureError,
-    LabelTokenError,
     SplitRatios,
     SyntheticSpec,
     generate_synthetic,
@@ -56,20 +53,23 @@ class TestLoadCsv:
 
     def test_text_in_feature_cell(self, tmp_path):
         path = _write(tmp_path, "x,y\n1,2\n3,oops\n")
-        with pytest.raises(CsvParseError, match=r"row 3, column 'y'"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3, column 'y': not a number: 'oops'")):
             load_csv(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN",
                                        "Infinity"])
     def test_non_finite_feature_cell(self, tmp_path, token):
         path = _write(tmp_path, f"x,y\n1,2\n3,4\n{token},5\n")
-        with pytest.raises(CsvParseError,
-                           match=rf"row 4, column 'x'.*{token}"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 4, column 'x': not a finite number: "
+                f"{token!r}")):
             load_csv(path)
 
     def test_ragged_row(self, tmp_path):
         path = _write(tmp_path, "x,y\n1,2\n3\n")
-        with pytest.raises(CsvStructureError, match="row 3"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3: expected 2 columns, got 1")):
             load_csv(path)
 
     @pytest.mark.parametrize("header, name", [
@@ -80,15 +80,18 @@ class TestLoadCsv:
         width = header.count(",") + 1
         path = _write(tmp_path, header + "\n" + ",".join(["0"] * width)
                       + "\n")
-        with pytest.raises(CsvStructureError) as info:
+        with pytest.raises(ValueError) as info:
             load_csv(path)
         assert str(info.value) == \
             f"{path}: header names column {name!r} twice"
 
     def test_unknown_label_token(self, tmp_path):
         path = _write(tmp_path, "x,label\n1,ND\n2,WAT\n")
-        with pytest.raises(LabelTokenError, match="WAT"):
+        with pytest.raises(ValueError) as info:
             load_csv(path)
+        assert str(info.value) == (
+            f"{path}: row 3, column 'label': unknown label 'WAT' (expected "
+            "one of ND, CNA, CPA, PA)")
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "nope.csv"
@@ -97,28 +100,33 @@ class TestLoadCsv:
         assert str(info.value) == (f"cannot read {path}: No such file or "
                                    "directory")
 
-    @pytest.mark.parametrize("text, error, match", [
+    @pytest.mark.parametrize("text, message", [
         # the first faulty row wins, whatever its fault
         ("x,y,class,label\n1,2,0,ND\n3,4,0,WAT\n5,oops,x,ND\n",
-         LabelTokenError, r"row 3, column 'label'"),
+         "row 3, column 'label': unknown label 'WAT' (expected one of ND, "
+         "CNA, CPA, PA)"),
         ("x,y,class,label\n1,2,0,ND\ninf,oops,0,ND\n3,4,0,WAT\n",
-         CsvParseError, r"row 3, column 'x': not a finite number: 'inf'"),
+         "row 3, column 'x': not a finite number: 'inf'"),
         # within a row: width, then features in column order, then class,
         # then label
-        ("x,y,class,label\n1,oops,zz\n", CsvStructureError, r"row 2"),
-        ("x,y,class,label\n1,oops,zz,WAT\n", CsvParseError,
-         r"row 2, column 'y': not a number: 'oops'"),
-        ("x,y,class,label\n1, nan ,zz,WAT\n", CsvParseError,
-         r"row 2, column 'y': not a finite number: 'nan'"),
-        ("x,y,class,label\n1,2,zz,WAT\n", CsvParseError,
-         r"row 2, column 'class': not an integer: 'zz'"),
+        ("x,y,class,label\n1,oops,zz\n", "row 2: expected 4 columns, got 3"),
+        ("x,y,class,label\n1,oops,zz,WAT\n",
+         "row 2, column 'y': not a number: 'oops'"),
+        ("x,y,class,label\n1, nan ,zz,WAT\n",
+         "row 2, column 'y': not a finite number: 'nan'"),
+        ("x,y,class,label\n1,2,zz,WAT\n",
+         "row 2, column 'class': not an integer: 'zz'"),
         # finite cells whose sum overflows are accepted
-        ("x,y\n1e308,1e308\nnan,1\n", CsvParseError, r"row 3, column 'x'"),
-    ])
-    def test_which_error_wins(self, tmp_path, text, error, match):
+        ("x,y\n1e308,1e308\nnan,1\n",
+         "row 3, column 'x': not a finite number: 'nan'"),
+    ], ids=["label-row-first", "feature-row-first", "width-first",
+            "text-feature", "nan-feature", "class-before-label",
+            "after-overflowing-sum"])
+    def test_which_error_wins(self, tmp_path, text, message):
         path = _write(tmp_path, text)
-        with pytest.raises(error, match=match):
+        with pytest.raises(ValueError) as info:
             load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("cell, message", [
         ("-1", "not an integer in [0, 2^63): '-1'"),
@@ -127,7 +135,7 @@ class TestLoadCsv:
     ], ids=["negative", "past-int64"])
     def test_class_id_outside_int64_range(self, tmp_path, cell, message):
         path = _write(tmp_path, f"x,class\n1,0\n2, {cell}\n")
-        with pytest.raises(CsvParseError) as info:
+        with pytest.raises(ValueError) as info:
             load_csv(path)
         assert str(info.value) == f"{path}: row 3, column 'class': {message}"
 

@@ -316,9 +316,10 @@ class TestRunGa:
         assert len(trainings) == run.evaluations
         again = real_train(run.best.genome, TOPO, splits.x_train,
                            splits.t_train, splits.x_val, splits.t_val, TCFG)
-        np.testing.assert_array_equal(run.best.model.weights, again.weights)
-        assert run.best.model.train_mse == again.train_mse
-        assert run.best.model.val_mse == again.val_mse
+        model = run.best.model
+        assert (model.epochs, model.stop_reason) == (again.epochs,
+                                                     again.stop_reason)
+        assert model.weights.tobytes() == again.weights.tobytes()
 
 
 def assert_scored_by_its_fitness(ind, splits):
